@@ -225,7 +225,6 @@ def test_fig3_scale_copper_fused_arena_shrinks_further():
     eplan = engine.plan
     assert eplan.records_fused() > 0
     assert eplan.arena_nbytes() <= eplan.prefusion_arena_nbytes()
-    RESULTS["fig3_eval_fused_colored_MB"] = eplan.arena_nbytes() / 1e6
     engine.plan.release_arenas()
 
 
@@ -274,9 +273,7 @@ def test_fitting_chain_fused_vs_numpy_timing(benchmark, fitting_chain):
     numpy on the fig3-scale elementwise chain (paired interleaved trials,
     REPRO_BENCH_STRICT-gated per the bench policy)."""
     plans, feeds = fitting_chain
-    t_fused = bench_median(
-        benchmark, lambda: plans["fused"].run(feeds), rounds=5)
-    RESULTS["t_fitting_fused_ms"] = t_fused * 1e3
+    bench_median(benchmark, lambda: plans["fused"].run(feeds), rounds=5)
     reps = 3
 
     def run_fused():
@@ -370,20 +367,3 @@ def test_zz_report(benchmark, workload, model):
               f"({1 / RESULTS['fitting_ratio_median']:.2f}x speedup)")
     print("(one graph traversal per plan lifetime; steady-state runs are a")
     print(" flat slot-indexed tape walk into persistent recycled buffers)")
-
-    # The perf-trajectory data point for this PR: paired fused-vs-unfused
-    # medians plus the fig3-scale arena figures (repo-root BENCH_10.json).
-    import json
-    from pathlib import Path
-
-    bench_keys = (
-        "fitting_ratio_median", "fitting_ratio_best", "t_fitting_fused_ms",
-        "fig3_train_fused_colored_MB", "fig3_train_prefusion_MB",
-        "fig3_train_records_fused", "fig3_eval_fused_colored_MB",
-        "fig3_colored_MB", "fig3_fifo_MB", "ratio_median",
-    )
-    payload = {k: RESULTS[k] for k in bench_keys if k in RESULTS}
-    if payload:
-        out = Path(__file__).resolve().parent.parent / "BENCH_10.json"
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"fusion bench figures written to {out.name}")

@@ -62,6 +62,35 @@ class TestFormatting:
         )
 
 
+def test_production_path_matches_layout_model(inputs):
+    """The formatter the engine actually runs (per-atom packed-key sort)
+    builds the layout the two models above define: same neighbors in every
+    type block, nothing dropped differently.  Slot order inside a block may
+    differ from the exact-float sorts only where the codec's 1e-8 Å quantum
+    ties two distances (the two O-H bonds of a molecule), so blocks are
+    compared as sets and the production rows are checked to be sorted at
+    that resolution."""
+    sys, cfg, pi, pj = inputs
+    prod = format_neighbors(sys, pi, pj, cfg.rcut, cfg.sel)
+    models = [
+        format_neighbors_baseline(sys, pi, pj, cfg.rcut, cfg.sel),
+        format_neighbors(sys, pi, pj, cfg.rcut, cfg.sel, use_compression=False),
+    ]
+    _em, _ed, rij = environment_op(sys, prod, cfg.rcut_smth, cfg.rcut)
+    # the formatter's own distance formula, so the quantum boundaries agree
+    quantized = np.floor(np.sqrt(np.einsum("...i,...i->...", rij, rij)) * 1e8)
+    quantized[prod.nlist == PAD] = np.finfo(float).max  # padding comes last
+    for t, width in enumerate(prod.sel):
+        block = slice(prod.sel_start[t], prod.sel_start[t] + width)
+        assert np.all(np.diff(quantized[:, block], axis=1) >= 0)
+        for model in models:
+            np.testing.assert_array_equal(
+                np.sort(prod.nlist[:, block], axis=1),
+                np.sort(model.nlist[:, block], axis=1),
+            )
+    assert all(model.n_dropped == prod.n_dropped for model in models)
+
+
 class TestGranularity:
     """Embedding input gather: branch-per-neighbor vs padded block."""
 

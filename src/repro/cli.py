@@ -672,6 +672,13 @@ def cmd_md(args) -> int:
         + (f", {writer.saves} checkpoint(s)" if writer is not None else ""),
         flush=True,
     )
+    dropped = sim.potential.model.batched.neighbors_dropped
+    if dropped:
+        print(
+            f"repro md: {dropped} neighbors beyond sel were dropped "
+            "(truncated descriptors)",
+            flush=True,
+        )
     return 0
 
 

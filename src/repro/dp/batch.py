@@ -249,6 +249,10 @@ class BatchedEvaluator:
         self.fmt_evictions = 0
         self.batch_evaluations = 0
         self.frames_evaluated = 0
+        # True neighbors the formatter discarded because a type block
+        # overflowed ``sel`` (sum of ``FormattedNeighbors.n_dropped`` over
+        # every layout built): non-zero means truncated descriptors.
+        self.neighbors_dropped = 0
         # One-engine-one-thread guard: the thread currently inside
         # evaluate_batch (None when idle), compare-and-set under a lock so
         # simultaneous entry cannot slip past the check.  Scratch buffers
@@ -257,7 +261,7 @@ class BatchedEvaluator:
         self._active_thread: Optional[int] = None
         self._guard_lock = threading.Lock()
         # Staging-path counters: frames that arrive as separate requests
-        # (the serving layer) only take the single-lexsort fast path when
+        # (the serving layer) only take the single-pass stacked path when
         # their boxes match; these counters let callers see which path a
         # workload actually exercised.
         self.stacked_batches = 0
@@ -426,8 +430,8 @@ class BatchedEvaluator:
 
         # --- stage the replicas into one formatted-neighbor layout ---------
         # Fast path: the whole batch is stacked into a single virtual frame,
-        # so it is formatted by ONE lexsort and one Environment-operator call
-        # (neighbor indices never cross replica spans because each frame's
+        # so it is formatted by ONE formatter pass and one Environment-operator
+        # call (neighbor indices never cross replica spans because each frame's
         # pair list is remapped into its own row span).  Per-frame Python
         # staging cost — the fixed cost the engine exists to amortize — is
         # paid once per batch instead of once per frame.  Two stackable
@@ -517,6 +521,7 @@ class BatchedEvaluator:
                 out=self._fmts.get(fmt_key),
             )
             self._remember_fmt(fmt_key, fmt)
+            self.neighbors_dropped += fmt.n_dropped
             environment_op(
                 stacked, fmt, cfg.rcut_smth, cfg.rcut, pbc=pbc,
                 out=(em_n, ed_n, rij),
@@ -547,6 +552,7 @@ class BatchedEvaluator:
                     out=self._fmts.get(fmt_key),
                 )
                 self._remember_fmt(fmt_key, fmt)
+                self.neighbors_dropped += fmt.n_dropped
                 sl = slice(row, row + nloc)
                 if backend == "optimized":
                     environment_op(

@@ -24,25 +24,26 @@ import numpy as np
 def smooth_weight(r: np.ndarray, r_smth: float, r_cut: float):
     """s(r) and ds/dr, vectorized; r may contain zeros (padded slots)."""
     r = np.asarray(r, dtype=np.float64)
-    safe_r = np.where(r > 0, r, 1.0)
-    inv_r = np.where(r > 0, 1.0 / safe_r, 0.0)
+    real = r > 0
+    safe_r = np.where(real, r, 1.0)
+    inv_r = np.where(real, 1.0 / safe_r, 0.0)
 
     s = inv_r.copy()
     ds = -inv_r * inv_r  # d(1/r)/dr
 
-    mid = (r >= r_smth) & (r < r_cut)
-    u = (r[mid] - r_smth) / (r_cut - r_smth)
+    # Flat indices of the switch region (take/put work on the flattened
+    # array, whatever the shape of r).
+    mid = np.flatnonzero((r >= r_smth) & (r < r_cut))
+    inv_mid = np.take(inv_r, mid)
+    u = (np.take(r, mid) - r_smth) / (r_cut - r_smth)
     sw = u**3 * (-6.0 * u**2 + 15.0 * u - 10.0) + 1.0
     dsw = -30.0 * u**2 * (u - 1.0) ** 2 / (r_cut - r_smth)
-    s[mid] = inv_r[mid] * sw
-    ds[mid] = -inv_r[mid] ** 2 * sw + inv_r[mid] * dsw
+    np.put(s, mid, inv_mid * sw)
+    np.put(ds, mid, -inv_mid ** 2 * sw + inv_mid * dsw)
 
-    out = r >= r_cut
-    s[out] = 0.0
-    ds[out] = 0.0
-    zero = r <= 0
-    s[zero] = 0.0
-    ds[zero] = 0.0
+    dead = (r >= r_cut) | (r <= 0)
+    s = np.where(dead, 0.0, s)
+    ds = np.where(dead, 0.0, ds)
     return s, ds
 
 
@@ -75,29 +76,44 @@ def env_rows(
         (...,) distances.
     """
     disp = np.asarray(disp, dtype=np.float64)
+    lead = disp.shape[:-1]
     r = np.sqrt(np.einsum("...i,...i->...", disp, disp))
     s, ds = smooth_weight(r, r_smth, r_cut)
+    rows = out_rows if out_rows is not None else np.empty(lead + (4,))
+    deriv = out_deriv if out_deriv is not None else np.empty(lead + (4, 3))
 
-    safe_r = np.where(r > 0, r, 1.0)
-    u = disp / safe_r[..., None]  # unit vectors; zero rows stay finite
-    u = np.where(r[..., None] > 0, u, 0.0)
+    # Component-wise (SoA): every operand below is one contiguous vector over
+    # the slots, every output component one strided write.  The operation
+    # order per element is fixed — results are compared bitwise across
+    # engines, batch compositions and PRs.
+    real = r > 0
+    safe_r = np.where(real, r, 1.0)
+    mask = (real & (r < r_cut)).astype(np.float64)
+    s_over_r = s / safe_r  # s is 0 where r is, so no guard is needed
+    u = []  # unit vector components; zero rows stay finite
+    for c in range(3):
+        u.append(np.where(real, disp[..., c] / safe_r, 0.0))
 
-    rows = out_rows if out_rows is not None else np.empty(disp.shape[:-1] + (4,))
     rows[..., 0] = s
-    rows[..., 1:] = s[..., None] * u
+    for c in range(3):
+        np.multiply(s, u[c], out=rows[..., 1 + c])
 
     # dR0/dd_k = ds/dr * u_k
-    # dRc/dd_k = ds/dr u_k u_c + s (δ_ck - u_c u_k)/r
-    deriv = (
-        out_deriv if out_deriv is not None else np.zeros(disp.shape[:-1] + (4, 3))
-    )
-    deriv[..., 0, :] = ds[..., None] * u
-    eye = np.eye(3)
-    s_over_r = np.where(r > 0, s / safe_r, 0.0)
-    deriv[..., 1:, :] = (
-        ds[..., None, None] * u[..., :, None] * u[..., None, :]
-        + s_over_r[..., None, None] * (eye - u[..., :, None] * u[..., None, :])
-    )
-    mask = (r > 0) & (r < r_cut)
-    deriv *= mask[..., None, None]
+    # dRc/dd_k = ds/dr u_c u_k + s (δ_ck - u_c u_k)/r
+    ds_u = [ds * u_c for u_c in u]
+    for k in range(3):
+        np.multiply(ds_u[k], mask, out=deriv[..., 0, k])
+    radial = np.empty(lead)
+    tangential = np.empty(lead)
+    for c in range(3):
+        for k in range(c, 3):
+            # s/r (δ_ck - u_c u_k) is symmetric in (c, k); (ds u_c) u_k is
+            # not (it rounds differently from (ds u_k) u_c).
+            np.multiply(u[c], u[k], out=tangential)
+            np.subtract(1.0 if c == k else 0.0, tangential, out=tangential)
+            np.multiply(s_over_r, tangential, out=tangential)
+            for a, b in {(c, k), (k, c)}:
+                np.multiply(ds_u[a], u[b], out=radial)
+                np.add(radial, tangential, out=radial)
+                np.multiply(radial, mask, out=deriv[..., 1 + a, b])
     return rows, deriv, r

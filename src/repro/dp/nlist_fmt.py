@@ -18,9 +18,31 @@ The 64-bit codec packs one neighbor record into an unsigned integer
 
     key = type * 10^15 + floor(dist * 10^8) * 10^5 + index
 
-(4 digits of type, 10 of distance, 5 of index), so a single scalar sort
-replaces a struct sort.  Field-range violations (index >= 10^5, distance >=
-100 Å) raise instead of silently corrupting keys.
+(4 digits of type, 10 of distance, 5 of index), so a scalar sort replaces a
+struct sort.  Field-range violations (index >= 10^5, distance >= 100 Å,
+type >= 10^4) raise instead of silently corrupting keys.
+
+What :func:`format_neighbors` executes per step — one pass over the geometry,
+every loop as long as the pair list:
+
+1. measure displacement and distance once per *half* pair (the list may
+   carry skin pairs) and keep those within ``rcut``;
+2. mirror (i, j, r) to the directed list by concatenation — d(j, i) is
+   bitwise d(i, j) — and drop centers beyond ``nloc``;
+3. pack every directed entry into its key (all range checks apply);
+4. group the keys by center atom into a ``(nloc, max degree)`` ``uint64``
+   matrix padded with the largest key, and ``sort(axis=1)`` it — the paper's
+   per-atom sort; afterwards row *a* holds atom *a*'s neighbors type block by
+   type block, nearest first;
+5. decode the index field (``key % 10^5``) and gather slot
+   ``sel_start[t] + k`` from the k-th entry of the row's type-t run; runs
+   longer than ``sel[t]`` lose their tail — the farthest neighbors — and are
+   counted in ``n_dropped``.
+
+``use_compression=False`` swaps steps 3–4 for a four-key record ``lexsort``
+(exact float distances; the Sec 5.2 ablation contrast), and
+:func:`format_neighbors_baseline` is the AoS tuple-sort layout model both are
+tested against.
 """
 
 from __future__ import annotations
@@ -44,6 +66,9 @@ _MAX_TYPE = 10**4  # 4 digits
 
 #: Marker for padded (empty) neighbor slots.
 PAD = -1
+# Fill of a key row; its type field (18446) is above the codec's 4 digits, so
+# it sorts after every real key.
+_PAD_KEY = np.iinfo(np.uint64).max
 
 
 def compress_entries(
@@ -138,14 +163,66 @@ def _gather_raw(
     pbc: bool,
 ):
     """Per-pair (i, j, dist) within rcut, directed, centers restricted to
-    the first ``nloc`` atoms (locals; the rest are ghosts)."""
-    fi, fj = full_pairs(pair_i, pair_j)
-    disp = system.positions[fj] - system.positions[fi]
+    the first ``nloc`` atoms (locals; the rest are ghosts).
+
+    Distances are measured once per half pair and mirrored: d(j, i) is
+    bitwise d(i, j) (negation and rounding are sign-symmetric), so the
+    directed list is a concatenation, not a second measurement.
+    """
+    disp = np.take(system.positions, pair_j, axis=0)
+    disp -= np.take(system.positions, pair_i, axis=0)
     if pbc:
-        disp = system.box.minimum_image(disp)
+        system.box.fold_minimum_image(disp)
     r = np.sqrt(np.einsum("ij,ij->i", disp, disp))
-    keep = (r <= rcut) & (fi < nloc)
-    return fi[keep], fj[keep], r[keep]
+    keep = np.flatnonzero(r <= rcut)
+    fi, fj = full_pairs(pair_i[keep], pair_j[keep])
+    r = np.concatenate([r[keep], r[keep]])
+    if nloc < system.n_atoms:
+        keep = fi < nloc
+        fi, fj, r = fi[keep], fj[keep], r[keep]
+    return fi, fj, r
+
+
+def _row_grouping(fi: np.ndarray, nloc: int) -> np.ndarray:
+    """A permutation bringing equal centers together.  Rows are sorted
+    afterwards, so the order inside a group is free and the cheapest sort
+    numpy has for the input at hand will do: a stable argsort of 16-bit
+    integers is a radix sort."""
+    if nloc <= 1 << 16:
+        return np.argsort(fi.astype(np.uint16), kind="stable")
+    return np.argsort(fi)
+
+
+def _center_rows(values: np.ndarray, order: np.ndarray, degree: np.ndarray, fill):
+    """(nloc, max degree) matrix whose row a holds center a's ``values`` in
+    ``order`` (a permutation that groups equal centers), ``fill`` after."""
+    nloc, width = degree.size, int(degree.max())
+    rows = np.full((nloc, width), fill, dtype=values.dtype)
+    # Grouped entry n of center a lands in flat slot
+    # a * width + (n - first grouped entry of a).
+    shift = np.arange(nloc) * width - (np.cumsum(degree) - degree)
+    rows.ravel()[np.arange(order.size) + np.repeat(shift, degree)] = values[order]
+    return rows
+
+
+def _take_type_blocks(rows: np.ndarray, count: np.ndarray, sel, sel_start):
+    """Gather canonical rows into the padded slot layout.
+
+    In a canonically ordered row the ``count[a, t]`` type-t entries are one
+    contiguous run, nearest first, the runs in type order; slot
+    ``sel_start[t] + k`` takes the k-th of them, so whatever overflows
+    ``sel[t]`` is the farthest.  Returns the (nloc, nnei) gathered entries
+    and the mask of slots that hold a real neighbor (the rest of the gather
+    is arbitrary data from the matrix).
+    """
+    nloc, width = rows.shape
+    run_start = np.cumsum(count, axis=1) - count
+    slot_t = np.repeat(np.arange(len(sel)), sel)
+    slot_k = np.arange(slot_t.size) - np.repeat(sel_start, sel)
+    real = slot_k < count[:, slot_t]
+    src = run_start[:, slot_t] + slot_k
+    src += (np.arange(nloc) * width)[:, None]
+    return np.take(rows.ravel(), src, mode="clip"), real
 
 
 def format_neighbors(
@@ -162,12 +239,12 @@ def format_neighbors(
     """Build the canonical padded neighbor layout (the optimized path).
 
     ``pair_i/pair_j`` is a half list that may include skin pairs; distances
-    are re-measured and filtered to ``rcut``.  When ``use_compression`` is
-    True, the (type, dist, index) sort uses the 64-bit scalar keys; otherwise
-    an equivalent lexicographic record sort is used.  Both produce the same
-    canonical order — the codec exists for speed, not semantics (keys quantize
-    distance to 1e-8 Å, so exact ties may order differently; physically
-    equivalent by permutation invariance).
+    are re-measured once per pair and filtered to ``rcut``.  When
+    ``use_compression`` is True, each atom's neighbors are sorted as 64-bit
+    scalar keys; otherwise an equivalent lexicographic record sort is used.
+    Both produce the same canonical order — the codec exists for speed, not
+    semantics (keys quantize distance to 1e-8 Å, so exact ties may order
+    differently; physically equivalent by permutation invariance).
 
     ``nloc`` restricts descriptor rows to the first nloc atoms (the MPI-local
     atoms of Fig 1 (a)); neighbor indices may point into the ghost region.
@@ -187,35 +264,33 @@ def format_neighbors(
     fi, fj, r = _gather_raw(system, pair_i, pair_j, rcut, nloc, pbc)
     tj = system.types[fj]
 
-    if use_compression:
-        keys = compress_entries(tj, r, fj)
-        order = np.lexsort((keys, fi))
-    else:
-        order = np.lexsort((fj, r, tj, fi))
-    fi, fj, r, tj = fi[order], fj[order], r[order], tj[order]
-
     if out is not None and out.sel == sel and out.nlist.shape == (nloc, nnei):
         nlist = out.nlist
+    else:
+        nlist = np.empty((nloc, nnei), dtype=np.int64)
+    n_dropped = 0
+    if fi.size == 0:
         nlist.fill(PAD)
     else:
-        nlist = np.full((nloc, nnei), PAD, dtype=np.int64)
-    n_dropped = 0
-    if fi.size:
-        # Rank of each entry within its (atom, type) group — vectorized via
-        # sorted-run arithmetic: entries are grouped by (fi, tj) after sorting.
-        group_change = np.empty(fi.size, dtype=bool)
-        group_change[0] = True
-        group_change[1:] = (fi[1:] != fi[:-1]) | (tj[1:] != tj[:-1])
-        group_id = np.cumsum(group_change) - 1
-        group_first = np.flatnonzero(group_change)
-        rank = np.arange(fi.size) - group_first[group_id]
-
-        sel_arr = np.asarray(sel)
-        start_arr = np.asarray(sel_start)
-        keep = rank < sel_arr[tj]
-        n_dropped = int(np.count_nonzero(~keep))
-        cols = start_arr[tj[keep]] + rank[keep]
-        nlist[fi[keep], cols] = fj[keep]
+        n_types = len(sel)
+        count = np.bincount(
+            fi * n_types + tj, minlength=nloc * n_types
+        ).reshape(nloc, n_types)
+        degree = count.sum(axis=1)
+        if use_compression:
+            # The paper's per-atom sort: one row of packed keys per center,
+            # sorted as scalars (_PAD_KEY sorts after every real key), then
+            # decoded to the index field.
+            keys = compress_entries(tj, r, fj)
+            rows = _center_rows(keys, _row_grouping(fi, nloc), degree, _PAD_KEY)
+            rows.sort(axis=1)
+            np.remainder(rows, _DIST_SCALE, out=rows)
+        else:
+            rows = _center_rows(fj, np.lexsort((fj, r, tj, fi)), degree, PAD)
+        picked, real = _take_type_blocks(rows, count, sel, sel_start)
+        nlist[...] = picked
+        nlist[~real] = PAD
+        n_dropped = int(np.maximum(count - np.asarray(sel), 0).sum())
 
     if out is not None and nlist is out.nlist:
         out.n_dropped = n_dropped

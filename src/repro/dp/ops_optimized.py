@@ -41,19 +41,19 @@ def environment_op(
     """
     nlist = fmt.nlist
     nloc = nlist.shape[0]
-    mask = nlist != PAD
-    safe = np.where(mask, nlist, 0)
-    disp = system.positions[safe] - system.positions[:nloc, None, :]
+    # Padded slots gather their own center, so their displacement is an
+    # exact zero without a masking pass.
+    safe = np.where(nlist != PAD, nlist, np.arange(nloc)[:, None])
+    rij = None if out is None else out[2]
+    rij = np.take(system.positions, safe, axis=0, out=rij)
+    rij -= system.positions[:nloc, None, :]
     if pbc:
-        disp = system.box.minimum_image(disp)
-    disp = np.where(mask[..., None], disp, 0.0)
+        system.box.fold_minimum_image(rij)
     if out is None:
-        em, em_deriv, _r = env_rows(disp, r_smth, r_cut)
-        return em, em_deriv, disp
-    em_buf, ed_buf, rij_buf = out
-    rij_buf[...] = disp
-    env_rows(disp, r_smth, r_cut, out_rows=em_buf, out_deriv=ed_buf)
-    return em_buf, ed_buf, rij_buf
+        em, em_deriv, _r = env_rows(rij, r_smth, r_cut)
+        return em, em_deriv, rij
+    env_rows(rij, r_smth, r_cut, out_rows=out[0], out_deriv=out[1])
+    return out[0], out[1], rij
 
 
 def prod_force_op(

@@ -41,6 +41,20 @@ class Box:
         """
         return disp - self.lengths * np.round(disp / self.lengths)
 
+    def fold_minimum_image(self, disp: np.ndarray) -> None:
+        """:meth:`minimum_image` in place on a float64 (..., 3) array, one
+        component at a time — the per-step form for large arrays: the same
+        arithmetic per element (results are bitwise equal), but no
+        temporaries the size of ``disp`` and every loop as long as the
+        array instead of 3 long."""
+        tmp = np.empty(disp.shape[:-1])
+        for c, length in enumerate(self.lengths):
+            col = disp[..., c]
+            np.divide(col, length, out=tmp)
+            np.round(tmp, out=tmp)
+            np.multiply(length, tmp, out=tmp)
+            np.subtract(col, tmp, out=col)
+
     def displacement(self, pos_i: np.ndarray, pos_j: np.ndarray) -> np.ndarray:
         """Minimum-image displacement(s) ``pos_j - pos_i``."""
         return self.minimum_image(np.asarray(pos_j) - np.asarray(pos_i))

@@ -80,3 +80,23 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestMdDroppedNeighbors:
+    def test_md_summary_reports_dropped_neighbors(self, capsys, monkeypatch):
+        """A frame denser than ``sel`` truncates descriptors; ``repro md``
+        says so.  (The stock tiny model's sel is never exceeded, so its
+        summary stays one line.)"""
+        from repro import cli
+        from repro.dp.model import DeepPot, DPConfig
+
+        assert main(["md", "--steps", "2"]) == 0
+        assert "dropped" not in capsys.readouterr().out
+
+        monkeypatch.setattr(
+            cli, "_bench_tiny_model",
+            lambda: DeepPot(DPConfig.tiny(sel=(2, 3), rcut=3.0)),
+        )
+        assert main(["md", "--steps", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "neighbors beyond sel were dropped" in out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.structures import water_box
+from repro.analysis.structures import fcc_lattice, water_box
 from repro.dp.nlist_fmt import (
     PAD,
     compress_entries,
@@ -211,3 +211,182 @@ class TestFormatNeighbors:
         assert fmt.mask().sum() == np.count_nonzero(fmt.nlist != PAD)
         st_arr = fmt.slot_types()
         assert (st_arr[:8] == 0).all() and (st_arr[8:] == 1).all()
+
+
+def lexsort_reference(system, pair_i, pair_j, rcut, sel, nloc=None, pbc=True):
+    """The formatter's compressed path as it stood before the per-atom key
+    sort: every distance measured in both directions, one global
+    ``np.lexsort((keys, fi))``, rank-in-run arithmetic.  Kept here as the
+    reference the production path must reproduce exactly."""
+    sel = np.asarray(sel)
+    nloc = system.n_atoms if nloc is None else nloc
+    fi = np.concatenate([pair_i, pair_j])
+    fj = np.concatenate([pair_j, pair_i])
+    disp = system.positions[fj] - system.positions[fi]
+    if pbc:
+        disp = system.box.minimum_image(disp)
+    r = np.sqrt(np.einsum("ij,ij->i", disp, disp))
+    keep = (r <= rcut) & (fi < nloc)
+    fi, fj, r = fi[keep], fj[keep], r[keep]
+    tj = system.types[fj]
+    order = np.lexsort((compress_entries(tj, r, fj), fi))
+    fi, fj, tj = fi[order], fj[order], tj[order]
+
+    nlist = np.full((nloc, int(sel.sum())), PAD, dtype=np.int64)
+    if not fi.size:
+        return nlist, 0, r
+    group_change = np.ones(fi.size, dtype=bool)
+    group_change[1:] = (fi[1:] != fi[:-1]) | (tj[1:] != tj[:-1])
+    group_first = np.flatnonzero(group_change)
+    rank = np.arange(fi.size) - group_first[np.cumsum(group_change) - 1]
+    keep = rank < sel[tj]
+    sel_start = np.cumsum(sel) - sel
+    nlist[fi[keep], sel_start[tj[keep]] + rank[keep]] = fj[keep]
+    return nlist, int(np.count_nonzero(~keep)), r
+
+
+def conformance_frame(seed, n_types, lattice):
+    """A frame for the conformance property: random positions in a large
+    box (sparse enough that some atoms have no neighbor at all), or a
+    perfect fcc lattice whose coordinates, and so whose distances, are
+    exact in binary — every shell is an exact tie."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        system = fcc_lattice((3, 3, 3), lattice=4.0)
+        positions, box = system.positions, system.box
+    else:
+        n = int(rng.integers(1, 60))
+        box = Box([14.0] * 3)
+        positions = rng.uniform(0, 14.0, size=(n, 3))
+    return System(
+        box=box,
+        positions=positions,
+        types=rng.integers(0, n_types, size=len(positions)),
+        masses=np.ones(n_types),
+    )
+
+
+class TestFormatterConformance:
+    @given(
+        seed=st.integers(0, 10**6),
+        n_types=st.integers(1, 3),
+        lattice=st.booleans(),
+        pbc=st.booleans(),
+        ghosts=st.booleans(),
+        empty_pairs=st.booleans(),
+        rcut=st.floats(1.5, 5.0),
+        max_sel=st.sampled_from([2, 6, 40]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_property_matches_lexsort_reference(
+        self, seed, n_types, lattice, pbc, ghosts, empty_pairs, rcut, max_sel
+    ):
+        rng = np.random.default_rng(seed)
+        system = conformance_frame(seed, n_types, lattice)
+        n = system.n_atoms
+        nloc = int(rng.integers(0, n + 1)) if ghosts else None
+        sel = tuple(int(x) for x in rng.integers(1, max_sel + 1, size=n_types))
+        if empty_pairs:
+            pi = pj = np.zeros(0, dtype=np.int64)
+        else:
+            pi, pj = neighbor_pairs(system, rcut + 1.0, pbc=pbc)  # with skin
+        ref_nlist, ref_dropped, r = lexsort_reference(
+            system, pi, pj, rcut, sel, nloc=nloc, pbc=pbc
+        )
+
+        fmt = format_neighbors(system, pi, pj, rcut, sel, nloc=nloc, pbc=pbc)
+        np.testing.assert_array_equal(fmt.nlist, ref_nlist)
+        assert fmt.n_dropped == ref_dropped
+
+        # out= reuse rewrites stale storage completely and in place ...
+        stale = format_neighbors(system, pi, pj, rcut, sel, nloc=nloc, pbc=pbc)
+        stale.nlist[...] = 12345
+        stale.n_dropped = -1
+        again = format_neighbors(
+            system, pi, pj, rcut, sel, nloc=nloc, pbc=pbc, out=stale
+        )
+        assert again is stale
+        np.testing.assert_array_equal(stale.nlist, ref_nlist)
+        assert stale.n_dropped == ref_dropped
+        # ... and a layout of another shape is left alone.
+        if stale.nloc:
+            other = format_neighbors(system, pi, pj, rcut, sel, nloc=0, pbc=pbc)
+            fresh = format_neighbors(
+                system, pi, pj, rcut, sel, nloc=nloc, pbc=pbc, out=other
+            )
+            assert fresh is not other and other.nlist.shape[0] == 0
+            np.testing.assert_array_equal(fresh.nlist, ref_nlist)
+
+        # Where the codec's 1e-8 Å quantum merges no two distinct distances
+        # (always, on the lattice), the AoS tuple sort agrees slot for slot.
+        if np.unique(np.floor(r * 1e8)).size == np.unique(r).size:
+            base = format_neighbors_baseline(
+                system, pi, pj, rcut, sel, nloc=nloc, pbc=pbc
+            )
+            np.testing.assert_array_equal(fmt.nlist, base.nlist)
+            assert fmt.n_dropped == base.n_dropped
+
+    def test_property_reaches_the_hard_cases(self):
+        """The generator above does produce what the property is for."""
+        lattice = conformance_frame(1, 2, lattice=True)
+        pi, pj = neighbor_pairs(lattice, 5.0)
+        nlist, dropped, r = lexsort_reference(lattice, pi, pj, 4.0, (2, 2))
+        assert dropped > 0  # sel overflow
+        assert np.unique(r).size == 2  # two shells: exact ties
+        sparse = conformance_frame(7, 3, lattice=False)
+        pi, pj = neighbor_pairs(sparse, 2.5)
+        nlist, _, _ = lexsort_reference(sparse, pi, pj, 1.5, (4, 4, 4))
+        assert np.any(np.all(nlist == PAD, axis=1))  # atoms with no neighbor
+
+    def test_codec_range_errors_reach_the_caller(self):
+        """Every field-range check of the codec still guards the formatter."""
+        pair = (np.array([0]), np.array([1]))
+        far = System(
+            box=Box([500.0] * 3),
+            positions=np.array([[0.0, 0, 0], [120.0, 0, 0]]),
+            types=[0, 0], masses=[1.0],
+        )
+        with pytest.raises(ValueError, match="10-digit"):
+            format_neighbors(far, *pair, 150.0, (4,), pbc=False)
+
+        many = np.zeros((10**5 + 1, 3))
+        many[-1, 0] = 1.0
+        crowd = System(
+            box=Box([50.0] * 3), positions=many,
+            types=np.zeros(len(many), dtype=int), masses=[1.0],
+        )
+        with pytest.raises(ValueError, match="5-digit"):
+            format_neighbors(crowd, np.array([0]), np.array([10**5]), 2.0, (4,))
+
+        exotic = System(
+            box=Box([50.0] * 3),
+            positions=np.array([[0.0, 0, 0], [1.0, 0, 0]]),
+            types=[0, 10**4], masses=np.ones(10**4 + 1),
+        )
+        with pytest.raises(ValueError, match="4-digit"):
+            format_neighbors(exotic, *pair, 2.0, (1,) * (10**4 + 1))
+
+
+def test_engine_accumulates_dropped_neighbors_on_both_staging_branches():
+    """``BatchedEvaluator.neighbors_dropped`` sums ``n_dropped`` over every
+    layout the engine formats — the stacked fast path and the per-frame
+    general path alike."""
+    from repro.dp.model import DeepPot, DPConfig
+
+    cfg = DPConfig.tiny(sel=(2, 3), rcut=3.0)
+    model = DeepPot(cfg)
+    frames = [water_box((2, 2, 2), seed=s) for s in (0, 1)]
+    pairs = [neighbor_pairs(f, cfg.rcut) for f in frames]
+    per_frame = [
+        format_neighbors(f, pi, pj, cfg.rcut, cfg.sel).n_dropped
+        for f, (pi, pj) in zip(frames, pairs)
+    ]
+    assert min(per_frame) > 0
+
+    engine = model.batched
+    engine.evaluate_batch(frames, pairs)
+    assert (engine.stacked_batches, engine.general_batches) == (1, 0)
+    assert engine.neighbors_dropped == sum(per_frame)
+    engine.evaluate_batch(frames, pairs, backend="baseline")
+    assert (engine.stacked_batches, engine.general_batches) == (1, 1)
+    assert engine.neighbors_dropped == 2 * sum(per_frame)

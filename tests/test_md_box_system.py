@@ -28,6 +28,18 @@ class TestBox:
         d = box.minimum_image(np.array([6.0, -6.0, 4.0]))
         np.testing.assert_allclose(d, [-4.0, 4.0, 4.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (257, 3), (16, 9, 3), (0, 3)])
+    def test_fold_minimum_image_is_minimum_image_in_place(self, shape):
+        """The per-step in-place form rounds exactly like the allocating
+        one — half-box ties and signed zeros included."""
+        box = Box([8.0, 10.5, 12.25])
+        disp = np.random.default_rng(len(shape)).normal(scale=15.0, size=shape)
+        disp.reshape(-1)[::7] = 0.5 * box.lengths[0]
+        disp.reshape(-1)[1::11] = -0.0
+        want = box.minimum_image(disp)
+        box.fold_minimum_image(disp)
+        assert disp.tobytes() == want.tobytes()
+
     def test_displacement_accounts_for_pbc(self):
         box = Box([10.0, 10.0, 10.0])
         d = box.displacement(np.array([9.5, 0, 0]), np.array([0.5, 0, 0]))

@@ -137,7 +137,7 @@ class TestCorrespondence:
             assert_bitwise(result, direct(model, frame))
 
     def test_mixed_boxes_take_general_path_bitwise(self, model, base):
-        """Frames with different boxes cannot share the single-lexsort fast
+        """Frames with different boxes cannot share the stacked fast
         path; the coalesced batch falls back to per-frame staging and stays
         bitwise."""
         small = perturbed(base, 1)[0]
