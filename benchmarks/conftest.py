@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-One benchmark module per paper table/figure (see DESIGN.md's experiment
-index).  Absolute numbers are laptop numbers; every module prints its
-measured values next to the paper's so the *shape* comparison is explicit
-(EXPERIMENTS.md records a full run).
+One benchmark module per paper table/figure (see README.md).  Absolute
+numbers are laptop numbers; every module prints its measured values next to
+the paper's so the *shape* comparison is explicit.  End-to-end performance
+of the repo itself is ``python3 -m bench`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Table 4 — water strong scaling on Summit (12,582,912 atoms, 480-27,360
 GPUs): atoms/GPU, ghost sizes, MD loop time, efficiency, PFLOPS, %peak.
 
-Summit itself is substituted by the calibrated analytic model (DESIGN.md);
+Summit itself is substituted by the calibrated analytic model (README.md);
 ghost-region sizes come from exact sub-domain geometry and land within a few
 percent of the paper's measured columns.  The benchmark times the sweep
 generator and asserts every column's shape.

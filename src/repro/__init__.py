@@ -30,8 +30,9 @@ Subpackages
 ``repro.analysis``
     Structure builders, RDFs, common neighbor analysis, stress, dynamics.
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See README.md for the architecture and ``bench/README.md`` for how
+end-to-end performance is measured; each ``benchmarks/`` module prints its
+measured values next to the paper's table or figure.
 """
 
 __version__ = "1.0.0"

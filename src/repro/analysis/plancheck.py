@@ -4,11 +4,13 @@ The compiled tape is the repo's hot path, and its buffer arena is exactly
 the kind of allocator whose bugs are silent: a liveness pass that retires a
 storage group one record too early, an alias union dropped for a view op,
 or a fetch left unpinned produces *plausible numbers* that are wrong only
-for some feed shapes.  The plan compiler's staged pipeline (tape
-scheduling, interference-coloring allocation, parallel span execution —
-see :mod:`repro.tfmini.plan`) raises the stakes: a scheduler or coloring
-bug corrupts values (or races) silently.  This module is the independent
-compile-time proof layer:
+for some feed shapes.  The plan compiler's pipeline (liveness
+list-scheduling, interference-coloring allocation — see
+:mod:`repro.tfmini.plan`) raises the stakes: a scheduler or coloring bug
+corrupts values silently.  This module is the independent compile-time
+proof layer (rule numbers are stable: the two numbers after P108 checked
+parallel spans and fused records, were retired with those features, and
+are not reused):
 
 **Structural soundness** (no feed values needed)
 
@@ -25,14 +27,6 @@ P104  alias-broken: a view record (``reshape``/``item``/...) whose output
       is not in the same storage group as its inputs
 P105  fetch-unpinned: a fetched slot whose storage group is not pinned
       immortal (a later run could recycle the caller's result)
-P109  span-hazard: two records in the same parallel span share a storage
-      group, read each other's outputs, or have byte-overlapping buffers
-      (write-write / read-write) — a data race under ``span_workers > 1``
-P110  fused-record unsound: a fused elementwise group (``backend="fused"``)
-      with a non-elementwise member, a member reading outside the group's
-      dataflow, an internal member slot escaping the group (read by an
-      outside record or fetched), or a member dtype chain inconsistent
-      with its declared cast points / the warm run's recorded metadata
 ====  ======================================================================
 
 **Symbolic shape & dtype inference** (given a feed spec)
@@ -86,7 +80,7 @@ _SHAPE_ONLY_INPUTS = {
 class PlanFinding:
     """One verifier diagnostic, anchored to a tape record."""
 
-    rule: str  # "P101".."P109"
+    rule: str  # "P101".."P108"
     message: str
     record: Optional[int] = None  # tape index, None for plan-level findings
     op: Optional[str] = None
@@ -208,7 +202,7 @@ class _SlotInfo:
 def verify_plan(plan, spec=None, check_values: bool = False) -> PlanReport:
     """Verify a compiled :class:`~repro.tfmini.plan.ExecutionPlan`.
 
-    Structural soundness (P101–P105, P109) is always checked.  With a ``spec``
+    Structural soundness (P101–P105) is always checked.  With a ``spec``
     (feed node → :class:`FeedSpec`, or node *name* → spec) the symbolic
     shape/dtype walk runs too (P106–P108).  ``check_values=True``
     additionally compares every inferred record shape/dtype against the
@@ -309,12 +303,6 @@ def verify_plan(plan, spec=None, check_values: bool = False) -> PlanReport:
                 d = death.get(find(records[r_idx].out_slot), -1)
                 live.append([start, end, r_idx, d])
 
-    # --- P109: parallel spans are race-free -----------------------------
-    _check_spans(plan, report, find, death, def_pos)
-
-    # --- P110: fused elementwise groups are sound -----------------------
-    _check_fused(plan, report)
-
     # --- symbolic shape/dtype walk --------------------------------------
     if spec is not None or check_values:
         if spec is None:
@@ -346,244 +334,21 @@ def _buffer_intervals(buf) -> list:
     return out
 
 
-def _check_spans(plan, report: PlanReport, find, death, def_pos) -> None:
-    """Rule P109: the parallel span partition is race-free.
-
-    Under ``span_workers > 1`` every record of a span may execute
-    concurrently with every other, so the requirements are stronger than
-    sequential liveness: span members must not share a storage group, must
-    not read each other's outputs, and their arena buffers must not
-    byte-overlap each other (write-write) or the buffers of values any
-    member reads (read-write).  A scheduler or allocator bug here would be
-    a data race — flagged at compile time instead.
-    """
-    from repro.tfmini.plan import _MODE_ALIAS
-
-    records = plan._records
-    spans = getattr(plan, "_spans", None)
-    if spans is None:
-        return
-    # The spans must tile the tape exactly — a mis-partition would skip or
-    # double-execute records.
-    pos = 0
-    for start, stop in spans:
-        if start != pos or stop <= start:
-            report.findings.append(PlanFinding(
-                "P109",
-                f"span ({start}, {stop}) breaks the tape tiling "
-                f"(expected start {pos})"))
-        pos = stop
-    if pos != len(records):
-        report.findings.append(PlanFinding(
-            "P109",
-            f"span partition covers {pos} of {len(records)} records"))
-
-    def backing_record(s: int):
-        """The record whose arena buffer actually stores slot ``s``.
-
-        Alias records (views) are walked back to their data input (input 0
-        by the view-op convention), so a read of ``reshape(x)`` resolves to
-        ``x``'s producing record.  ``None``: the slot is a feed, variable
-        or constant — storage outside the arena, unreachable by any arena
-        write.  (The full storage *group* is deliberately not used here:
-        alias unions are conservative over shape-only inputs, and a later
-        group member's buffer is not what this read touches.)
-        """
-        for _ in range(plan._n_slots + 1):
-            j = def_pos[s] if 0 <= s < plan._n_slots else None
-            if j is None or j < 0:
-                return None
-            rec = records[j]
-            if rec.mode != _MODE_ALIAS or not rec.input_slots:
-                return j
-            s = rec.input_slots[0]
-        return None
-
-    for start, stop in spans:
-        if stop - start <= 1:
-            continue
-        members = range(start, stop)
-        # (1) outputs in distinct storage groups.
-        seen_root: dict[int, int] = {}
-        for i in members:
-            root = find(records[i].out_slot)
-            j = seen_root.get(root)
-            if j is not None:
-                report.findings.append(PlanFinding(
-                    "P109",
-                    f"records {j} and {i} in span ({start}, {stop}) share a "
-                    f"storage group — concurrent execution races",
-                    record=i, op=records[i].op,
-                ))
-            else:
-                seen_root[root] = i
-        # (2) no member reads another member's output.
-        for i in members:
-            for s in records[i].input_slots:
-                j = def_pos[s] if 0 <= s < plan._n_slots else None
-                if j is not None and start <= j < stop and j != i:
-                    report.findings.append(PlanFinding(
-                        "P109",
-                        f"record {i} reads slot {s} produced by record {j} "
-                        f"in the same span ({start}, {stop})",
-                        record=i, op=records[i].op,
-                    ))
-        # (3) buffer bytes: writes disjoint from other members' writes and
-        # from the storage every member actually reads.
-        for arena in plan._arenas.values():
-            writes: list = []
-            for i in members:
-                if records[i].mode == _MODE_ALIAS:
-                    continue  # views read; they do not write storage
-                buf = arena.buffers[i]
-                if buf is None:
-                    continue
-                writes.extend(
-                    (s, e, i) for s, e in _buffer_intervals(buf))
-            for a in range(len(writes)):
-                s1, e1, i1 = writes[a]
-                for b in range(a + 1, len(writes)):
-                    s2, e2, i2 = writes[b]
-                    if i1 != i2 and s1 < e2 and s2 < e1:
-                        report.findings.append(PlanFinding(
-                            "P109",
-                            f"records {i1} and {i2} in span ({start}, {stop}) "
-                            f"write overlapping buffer bytes",
-                            record=i2, op=records[i2].op,
-                        ))
-            for i in members:
-                for slot in records[i].input_slots:
-                    j = backing_record(slot)
-                    if j is None or arena.buffers[j] is None:
-                        continue
-                    for s, e in _buffer_intervals(arena.buffers[j]):
-                        for ws, we, w in writes:
-                            if w != i and ws < e and s < we:
-                                report.findings.append(PlanFinding(
-                                    "P109",
-                                    f"record {w} in span ({start}, {stop}) "
-                                    f"writes bytes that record {i} reads "
-                                    f"(slot {slot}, stored by record {j})",
-                                    record=w, op=records[w].op,
-                                ))
-
-
-def _check_fused(plan, report: PlanReport) -> None:
-    """Rule P110: fused elementwise records are sound.
-
-    The fusion pass's claims, re-proved independently: every member is a
-    fusable destination-passing elementwise record; members read only the
-    group's external inputs and earlier members' outputs; exactly one
-    member output — the escape, the fused record's own ``out_slot`` —
-    is visible outside the group (no outside record reads an internal
-    slot, no internal slot is fetched).  The dtype-chain leg of P110 runs
-    in the symbolic walk (:func:`_infer_fused`), where per-member dtypes
-    are actually derivable.
-    """
-    from repro.tfmini.plan import _MODE_OUT
-
-    records = plan._records
-    fused = [(r_idx, rec, rec.group) for r_idx, rec in enumerate(records)
-             if getattr(rec, "group", None) is not None]
-    if not fused:
-        return
-    from repro.tfmini.fusion import FUSABLE_OPS
-
-    all_internal: dict[int, int] = {}  # internal slot -> owning record idx
-    for r_idx, rec, group in fused:
-        members = group.members
-        if tuple(rec.input_slots) != tuple(group.ext_slots):
-            report.findings.append(PlanFinding(
-                "P110",
-                f"fused record inputs {tuple(rec.input_slots)} do not match "
-                f"the group's external slots {tuple(group.ext_slots)}",
-                record=r_idx, op=rec.op,
-            ))
-        if not members or members[-1].out_slot != rec.out_slot:
-            report.findings.append(PlanFinding(
-                "P110",
-                f"fused record escape slot {rec.out_slot} is not the last "
-                f"member's output",
-                record=r_idx, op=rec.op,
-            ))
-        produced = set(group.ext_slots)
-        for k, m in enumerate(members):
-            if m.op not in FUSABLE_OPS or m.mode != _MODE_OUT:
-                report.findings.append(PlanFinding(
-                    "P110",
-                    f"fused member {k} ({m.op}) is not a fusable "
-                    f"destination-passing elementwise record",
-                    record=r_idx, op=rec.op,
-                ))
-            for s in m.input_slots:
-                if s not in produced:
-                    report.findings.append(PlanFinding(
-                        "P110",
-                        f"fused member {k} ({m.op}) reads slot {s}, which no "
-                        f"group input or earlier member defines",
-                        record=r_idx, op=rec.op,
-                    ))
-            produced.add(m.out_slot)
-        for m in members[:-1]:
-            all_internal[m.out_slot] = r_idx
-
-    # Internal member slots must not escape: not read by any record outside
-    # their group (the fused record included), not fetched.
-    for j, other in enumerate(records):
-        for s in other.input_slots:
-            r_idx = all_internal.get(s)
-            if r_idx is not None and j != r_idx:
-                report.findings.append(PlanFinding(
-                    "P110",
-                    f"record {j} ({other.op}) reads fused-internal slot {s} "
-                    f"owned by record {r_idx}",
-                    record=j, op=other.op,
-                ))
-    for fs in plan._fetch_slots:
-        r_idx = all_internal.get(fs)
-        if r_idx is not None:
-            report.findings.append(PlanFinding(
-                "P110",
-                f"fetch pins fused-internal slot {fs} of record {r_idx} — "
-                f"the intermediate never materializes outside the group",
-                record=r_idx,
-            ))
-
-
 def plan_metrics(plan) -> dict:
     """Deterministic per-plan metrics for ``repro plan-report``.
 
     Arena numbers cover every warmed feed-shape signature; a plan that has
-    never run reports zero arena bytes (compile-time metrics — record
-    count, schedule, span structure — are always present).
+    never run reports zero arena bytes (the record count is always
+    present).
     """
-    widths = plan.span_widths()
-    hist: dict[int, int] = {}
-    for w in widths:
-        hist[w] = hist.get(w, 0) + 1
     colored = plan.arena_nbytes()
     fifo = plan.fifo_arena_nbytes()
-    prefusion = plan.prefusion_arena_nbytes()
     return {
         "records": plan.n_records,
-        "schedule": plan.schedule,
-        "span_workers": plan.span_workers,
-        "backend": plan.backend,
-        "spans": plan.stats.spans,
-        "max_span_width": plan.stats.max_span_width,
-        "span_width_histogram": {str(k): hist[k] for k in sorted(hist)},
-        "spans_inlined": plan.stats.spans_inlined,
         "arenas": len(plan.arenas),
         "arena_nbytes_colored": colored,
         "arena_nbytes_fifo": fifo,
         "arena_bytes_saved": fifo - colored,
-        "arena_nbytes_prefusion": prefusion,
-        "arena_fusion_saved": prefusion - colored,
-        "records_fused": plan.records_fused(),
-        "fused_chains": plan.fused_chains(),
-        "fused_passes_saved": plan.fused_passes_saved(),
-        "fused_tiles_run": plan.fused_tiles_run(),
-        "fused_scratch_nbytes": plan.fused_scratch_nbytes(),
     }
 
 
@@ -637,11 +402,8 @@ def _shape_walk(plan, spec, report: PlanReport, check_values: bool) -> None:
             for s in rec.input_slots
         ]
 
-        # P108: float-width mixing outside declared cast points.  Fused
-        # records are checked member-by-member in _infer_fused instead —
-        # their external inputs legitimately mix widths when the chain
-        # contains an internal cast point.
-        if rec.op not in ("cast", "cast_like", "fused_elementwise"):
+        # P108: float-width mixing outside declared cast points.
+        if rec.op not in ("cast", "cast_like"):
             widths = set()
             shape_only = _SHAPE_ONLY_INPUTS.get(rec.op, ())
             for i, si in enumerate(ins):
@@ -676,8 +438,6 @@ def _shape_walk(plan, spec, report: PlanReport, check_values: bool) -> None:
 
 
 def _infer_record(rec, ins, ctx, report, r_idx, no_rule_noted, get_op) -> _SlotInfo:
-    if rec.op == "fused_elementwise":
-        return _infer_fused(rec, ins, ctx, report, r_idx, get_op)
     if rec.op == "item":
         src = ins[0]
         if src.parts is None:
@@ -726,94 +486,6 @@ def _infer_record(rec, ins, ctx, report, r_idx, no_rule_noted, get_op) -> _SlotI
         return _SlotInfo(parts=parts)
     shape, dtype = res
     return _SlotInfo(ctx.resolve_shape(shape), dtype)
-
-
-def _infer_fused(rec, ins, ctx, report, r_idx, get_op) -> _SlotInfo:
-    """Symbolic walk through a fused elementwise group (P110 dtype chain).
-
-    Members are re-inferred one by one with the group's external inputs as
-    the seed, so the walk sees exactly the dataflow the blocked interpreter
-    executes.  Three things are checked per member: an infer rule exists
-    (every fusable op ships one — a member without one is not a legitimate
-    fusion candidate), the member does not mix float widths unless it *is*
-    a declared cast point, and the inferred member dtype agrees with the
-    warm run's recorded metadata when the group has run.  All three report
-    as P110: they are fusion-soundness properties, not graph-authoring
-    bugs.
-    """
-    group = getattr(rec, "group", None)
-    if group is None:
-        report.findings.append(PlanFinding(
-            "P110", "fused_elementwise record carries no group",
-            record=r_idx, op=rec.op))
-        return _SlotInfo()
-
-    local: dict = dict(zip(group.ext_slots, ins))
-    meta = group.last_meta if group.last_meta else None
-    if meta is not None and len(meta) != len(group.members):
-        meta = None
-    out_info = _SlotInfo()
-    for k, m in enumerate(group.members):
-        site = f"record {r_idx} (fused[{k}] {m.op})"
-        ctx.set_site(site)
-        ins_m = [local.get(s, _SlotInfo()) for s in m.input_slots]
-
-        if m.op not in ("cast", "cast_like"):
-            widths = {
-                np.dtype(si.dtype) for si in ins_m
-                if si.dtype is not None and np.dtype(si.dtype).kind == "f"
-            }
-            if len(widths) > 1:
-                report.findings.append(PlanFinding(
-                    "P110",
-                    f"fused member {k} ({m.op}) mixes float widths "
-                    + "/".join(sorted(d.name for d in widths))
-                    + " without a declared cast point",
-                    record=r_idx, op=m.op,
-                ))
-
-        rule = get_op(m.op).infer
-        if rule is None:
-            report.findings.append(PlanFinding(
-                "P110",
-                f"fused member {k} ({m.op}) has no shape/dtype rule — "
-                f"not a sound fusion candidate",
-                record=r_idx, op=m.op,
-            ))
-            local[m.out_slot] = _SlotInfo()
-            continue
-        if any(si.opaque or (si.parts is not None) or si.shape is None
-               for si in ins_m):
-            local[m.out_slot] = _SlotInfo()
-            continue
-        shapes = [ctx.resolve_shape(si.shape) for si in ins_m]
-        dtypes = [si.dtype for si in ins_m]
-        ctx.input_values = [si.value for si in ins_m]
-        try:
-            res = rule(shapes, dtypes, m.attrs, ctx)
-        except ShapeError as exc:
-            report.findings.append(PlanFinding(
-                "P107", str(exc), record=r_idx, op=m.op))
-            local[m.out_slot] = _SlotInfo()
-            continue
-        finally:
-            ctx.input_values = []
-        shape, dtype = res
-        si = _SlotInfo(ctx.resolve_shape(shape), dtype)
-        if meta is not None and dtype is not None:
-            _mshape, mdtype = meta[k]
-            if np.dtype(dtype) != np.dtype(mdtype):
-                report.findings.append(PlanFinding(
-                    "P110",
-                    f"fused member {k} ({m.op}) infers dtype "
-                    f"{np.dtype(dtype).name} but the warm run recorded "
-                    f"{np.dtype(mdtype).name}",
-                    record=r_idx, op=m.op,
-                ))
-        local[m.out_slot] = si
-        if m.out_slot == group.out_slot:
-            out_info = si
-    return out_info
 
 
 def _check_against_value(plan, rec, r_idx, out, ctx, report) -> None:
@@ -914,7 +586,6 @@ def check_all_plans(
     include_train: bool = True,
     include_serving: bool = True,
     report: bool = False,
-    plan_backend=None,
 ) -> list[dict]:
     """Compile and verify evaluate/train/serving plans across the zoo matrix.
 
@@ -927,13 +598,9 @@ def check_all_plans(
     ``{"plan": "water/double/evaluate", "report": PlanReport, "records": n}``.
 
     ``report=True`` adds a ``"metrics"`` entry per plan
-    (:func:`plan_metrics`: schedule, span structure, colored-vs-FIFO arena
-    bytes, fusion counters) and warms the train/serving plans too (one
-    step / one evaluation), so arena footprints are measured, not zero.
-
-    ``plan_backend`` selects the kernel backend for every compiled plan
-    (``None`` keeps each engine's default resolution: the
-    ``REPRO_PLAN_BACKEND`` environment variable, then ``"numpy"``).
+    (:func:`plan_metrics`: record count, colored-vs-FIFO arena bytes) and
+    warms the train/serving plans too (one step / one evaluation), so
+    arena footprints are measured, not zero.
     """
     from repro.analysis.structures import fcc_lattice, water_box
     from repro.dp.batch import BatchedEvaluator
@@ -967,7 +634,7 @@ def check_all_plans(
         system = system_fn()
         for precision in precisions:
             model = DeepPot(config_fn(precision))
-            engine = BatchedEvaluator(model, plan_backend=plan_backend)
+            engine = BatchedEvaluator(model)
             pi, pj = neighbor_pairs(system, model.config.rcut)
             engine.evaluate_batch([system], [(pi, pj)])  # warm the arena
             add(f"{name}/{precision}/evaluate", engine.plan,
@@ -977,8 +644,7 @@ def check_all_plans(
                 dataset = label_frames([system.copy()], oracle_fn())
                 dataset.apply_stats(model)
                 trainer = Trainer(
-                    model, dataset, TrainConfig(n_steps=1, log_every=10),
-                    plan_backend=plan_backend,
+                    model, dataset, TrainConfig(n_steps=1, log_every=10)
                 )
                 if report:
                     trainer.step()  # warm: measured (not zero) arena bytes
@@ -988,9 +654,7 @@ def check_all_plans(
             if include_serving:
                 from repro.serving import InferenceServer
 
-                server = InferenceServer(
-                    {name: model}, autostart=False, plan_backend=plan_backend
-                )
+                server = InferenceServer({name: model}, autostart=False)
                 try:
                     if report:
                         server._engines[name].evaluate_batch(

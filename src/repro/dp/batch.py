@@ -215,27 +215,10 @@ class BatchedEvaluator:
     scratch shapes steady; the model itself stays stateless across engines.
     """
 
-    def __init__(
-        self,
-        model: "DeepPot",
-        use_plan: bool = True,
-        plan_schedule: str = "liveness",
-        plan_span_workers: int = 1,
-        plan_backend: Optional[str] = None,
-    ):
+    def __init__(self, model: "DeepPot", use_plan: bool = True):
         self.model = model
         self.scratch = ScratchPool()
         self.use_plan = use_plan
-        # Plan-compiler knobs, forwarded verbatim to ``compile_plan``:
-        # the tape-scheduling pass, the fork/join span thread count, and
-        # the kernel backend (None defers to REPRO_PLAN_BACKEND, then
-        # "numpy").  Schedules, span counts, and the bitwise backends
-        # ("numpy", "fused") are all bitwise identical; the defaults
-        # (liveness scheduling, sequential spans) are the measured-fastest
-        # on 1 core.
-        self.plan_schedule = plan_schedule
-        self.plan_span_workers = plan_span_workers
-        self.plan_backend = plan_backend
         self._plan = None  # compiled lazily: one topo_sort per engine
         # Reusable neighbor layouts (nlist storage recycling), keyed by
         # ("stacked", rows, atoms) or (replica, rows) so alternating batch
@@ -296,9 +279,6 @@ class BatchedEvaluator:
                 list(m.ph_env)
                 + [m.ph_em_deriv, m.ph_rij, m.ph_nlist, m.ph_atom_idx, m.ph_natoms],
                 copy_fetches=False,  # results are unpacked before the next run
-                schedule=self.plan_schedule,
-                span_workers=self.plan_span_workers,
-                backend=self.plan_backend,
             )
         return self._plan
 

@@ -13,7 +13,7 @@ potentials play the role of the first-principles oracle:
 
 Every training pipeline consumes only (positions, types) -> (E, F, virial),
 exactly the contract a DFT code would provide, so swapping a real oracle back
-in changes nothing downstream (see DESIGN.md, substitution table).
+in changes nothing downstream (see README.md).
 """
 
 from repro.oracles.eam import SuttonChenEAM

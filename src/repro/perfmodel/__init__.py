@@ -2,7 +2,7 @@
 
 The paper's headline results (Figs 5-6, Tables 1 and 4) are measurements on
 4,560 Summit nodes; that hardware is substituted here by a calibrated
-analytic model (see DESIGN.md):
+analytic model (see README.md):
 
 * :mod:`repro.perfmodel.machine` — Summit's per-GPU/node/network constants
   exactly as quoted in Sec 6.2, plus three calibration constants (GEMM

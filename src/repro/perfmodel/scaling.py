@@ -1,8 +1,8 @@
 """Scaling sweeps: the generators behind Table 1, Table 4, Fig 5 and Fig 6.
 
 Every row the paper's evaluation reports for Summit-scale runs is produced
-here from the cost model.  The benchmark harness prints these next to the
-paper's measured values (EXPERIMENTS.md records the comparison).
+here from the cost model.  The ``benchmarks/`` modules print these next to
+the paper's measured values (``repro scaling`` prints the tables alone).
 """
 
 from __future__ import annotations

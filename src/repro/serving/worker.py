@@ -152,14 +152,6 @@ class InferenceServer:
         after its thread dies mid-batch.  Past the bound the slot stays
         down (its model's requests wait until shutdown cancels them) —
         a deterministically poisoned model must not burn CPU forever.
-    plan_schedule, plan_span_workers, plan_backend:
-        Plan-compiler knobs applied to every engine this server creates
-        (see :class:`~repro.tfmini.plan.ExecutionPlan`): the tape-
-        scheduling pass, the fork/join span thread count, and the kernel
-        backend (``None`` defers to ``REPRO_PLAN_BACKEND``, then
-        ``"numpy"``).  Schedules, span counts, and the bitwise backends
-        are all bitwise identical; crash respawns and shared-pool claims
-        inherit the same knobs.
     """
 
     def __init__(
@@ -176,9 +168,6 @@ class InferenceServer:
         cache_size: int = 0,
         faults: Optional["FaultPlan"] = None,
         max_respawns: int = 8,
-        plan_schedule: str = "liveness",
-        plan_span_workers: int = 1,
-        plan_backend: Optional[str] = None,
     ):
         from repro.dp.batch import BatchedEvaluator
 
@@ -194,14 +183,6 @@ class InferenceServer:
                 raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self._engine_cls = BatchedEvaluator
-        # Plan-compiler knobs forwarded to every engine this server creates
-        # (registration, shared-pool claims, crash respawns) — the tape
-        # schedule, fork/join span thread count, and kernel backend.
-        # Bitwise identical for every combination of schedule/span/bitwise
-        # backend; defaults match BatchedEvaluator's.
-        self.plan_schedule = plan_schedule
-        self.plan_span_workers = plan_span_workers
-        self.plan_backend = plan_backend
         self._models: dict[str, "DeepPot"] = {}
         self._engines: dict[str, object] = {}
         self.backend = backend
@@ -232,20 +213,6 @@ class InferenceServer:
 
     # ------------------------------------------------------------- registry
 
-    def _new_engine(self, model: "DeepPot"):
-        """Build an engine with this server's plan-compiler knobs applied.
-
-        The single construction seam for all three creation paths
-        (registration, shared-pool claims, crash respawns), so respawned
-        engines never silently fall back to default knobs.
-        """
-        return self._engine_cls(
-            model,
-            plan_schedule=self.plan_schedule,
-            plan_span_workers=self.plan_span_workers,
-            plan_backend=self.plan_backend,
-        )
-
     def register(self, name: str, model: "DeepPot") -> "InferenceServer":
         """Host ``model`` under ``name`` with its own persistent evaluator.
 
@@ -258,7 +225,7 @@ class InferenceServer:
         if name in self._models:
             raise ValueError(f"model {name!r} already registered")
         self._models[name] = model
-        engine = self._new_engine(model)
+        engine = self._engine_cls(model)
         engine.plan  # compile now, off the serving hot path
         self._engines[name] = engine
         if self.workers != "per-model":
@@ -291,13 +258,8 @@ class InferenceServer:
         ``topo_sorts`` (1 per engine lifetime), ``runs``, ``arena_builds``
         (one per distinct batch shape seen), ``arena_allocs``, the colored
         arena footprint (``arena_nbytes``) next to the FIFO baseline it
-        replaced (``arena_nbytes_fifo``), the scheduled tape's span
-        structure (``spans``, ``max_span_width``, ``span_batches``), and
-        the kernel-backend fusion counters (``backend``, ``records_fused``,
-        ``fused_tiles_run`` — zero on the per-record numpy backend) — a
-        steady workload stops growing everything except ``runs``,
-        ``fused_tiles_run`` (and ``span_batches`` when
-        ``plan_span_workers > 1``).
+        replaced (``arena_nbytes_fifo``) — a steady workload stops growing
+        everything except ``runs``.
         """
         out: dict[str, dict] = {}
 
@@ -310,12 +272,6 @@ class InferenceServer:
                 "arena_allocs": plan.alloc_count(),
                 "arena_nbytes": plan.arena_nbytes(),
                 "arena_nbytes_fifo": plan.fifo_arena_nbytes(),
-                "spans": plan.stats.spans,
-                "max_span_width": plan.stats.max_span_width,
-                "span_batches": plan.stats.span_batches,
-                "backend": plan.backend,
-                "records_fused": plan.records_fused(),
-                "fused_tiles_run": plan.fused_tiles_run(),
             }
 
         if self.workers == "per-model":
@@ -660,7 +616,7 @@ class InferenceServer:
         if worker.only is not None:
             # The replacement gets a fresh registry engine — the crashed
             # one's scratch pool and plan arenas died mid-run.
-            engine = self._new_engine(self._models[worker.only])
+            engine = self._engine_cls(self._models[worker.only])
             engine.plan
             self._engines[worker.only] = engine
         self.stats.record_worker_respawn()
@@ -683,7 +639,7 @@ class InferenceServer:
             with self._engine_lock:
                 engine = self._claimable.pop(name, None)
             if engine is None:
-                engine = self._new_engine(self._models[name])
+                engine = self._engine_cls(self._models[name])
                 # Compile before publishing: executor_stats() may reach
                 # engine.plan from a monitoring thread the moment this
                 # engine appears in worker.engines, and lazy compilation is

@@ -8,39 +8,31 @@ execution graph (Sec 5.3 fusions, Table 3 custom ops), and in an MD loop
 they are pure waste: the graph never changes and — because MD shapes are
 steady — neither do the tensor shapes.
 
-:func:`compile_plan` runs a staged, compiler-style pipeline ONCE per graph
-(ngraph's classic memory-planning playbook, applied to our tape):
+:func:`compile_plan` runs ONE pipeline, once per graph (ngraph's classic
+memory-planning playbook, applied to our tape).  There are no plan-tuning
+knobs: each stage's choice won or tied end to end on the ``bench/`` harness
+against its alternatives (other schedules, colouring orders, a fusing
+kernel backend, thread-forked spans), so only the winner is here.
 
 1. **Tape build** — the DAG is topo-sorted and flattened into a dense tape
    of records ``(forward, input_slots, attrs, out_slot)`` indexed by
    integer *slots*.  Executing the plan is a flat loop over the tape — no
    sorting, no dict-by-id, no isinstance dispatch per node.
-2. **Tape scheduling** (``schedule=``) — records are reordered, data
-   dependencies respected, to shrink value liveness ranges before
-   allocation (``"liveness"``, the default: a greedy last-consumer-first
-   list scheduler) or to additionally group same-kernel records into
-   adjacent runs (``"grouped"``).  ``"none"`` keeps the topological order.
-   Every schedule is deterministic, and because tape records are pure
-   (variables are updated *outside* the graph), every schedule produces
-   bitwise identical results.
-2b. **Elementwise fusion** (``backend=``) — the kernel backend
-   (:mod:`repro.tfmini.backends`) prepares the scheduled tape.  The
-   ``"fused"`` backend collapses maximal chains/trees of purely
-   elementwise records into single :class:`~repro.tfmini.fusion.
-   FusedRecord`\\ s executed by a blocked (cache-tiled) interpreter —
-   bitwise identical to the per-record kernels, with the fused
-   intermediates gone from the liveness problem (smaller arenas) and
-   from DRAM traffic (fewer full-array passes).  ``"numpy"`` (default)
-   keeps one kernel per record.  Verifier rule P110 proves fused-record
-   soundness.
-3. **Liveness analysis** — last-use indices per storage group on the
-   *scheduled* order.  Aliasing ops (``reshape``, ``item``, ...) whose
+2. **Liveness list-schedule** — records are reordered, data dependencies
+   respected, by a greedy last-consumer-first list scheduler that shrinks
+   value liveness ranges before allocation.  Deterministic (ties break on
+   the topological index), and because tape records are pure (variables
+   are updated *outside* the graph) the reordering cannot change a bit of
+   any result.
+3. **Liveness / alias analysis** — last-use indices per storage group on
+   the scheduled order.  Aliasing ops (``reshape``, ``item``, ...) whose
    outputs share their input's storage have their lifetimes unioned so
    recycling can never clobber a live view.
 4. **Interference coloring** — at arena-build time (shapes are known after
    one warm run per feed-shape signature) the plan builds the interference
    graph over buffer-producing records (two interfere when their liveness
-   ranges overlap) and colors it greedily; each color becomes ONE byte slab
+   ranges ``[tape index, storage-group death]`` overlap) and colors it
+   first-fit in order of decreasing size; each color becomes ONE byte slab
    sized to its largest member, and every record's output buffer is a view
    into its color's slab.  Unlike the PR 3 FIFO recycler — which reused a
    buffer only for a later record with the *exact same shape and dtype* —
@@ -48,17 +40,9 @@ steady — neither do the tensor shapes.
    roughly the peak live set.  The FIFO allocator's footprint is still
    simulated per arena (``BufferArena.fifo_nbytes``) as the regression
    baseline; the colored result is re-verified by the static plan checker
-   (P101–P109) whenever ``REPRO_VERIFY_PLANS=1``/``verify=True`` is set.
-5. **Span partition** — the scheduled tape is cut into fork/join *spans*
-   of consecutive records that are pairwise independent (no member reads
-   another member's output, no two members share a storage group).  With
-   ``span_workers > 1`` each multi-record span is executed across a small
-   thread pool (numpy kernels release the GIL); ``span_workers=1`` (the
-   default) keeps the flat sequential loop.  Coloring soundness guarantees
-   span members write disjoint buffers, and verifier rule P109 proves it
-   independently — so results are bitwise identical for every
-   ``span_workers`` value.
+   (P101–P105) whenever ``REPRO_VERIFY_PLANS=1``/``verify=True`` is set.
 
+Execution is one sequential steady loop (plus its profiled twin).
 Because shapes are steady, the plan owns a :class:`BufferArena` per
 feed-shape signature: persistent per-record output buffers handed to the
 destination-passing (``out=``) kernel variants registered in
@@ -77,26 +61,23 @@ executor.
 
 Numerical contract: a plan run is **bitwise identical** to ``Session.run``
 on the same fetches and feeds — every ``out=`` kernel reproduces its
-allocating twin bit-for-bit, and because records are pure, the result is
-independent of the schedule and of ``span_workers``.  ``Session.run``
-remains the reference oracle (``tests/test_tfmini_plan.py`` and
-``tests/test_plan_pipeline.py`` assert the correspondence across the model
-zoo, fused and unfused graphs, batched evaluation, a training step, and
-every schedule × span_workers combination).
+allocating twin bit-for-bit, and records are pure, so the schedule cannot
+matter.  ``Session.run`` is the one reference oracle
+(``tests/test_tfmini_plan.py`` and ``tests/test_plan_pipeline.py`` assert
+the correspondence across the model zoo, graph-fused and unfused graphs,
+batched evaluation and a training step).
 
 Profiling: pass the owning :class:`~repro.tfmini.executor.Session` to
 :meth:`ExecutionPlan.run`; when ``session.profile`` is set the plan records
 per-operator wall time, FLOPs and bytes into ``session.stats`` exactly like
 ``Session.run`` — the Fig-3 operator breakdown works unchanged on planned
-execution.  Profiled runs always execute sequentially (``session.stats`` is
-not a concurrent structure); the per-op totals are order-independent.
+execution.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional, Sequence
@@ -113,9 +94,6 @@ _INF = 1 << 62
 _MODE_OUT = 0  # destination-passing kernel into an arena buffer
 _MODE_COPY = 1  # allocating kernel, result copied into a stable arena buffer
 _MODE_ALIAS = 2  # output shares the input's storage; run as-is, union lifetimes
-
-# Valid tape-scheduling knob values (stage 2 of the pipeline).
-SCHEDULES = ("none", "liveness", "grouped")
 
 # Byte alignment for views carved out of a color's slab (covers every numpy
 # dtype and keeps tuple parts cache-line separated).
@@ -150,10 +128,6 @@ class PlanStats:
     feed_allocs: int = 0  # plan-owned feed staging buffers allocated
     feed_evictions: int = 0  # feed buffers dropped by the store cap
     in_place_feeds: int = 0  # run feeds already staged in plan feed buffers
-    spans: int = 0  # fork/join spans in the scheduled tape (set at compile)
-    max_span_width: int = 0  # widest span in the scheduled tape
-    span_batches: int = 0  # multi-record spans dispatched to the thread pool
-    spans_inlined: int = 0  # multi-record spans run inline (< span_min_bytes)
 
 
 class _Record:
@@ -193,19 +167,11 @@ class BufferArena:
     benchmarks assert deterministically.  ``fifo_nbytes`` is the footprint
     the PR 3 FIFO shape-keyed recycler would have needed for the same tape
     and shapes — the baseline the coloring allocator is regression-tested
-    against.  ``prefusion_nbytes`` is the colored footprint the *pre-fusion*
-    tape would have needed (simulated, never allocated) — the fusion pass's
-    own regression baseline; it equals ``alloc_bytes`` on the numpy
-    backend.  ``color_candidates`` records the byte total of every coloring
-    candidate order tried (first-fit by size, first-fit in tape order,
-    best-fit by size); ``alloc_bytes`` is their minimum.  ``span_bytes[i]``
-    estimates span ``i``'s work (sum of member output bytes) for the
-    ``span_min_bytes`` fork threshold.
+    against.
     """
 
     __slots__ = ("signature", "buffers", "alloc_count", "alloc_bytes",
-                 "fifo_nbytes", "prefusion_nbytes", "span_bytes",
-                 "color_candidates")
+                 "fifo_nbytes")
 
     def __init__(self, signature):
         self.signature = signature
@@ -213,9 +179,6 @@ class BufferArena:
         self.alloc_count = 0
         self.alloc_bytes = 0
         self.fifo_nbytes = 0
-        self.prefusion_nbytes = 0
-        self.span_bytes: list[int] = []
-        self.color_candidates: dict[str, int] = {}
 
     def _new(self, shape, dtype):
         buf = np.empty(shape, dtype)
@@ -224,19 +187,16 @@ class BufferArena:
         return buf
 
 
-def _schedule_tape(records: list, fetch_slots: Sequence[int], mode: str) -> list:
+def _schedule_tape(records: list, fetch_slots: Sequence[int]) -> list:
     """Stage 2: reorder tape records (data deps respected) before liveness.
 
-    ``"liveness"`` runs a greedy list scheduler that, among ready records,
-    picks the one retiring the most inputs (last-consumer-first), shrinking
-    liveness ranges so the coloring allocator can overlap more buffers.
-    ``"grouped"`` additionally prefers records whose kernel matches the
-    previously scheduled one, producing adjacent same-kernel runs that the
-    span partitioner can fork across threads.  Ties break on the original
-    tape index, so both schedules are deterministic.
+    A greedy list scheduler that, among ready records, picks the one
+    retiring the most inputs (last-consumer-first), shrinking liveness
+    ranges so the coloring allocator can overlap more buffers.  Ties break
+    on the original tape index, so the schedule is deterministic.
     """
     n = len(records)
-    if mode == "none" or n <= 1:
+    if n <= 1:
         return records
     producer: dict[int, int] = {}
     for i, rec in enumerate(records):
@@ -253,8 +213,6 @@ def _schedule_tape(records: list, fetch_slots: Sequence[int], mode: str) -> list
     fetch_set = set(fetch_slots)
     ready = [i for i in range(n) if indeg[i] == 0]
     order: list[int] = []
-    last_op: Optional[str] = None
-    grouped = mode == "grouped"
     while ready:
         best = ready[0]
         best_key = None
@@ -263,16 +221,12 @@ def _schedule_tape(records: list, fetch_slots: Sequence[int], mode: str) -> list
             for d in deps[i]:
                 if pending_users[d] == 1 and records[d].out_slot not in fetch_set:
                     kills += 1
-            if grouped:
-                key = (records[i].op == last_op, kills, -i)
-            else:
-                key = (kills, -i)
+            key = (kills, -i)
             if best_key is None or key > best_key:
                 best_key = key
                 best = i
         ready.remove(best)
         order.append(best)
-        last_op = records[best].op
         for d in deps[best]:
             pending_users[d] -= 1
         for u in users[best]:
@@ -284,43 +238,12 @@ def _schedule_tape(records: list, fetch_slots: Sequence[int], mode: str) -> list
     return [records[i] for i in order]
 
 
-def _partition_spans(records: list, find) -> list[tuple[int, int]]:
-    """Stage 5: cut the scheduled tape into fork/join spans.
+def _liveness(records: list, fetch_slots: Sequence[int], n_slots: int):
+    """Stage 3: last uses and alias storage groups on the scheduled tape.
 
-    A span is a maximal run of consecutive records that are pairwise
-    independent: no member reads a slot another member writes, and no two
-    members share a storage group (the alias-union structure).  Buffer
-    disjointness inside a span follows from coloring soundness (two groups
-    live at the same tape point always get different colors) and is proved
-    independently by verifier rule P109.
-    """
-    spans: list[tuple[int, int]] = []
-    n = len(records)
-    start = 0
-    produced: set[int] = set()
-    roots: set[int] = set()
-    for i, rec in enumerate(records):
-        root = find(rec.out_slot)
-        conflict = root in roots or any(s in produced for s in rec.input_slots)
-        if i > start and conflict:
-            spans.append((start, i))
-            start = i
-            produced = set()
-            roots = set()
-        produced.add(rec.out_slot)
-        roots.add(root)
-    if n:
-        spans.append((start, n))
-    return spans
-
-
-def _analyze(records: list, fetch_slots: Sequence[int], n_slots: int):
-    """Stages 3+5 for an arbitrary tape: liveness, alias groups, spans.
-
-    Returns ``(find, death, spans, span_start, span_end)``.  Factored out
-    of ``ExecutionPlan.__init__`` so the arena builder can run the same
-    analysis on the *pre-fusion* tape when simulating the fusion pass's
-    memory baseline.
+    Returns ``(find, death)``: ``find(slot)`` is the slot's storage-group
+    root, ``death[root]`` the last tape index reading any group member
+    (``_INF`` = fetched, pinned forever; ``-1`` = never read).
     """
     last_use = [-1] * n_slots
     for r_idx, rec in enumerate(records):
@@ -350,134 +273,73 @@ def _analyze(records: list, fetch_slots: Sequence[int], n_slots: int):
         d = last_use[s]
         if d > death.get(r, -1):
             death[r] = d
-
-    spans = _partition_spans(records, find)
-    n_recs = len(records)
-    span_start = [0] * n_recs
-    span_end = [0] * n_recs
-    for start, stop in spans:
-        for i in range(start, stop):
-            span_start[i] = start
-            span_end[i] = stop - 1
-    return find, death, spans, span_start, span_end
+    return find, death
 
 
-def _color_units(units: list):
-    """Greedy interference coloring, best of three candidate orders.
-
-    ``units`` rows are ``[birth, death, padded, ...]`` (span-aware ranges).
-    Candidates: first-fit over decreasing size, first-fit in tape order,
-    and best-fit (tightest compatible color) over decreasing size — the
-    size-aware order that closes the PR 9 ROADMAP thread.  Returns
-    ``(total_bytes, colors, assign, candidates)`` for the byte-minimal
-    candidate; ``candidates`` maps candidate name -> total bytes, so the
-    arena can prove the winner never regresses any single strategy.
-    """
-
-    def color_in(order, best_fit: bool):
-        colors: list[list] = []  # [capacity, [unit indices]]
-        assign = [0] * len(units)
-        for ui in order:
-            birth, dth, padded = units[ui][0], units[ui][1], units[ui][2]
-            chosen = -1
-            chosen_key = None
-            for ci, (cap, members) in enumerate(colors):
-                ok = True
-                for mi in members:
-                    mb, md = units[mi][0], units[mi][1]
-                    if birth <= md and mb <= dth:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if not best_fit:
-                    chosen = ci
-                    break
-                # Best fit: tightest color that already holds the unit,
-                # else the one needing the least growth; ties on index.
-                key = (0, cap - padded) if cap >= padded else (1, padded - cap)
-                if chosen_key is None or key < chosen_key:
-                    chosen_key = key
-                    chosen = ci
-            if chosen < 0:
-                colors.append([padded, [ui]])
-                assign[ui] = len(colors) - 1
-            else:
-                colors[chosen][0] = max(colors[chosen][0], padded)
-                colors[chosen][1].append(ui)
-                assign[ui] = chosen
-        return sum(c[0] for c in colors), colors, assign
-
-    by_size = sorted(range(len(units)),
-                     key=lambda u: (-units[u][2], units[u][0]))
-    results = {
-        "first_fit_size": color_in(by_size, best_fit=False),
-        "first_fit_tape": color_in(range(len(units)), best_fit=False),
-        "best_fit_size": color_in(by_size, best_fit=True),
-    }
-    candidates = {name: r[0] for name, r in results.items()}
-    best_name = min(results, key=lambda nm: (results[nm][0],))
-    total, colors, assign = results[best_name]
-    return total, colors, assign, candidates
-
-
-def _make_units(records: list, shape_of, find, death, span_start, span_end):
+def _make_units(records: list, values: list, find, death) -> list:
     """Allocation units for coloring: one per buffer-producing record.
 
-    ``shape_of(r_idx, rec)`` returns the record's output description —
-    an ndarray-like ``(shape, dtype)`` tuple, a list of such tuples for
-    tuple outputs, or ``None`` for unmanaged/alias outputs.  Unit rows are
-    ``[birth, death_eff, padded, raw, parts, key, r_idx, dth]`` (span-aware
-    interference ranges; raw/dth feed the FIFO baseline simulation).
+    Shapes come from the warm run's ``values``.  Unit rows are
+    ``[r_idx, death, padded, raw, parts, key]``: the liveness range is
+    ``[r_idx, death]``, ``padded`` the bytes the unit needs in a slab
+    (tuple outputs are laid out in ``_ALIGN``-separated ``parts``),
+    ``raw``/``key`` feed the FIFO baseline simulation.  Alias records and
+    exotic (non-ndarray) outputs stay unmanaged.
     """
     units: list[list] = []
     for r_idx, rec in enumerate(records):
         if rec.mode == _MODE_ALIAS:
             continue
-        desc = shape_of(r_idx, rec)
-        if desc is None:
-            continue
-        if isinstance(desc, list):  # tuple output: padded multi-part layout
-            off = 0
-            parts = []
-            raw = 0
-            for shape, dtype in desc:
-                nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-                parts.append((shape, dtype, off))
-                off = (off + nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
-                raw += nbytes
-            last_shape, last_dtype = desc[-1]
-            last_nbytes = (
-                int(np.prod(last_shape, dtype=np.int64)) * last_dtype.itemsize
-            )
-            padded = parts[-1][2] + last_nbytes if desc else 0
-            key = ("tuple",) + tuple((shape, dtype) for shape, dtype in desc)
-        else:
-            shape, dtype = desc
+        val = values[rec.out_slot]
+        if isinstance(val, np.ndarray):
             parts = None
-            padded = raw = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            key = (shape, dtype)
-        dth = death[find(rec.out_slot)]
-        dth_eff = span_end[dth] if 0 <= dth < _INF else dth
-        units.append([span_start[r_idx], dth_eff, padded, raw,
-                      parts, key, r_idx, dth])
+            padded = raw = val.nbytes
+            key = (val.shape, val.dtype)
+        elif isinstance(val, tuple) and val and all(
+            isinstance(e, np.ndarray) for e in val
+        ):
+            off = raw = 0
+            parts = []
+            for e in val:
+                parts.append((e.shape, e.dtype, off))
+                padded = off + e.nbytes
+                off = (padded + _ALIGN - 1) // _ALIGN * _ALIGN
+                raw += e.nbytes
+            key = ("tuple",) + tuple((e.shape, e.dtype) for e in val)
+        else:
+            continue
+        units.append([r_idx, death[find(rec.out_slot)], padded, raw,
+                      parts, key])
     return units
 
 
-def _simulate_colored_nbytes(records: list, fetch_slots: Sequence[int],
-                             n_slots: int, shape_of) -> int:
-    """Colored arena footprint of ``records`` — simulated, never allocated.
+def _color_units(units: list):
+    """Greedy interference coloring: first-fit over decreasing size.
 
-    Used by the arena builder to price the *pre-fusion* tape with the same
-    span-aware analysis and candidate coloring as the real arena, giving
-    the fusion pass its before/after memory figures on identical terms.
+    Two units interfere when their ``[r_idx, death]`` ranges overlap.
+    Returns ``(capacities, assign)``: one byte capacity per color (its
+    largest member) and each unit's color.  First-fit by size was the byte
+    minimum on every zoo plan measured against tape-order first-fit
+    (+15…38 %) and best-fit by size (ties or +0.1…1.7 %), so it is the
+    only order tried.
     """
-    find, death, _spans, span_start, span_end = _analyze(
-        records, fetch_slots, n_slots
-    )
-    units = _make_units(records, shape_of, find, death, span_start, span_end)
-    total, _colors, _assign, _candidates = _color_units(units)
-    return total
+    caps: list[int] = []
+    members: list[list[int]] = []
+    assign = [0] * len(units)
+    for ui in sorted(range(len(units)),
+                     key=lambda u: (-units[u][2], units[u][0])):
+        birth, dth, padded = units[ui][0], units[ui][1], units[ui][2]
+        for ci, group in enumerate(members):
+            if all(birth > units[mi][1] or units[mi][0] > dth
+                   for mi in group):
+                group.append(ui)
+                assign[ui] = ci
+                break
+        else:
+            caps.append(padded)  # largest member: sizes only decrease
+            members.append([ui])
+            assign[ui] = len(caps) - 1
+    return caps, assign
 
 
 class ExecutionPlan:
@@ -503,35 +365,9 @@ class ExecutionPlan:
         (FIFO) and re-warms it on revisit — bounding resident memory for
         servers whose micro-batch occupancy varies freely.  Steady
         workloads never hit the cap.
-    schedule:
-        Tape-scheduling pass: ``"liveness"`` (default — shrink liveness
-        ranges before coloring), ``"grouped"`` (liveness + adjacent
-        same-kernel runs), or ``"none"`` (keep the topological order).
-        Deterministic; results are bitwise identical for every value.
-    span_workers:
-        Thread count for parallel span execution (default 1 = sequential).
-        Multi-record spans are forked across ``span_workers`` threads and
-        joined before the next span; numpy kernels release the GIL, so
-        independent records of ONE batch overlap on real cores.  Results
-        are bitwise identical for every value (span members write disjoint
-        buffers — rule P109).
-    backend:
-        Kernel backend (:mod:`repro.tfmini.backends`): ``"numpy"`` (one
-        registered kernel per record), ``"fused"`` (elementwise fusion +
-        blocked interpreter — bitwise, smaller arenas, fewer memory
-        passes), or ``"numexpr"`` when that optional package is installed
-        (tolerance-tiered).  ``None`` (default) defers to the
-        ``REPRO_PLAN_BACKEND`` environment variable, falling back to
-        ``"numpy"``.
-    span_min_bytes:
-        Fork threshold for parallel span execution: a multi-record span
-        whose estimated work (member output bytes) is below this runs
-        inline even when ``span_workers > 1`` (counted in
-        ``stats.spans_inlined``) — thread handoff costs more than tiny
-        kernels recover.  0 (default) forks every multi-record span.
     verify:
         Run the static plan verifier (:mod:`repro.analysis.plancheck`)
-        structural checks (P101–P105, P109) at compile time — and again on
+        structural checks (P101–P105) at compile time — and again on
         every freshly colored arena — raising ``PlanVerificationError`` on
         any finding.  ``None`` (default) defers to the
         ``REPRO_VERIFY_PLANS`` environment variable, so a whole test run or
@@ -539,10 +375,9 @@ class ExecutionPlan:
 
     A plan owns mutable run state (the slot value table and the arenas), so
     a single plan must not be run from two threads at once — one plan per
-    driver, like the batched engine's scratch pool.  (The plan's own span
-    pool is run state too: it is only ever driven from inside ``run``.)
-    The serving pool satisfies this by construction: every worker thread
-    owns its engines (and therefore their plans) exclusively, and
+    driver, like the batched engine's scratch pool.  The serving pool
+    satisfies this by construction: every worker thread owns its engines
+    (and therefore their plans) exclusively, and
     ``BatchedEvaluator`` raises on concurrent entry.  *Different* plans may
     run on different threads concurrently — the tape's kernels spend most
     of their time in GIL-releasing BLAS/ufunc calls, which is exactly what
@@ -557,26 +392,12 @@ class ExecutionPlan:
         feed_nodes: Sequence[Node],
         copy_fetches: bool = True,
         max_arenas: int = 32,
-        schedule: str = "liveness",
-        span_workers: int = 1,
-        backend: Optional[str] = None,
-        span_min_bytes: int = 0,
         verify: Optional[bool] = None,
     ):
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULES}, got {schedule!r}"
-            )
-        from repro.tfmini.backends import get_backend  # lazy: avoids a cycle
-
         self._single = isinstance(fetches, Node)
         fetch_list: list[Node] = [fetches] if self._single else list(fetches)
         self._copy_fetches = copy_fetches
         self.max_arenas = max(int(max_arenas), 1)
-        self.schedule = schedule
-        self.span_workers = max(int(span_workers), 1)
-        self.span_min_bytes = max(int(span_min_bytes), 0)
-        self._backend = get_backend(backend)
         self.stats = PlanStats()
 
         # --- stage 1: tape build -----------------------------------------
@@ -629,43 +450,14 @@ class ExecutionPlan:
                 )
             )
 
-        # --- stage 2: tape scheduling ------------------------------------
-        records = _schedule_tape(records, self._fetch_slots, schedule)
-        # The scheduled pre-fusion tape is retained so the arena builder
-        # can simulate its colored footprint — the fusion pass's memory
-        # baseline (``prefusion_arena_nbytes``).
-        self._records_prefusion = records
+        # --- stage 2: liveness list-schedule ------------------------------
+        self._records = _schedule_tape(records, self._fetch_slots)
 
-        # --- stage 2b: backend preparation (elementwise fusion) ----------
-        # Fusing backends collapse maximal elementwise chains into single
-        # blocked-interpreter records; internal member slots vanish from
-        # the tape, and therefore from the liveness problem and the arena.
-        records, groups = self._backend.prepare(records, self._fetch_slots)
-        self._fused_groups = groups
-        self._records = records
-
-        # --- stages 3+5: liveness, alias groups, span partition on the
-        # scheduled (post-fusion) order; stage 4, coloring, happens per
-        # arena once shapes are known.  Span-aware liveness: inside a span
-        # every member's reads and writes happen CONCURRENTLY under
-        # ``span_workers > 1``, so a record's output is born at its span's
-        # *start* and a value read at tape index d stays live to the *end*
-        # of d's span — without this, a value whose last read is early in a
-        # span could share a color with a later span member's output (safe
-        # sequentially, a write-after-read race in parallel).
-        find, death, spans, span_start, span_end = _analyze(
-            records, self._fetch_slots, n_slots
+        # --- stage 3: liveness and alias groups on the scheduled order;
+        # stage 4, coloring, happens per arena once shapes are known.
+        self._find, self._death = _liveness(
+            self._records, self._fetch_slots, n_slots
         )
-        self._find = find
-        self._death = death
-        self._spans = spans
-        self._span_start = span_start
-        self._span_end = span_end
-        widths = [stop - start for start, stop in self._spans]
-        self.stats.spans = len(self._spans)
-        self.stats.max_span_width = max(widths, default=0)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_size = 0
 
         self._arenas: dict[tuple, BufferArena] = {}
         # Plan-owned feed staging buffers (the "arena-aware batched engine"
@@ -691,9 +483,8 @@ class ExecutionPlan:
         """Statically verify this plan; returns a ``PlanReport``.
 
         Structural soundness (liveness, alias groups, arena buffer
-        disjointness, fetch pinning, span independence — rules P101–P105
-        and P109) is always checked.  Pass a feed ``spec`` (``{feed node or
-        name: FeedSpec}``, see
+        disjointness, fetch pinning — rules P101–P105) is always checked.
+        Pass a feed ``spec`` (``{feed node or name: FeedSpec}``, see
         :func:`repro.analysis.plancheck.dp_feed_spec`) to also run symbolic
         shape/dtype inference over the tape (P106–P108);
         ``check_values=True`` additionally compares inferred shapes/dtypes
@@ -723,15 +514,6 @@ class ExecutionPlan:
     def arenas(self) -> dict[tuple, BufferArena]:
         return self._arenas
 
-    @property
-    def spans(self) -> list[tuple[int, int]]:
-        """The fork/join span partition of the scheduled tape."""
-        return list(self._spans)
-
-    def span_widths(self) -> list[int]:
-        """Width (record count) of each span, in tape order."""
-        return [stop - start for start, stop in self._spans]
-
     def alloc_count(self) -> int:
         """Total arena slab allocations across all shape signatures.
 
@@ -751,49 +533,11 @@ class ExecutionPlan:
         baseline (simulated at arena-build time, never allocated)."""
         return sum(a.fifo_nbytes for a in list(self._arenas.values()))
 
-    def prefusion_arena_nbytes(self) -> int:
-        """Colored bytes the *pre-fusion* tape would have needed (all
-        signatures) — the fusion pass's memory baseline, simulated with the
-        same span-aware analysis and candidate coloring as the real arena.
-        Equals :meth:`arena_nbytes` on the numpy backend."""
-        return sum(a.prefusion_nbytes for a in list(self._arenas.values()))
-
-    @property
-    def backend(self) -> str:
-        """Name of the kernel backend this plan compiled against."""
-        return self._backend.name
-
-    @property
-    def backend_bitwise(self) -> bool:
-        """Whether the backend holds the bitwise verification contract."""
-        return self._backend.bitwise
-
-    @property
-    def fused_groups(self) -> list:
-        """The backend's fused elementwise groups (empty on ``numpy``)."""
-        return list(self._fused_groups)
-
     def records_fused(self) -> int:
-        """Pre-fusion records folded into fused records."""
-        return sum(len(g.members) for g in self._fused_groups)
-
-    def fused_chains(self) -> int:
-        """Number of fused elementwise chains/trees on the tape."""
-        return len(self._fused_groups)
-
-    def fused_passes_saved(self) -> int:
-        """Full-array memory passes eliminated by fusion: every member but
-        each group's escape no longer round-trips DRAM per run."""
-        return sum(len(g.members) - 1 for g in self._fused_groups)
-
-    def fused_tiles_run(self) -> int:
-        """Blocked-interpreter tiles executed across all fused groups."""
-        return sum(g.tiles_run for g in self._fused_groups)
-
-    def fused_scratch_nbytes(self) -> int:
-        """Bytes of blocked-interpreter tile/broadcast scratch currently
-        held by the fused groups (all cached signatures)."""
-        return sum(g.scratch_nbytes() for g in self._fused_groups)
+        """Always 0.  ``bench/workloads.py`` (frozen with the benchmark)
+        reads this for its ``tfmini.plan.records_fused`` metric; it goes
+        together with that metric in a later ``benchmark`` PR."""
+        return 0
 
     def feed_buffer(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
         """Persistent plan-owned staging destination for a feed value.
@@ -834,8 +578,8 @@ class ExecutionPlan:
         return buf
 
     def release_arenas(self) -> None:
-        """Drop every buffer arena, feed staging buffer, and the span
-        thread pool (the compiled tape is kept).
+        """Drop every buffer arena and feed staging buffer (the compiled
+        tape is kept).
 
         The arena holds roughly the graph's peak live set *persistently*;
         long-lived processes that are done with a shape regime (or want to
@@ -848,15 +592,9 @@ class ExecutionPlan:
         self._feed_store.clear()
         self._feed_ids.clear()
         self.feed_nbytes = 0
-        for g in self._fused_groups:
-            g.release()
         self._values = [None] * self._n_slots
         for slot, value in self._const_slots:
             self._values[slot] = value
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_size = 0
 
     # ------------------------------------------------------------------ run
 
@@ -930,13 +668,11 @@ class ExecutionPlan:
             self.stats.arena_builds += 1
             if self._verify_arenas:
                 # The soundness gate on the colored result: P103 re-checks
-                # buffer-address disjointness of live storage groups, P109
-                # re-checks span independence, on the arena just built.
+                # buffer-address disjointness of live storage groups on the
+                # arena just built.
                 self.verify(raise_on_findings=True)
         elif profile:
             self._steady_run_profiled(arena, session)
-        elif self.span_workers > 1:
-            self._steady_run_spans(arena)
         else:
             self._steady_run(arena)
         self.stats.runs += 1
@@ -975,52 +711,22 @@ class ExecutionPlan:
         Each buffer-producing record is an allocation unit with liveness
         range ``[tape index, storage-group death]``.  Units whose ranges
         overlap *interfere* and must not share storage; non-interfering
-        units may.  Greedy coloring (three candidate orders — first-fit by
-        decreasing size, first-fit in tape order, best-fit by decreasing
-        size — keeping whichever yields fewest bytes) assigns each unit a
-        color; the arena allocates ONE byte slab per color, sized to the
-        color's largest member, and every unit's buffer is a shape/dtype
-        view into its slab.  Fused-internal member slots never appear as
-        units (the fused record owns one escape buffer; intermediates live
-        in the blocked interpreter's tile scratch), so fused arenas color
-        strictly tighter than the pre-fusion tape, whose colored footprint
-        is simulated alongside as ``prefusion_nbytes``.  The FIFO
-        recycler's footprint is simulated as ``fifo_nbytes`` (never
-        allocated).
+        units may.  Greedy coloring (first-fit by decreasing size) assigns
+        each unit a color; the arena allocates ONE byte slab per color,
+        sized to the color's largest member, and every unit's buffer is a
+        shape/dtype view into its slab.  The FIFO recycler's footprint is
+        simulated as ``fifo_nbytes`` (never allocated).
         """
-        values = self._values
         records = self._records
-        find, death = self._find, self._death
-        span_start, span_end = self._span_start, self._span_end
         arena = BufferArena(signature)
         buffers = arena.buffers
         buffers.extend([None] * len(records))
 
-        # --- allocation units --------------------------------------------
-        # Interference uses span-aware ranges (born at span start, dead at
-        # the end of the last reader's span) so coloring soundness covers
-        # concurrent span execution, not just the sequential order.
-        def shape_of(r_idx, rec):
-            val = values[rec.out_slot]
-            if isinstance(val, np.ndarray):
-                return (val.shape, val.dtype)
-            if isinstance(val, tuple) and all(
-                isinstance(e, np.ndarray) for e in val
-            ):
-                return [(e.shape, e.dtype) for e in val]
-            return None  # exotic output — leave unmanaged
-
-        units = _make_units(records, shape_of, find, death,
-                            span_start, span_end)
-
-        # --- interference coloring (best of three candidate orders) ------
-        _total, colors, assign, candidates = _color_units(units)
-        arena.color_candidates = candidates
-
-        slabs = [arena._new((cap,), np.uint8) for cap, _members in colors]
-        for ui, unit in enumerate(units):
-            r_idx, parts, key = unit[6], unit[4], unit[5]
-            slab = slabs[assign[ui]]
+        units = _make_units(records, self._values, self._find, self._death)
+        caps, assign = _color_units(units)
+        slabs = [arena._new((cap,), np.uint8) for cap in caps]
+        for (r_idx, _dth, _padded, _raw, parts, key), ci in zip(units, assign):
+            slab = slabs[ci]
             if parts is None:
                 shape, dtype = key
                 buffers[r_idx] = np.ndarray(shape, dtype=dtype, buffer=slab)
@@ -1031,60 +737,22 @@ class ExecutionPlan:
                 )
 
         # --- FIFO baseline simulation (what PR 3's recycler would use) ---
-        # Uses the RAW sequential ranges (tape index, unextended death):
-        # the baseline allocator predates spans and recycled a dead buffer
-        # only for a later record with the exact same shape and dtype.
-        unit_at = {u[6]: u for u in units}
+        # The baseline allocator recycled a dead buffer only for a later
+        # record with the exact same shape and dtype.
         pool: dict[tuple, int] = {}
         heap: list = []
         fifo = 0
-        for r_idx in range(len(records)):
+        for r_idx, dth, _padded, raw, _parts, key in units:  # tape order
             while heap and heap[0][0] < r_idx:
-                _, _, key = heappop(heap)
-                pool[key] = pool.get(key, 0) + 1
-            u = unit_at.get(r_idx)
-            if u is None:
-                continue
-            key = u[5]
+                _, _, dead_key = heappop(heap)
+                pool[dead_key] = pool.get(dead_key, 0) + 1
             if pool.get(key, 0) > 0:
                 pool[key] -= 1
             else:
-                fifo += u[3]
-            if u[7] < _INF:
-                heappush(heap, (u[7], r_idx, key))
+                fifo += raw
+            if dth < _INF:
+                heappush(heap, (dth, r_idx, key))
         arena.fifo_nbytes = fifo
-
-        # --- per-span work estimate (for the span_min_bytes threshold) ---
-        span_index = {start: si for si, (start, _stop) in
-                      enumerate(self._spans)}
-        span_bytes = [0] * len(self._spans)
-        for u in units:
-            span_bytes[span_index[span_start[u[6]]]] += u[3]
-        arena.span_bytes = span_bytes
-
-        # --- pre-fusion colored footprint (simulated, never allocated) ---
-        # Shapes for surviving records come from the warm values; shapes
-        # for fused-internal members from the group's warm-run metadata
-        # (recorded by run_unfused immediately before this build).
-        if self._fused_groups:
-            internal_meta: dict[int, tuple] = {}
-            for g in self._fused_groups:
-                meta = g.last_meta or []
-                for m, desc in zip(g.members, meta):
-                    internal_meta[m.out_slot] = desc
-
-            def pre_shape_of(r_idx, rec):
-                desc = internal_meta.get(rec.out_slot)
-                if desc is not None:
-                    return desc
-                return shape_of(r_idx, rec)
-
-            arena.prefusion_nbytes = _simulate_colored_nbytes(
-                self._records_prefusion, self._fetch_slots, self._n_slots,
-                pre_shape_of,
-            )
-        else:
-            arena.prefusion_nbytes = arena.alloc_bytes
         return arena
 
     def _steady_run(self, arena: BufferArena) -> None:
@@ -1105,86 +773,6 @@ class ExecutionPlan:
                 else:
                     np.copyto(buf, out)
                 values[rec.out_slot] = buf
-
-    def _exec_range(self, records, buffers, lo: int, hi: int) -> None:
-        """Execute tape records [lo, hi) — the span worker body.
-
-        Span members write disjoint slot entries and disjoint (colored)
-        buffers, so concurrent ``_exec_range`` calls over disjoint ranges
-        of one span never race (rule P109 proves the partition).
-        """
-        values = self._values
-        for i in range(lo, hi):
-            rec = records[i]
-            buf = buffers[i]
-            ins = [values[s] for s in rec.input_slots]
-            if buf is None:
-                values[rec.out_slot] = rec.forward(ins, rec.attrs)
-            elif rec.mode == _MODE_OUT:
-                rec.forward_out(ins, rec.attrs, buf)
-                values[rec.out_slot] = buf
-            else:  # _MODE_COPY
-                out = rec.forward(ins, rec.attrs)
-                if type(buf) is tuple:
-                    for b, o in zip(buf, out):
-                        np.copyto(b, o)
-                else:
-                    np.copyto(buf, out)
-                values[rec.out_slot] = buf
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        want = self.span_workers - 1
-        if self._pool is None or self._pool_size != want:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-            self._pool = ThreadPoolExecutor(
-                max_workers=want, thread_name_prefix="plan-span"
-            )
-            self._pool_size = want
-        return self._pool
-
-    def _steady_run_spans(self, arena: BufferArena) -> None:
-        """Fork/join steady-state execution (``span_workers > 1``).
-
-        Single-record spans run inline; a multi-record span is chunked
-        across the pool plus the calling thread and joined before the next
-        span starts.  Record order *within* a chunk is tape order, and
-        every record writes its own slot and buffer, so results are bitwise
-        identical to the sequential loop.
-
-        Spans whose estimated work (member output bytes, measured per
-        arena at build time) falls under ``span_min_bytes`` also run
-        inline (``stats.spans_inlined``): forking a handful of microsecond
-        kernels costs more in thread handoff than it recovers in overlap.
-        Inlining only changes *where* a record executes, never its buffer
-        or order class, so the bitwise contract is unaffected.
-        """
-        records = self._records
-        buffers = arena.buffers
-        pool = self._ensure_pool()
-        w_max = self.span_workers
-        span_bytes = arena.span_bytes
-        min_bytes = self.span_min_bytes
-        for si, (start, stop) in enumerate(self._spans):
-            width = stop - start
-            if width == 1:
-                self._exec_range(records, buffers, start, stop)
-                continue
-            if min_bytes and span_bytes[si] < min_bytes:
-                self._exec_range(records, buffers, start, stop)
-                self.stats.spans_inlined += 1
-                continue
-            w = min(w_max, width)
-            bounds = [start + (width * k) // w for k in range(w + 1)]
-            futures = [
-                pool.submit(self._exec_range, records, buffers,
-                            bounds[k], bounds[k + 1])
-                for k in range(1, w)
-            ]
-            self._exec_range(records, buffers, bounds[0], bounds[1])
-            for f in futures:
-                f.result()
-            self.stats.span_batches += 1
 
     def _steady_run_profiled(self, arena: BufferArena, session) -> None:
         values = self._values
@@ -1215,34 +803,23 @@ def compile_plan(
     feed_nodes: Sequence[Node],
     copy_fetches: bool = True,
     max_arenas: int = 32,
-    schedule: str = "liveness",
-    span_workers: int = 1,
-    backend: Optional[str] = None,
-    span_min_bytes: int = 0,
     verify: Optional[bool] = None,
 ) -> ExecutionPlan:
     """Compile ``fetches`` into an :class:`ExecutionPlan`.
 
-    Runs the staged pipeline (tape build → ``schedule`` → ``backend``
-    fusion → liveness → span partition; interference coloring happens per
-    feed-shape signature at warm time) exactly once; every subsequent
-    :meth:`ExecutionPlan.run` is a flat tape walk into colored, persistent
-    output buffers — forked across ``span_workers`` threads when > 1.
-    Results on the bitwise backends (``"numpy"``, ``"fused"``) are bitwise
-    identical to ``Session.run`` on the same fetches and feeds for every
-    backend/schedule/span_workers combination.  ``verify=True`` (or
-    ``REPRO_VERIFY_PLANS=1``) runs the static plan verifier's structural
-    checks (including fused-record soundness, rule P110) at compile time
-    and on every freshly colored arena.
+    Runs the pipeline (tape build → liveness list-schedule → liveness/alias
+    analysis; interference coloring happens per feed-shape signature at
+    warm time) exactly once; every subsequent :meth:`ExecutionPlan.run` is
+    a flat tape walk into colored, persistent output buffers.  Results are
+    bitwise identical to ``Session.run`` on the same fetches and feeds.
+    ``verify=True`` (or ``REPRO_VERIFY_PLANS=1``) runs the static plan
+    verifier's structural checks at compile time and on every freshly
+    colored arena.
     """
     return ExecutionPlan(
         fetches,
         feed_nodes,
         copy_fetches=copy_fetches,
         max_arenas=max_arenas,
-        schedule=schedule,
-        span_workers=span_workers,
-        backend=backend,
-        span_min_bytes=span_min_bytes,
         verify=verify,
     )

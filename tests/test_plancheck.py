@@ -34,32 +34,12 @@ from repro.zoo import water_config
 
 
 def chain_plan():
-    """x -> tanh -> tanh -> tanh, fetch the last: 3 records, no aliases.
-
-    Pinned to the per-record numpy backend — the mutation tests below poke
-    records by index, and the fused backend would collapse the chain into
-    one record (fused-plan verification has its own tests in
-    ``tests/test_fusion.py``).
-    """
+    """x -> tanh -> tanh -> tanh, fetch the last: 3 records, no aliases."""
     x = tf.placeholder("x", dtype=np.float64)
     a = tf.tanh(x)
     b = tf.tanh(a)
     c = tf.tanh(b)
-    plan = compile_plan([c], [x], backend="numpy")
-    plan.run({x: np.ones((4, 3))})
-    return plan
-
-
-def fanout_plan():
-    """x -> {tanh, square} -> add: records 0 and 1 form a width-2 span.
-
-    numpy backend pinned, like :func:`chain_plan` — the span-hazard
-    mutations need the unfused record/span structure.
-    """
-    x = tf.placeholder("x", dtype=np.float64)
-    a = tf.tanh(x)
-    b = tf.square(x)
-    plan = compile_plan([tf.add(a, b)], [x], backend="numpy")
+    plan = compile_plan([c], [x])
     plan.run({x: np.ones((4, 3))})
     return plan
 
@@ -190,70 +170,6 @@ class TestStructuralSoundness:
         assert payload["findings"][0]["record"] == 1
 
 
-class TestSpanHazards:
-    """P109 mutation tests: corrupt exactly one span invariant each."""
-
-    def test_clean_fanout_plan_has_width_2_span(self):
-        plan = fanout_plan()
-        assert plan.stats.max_span_width == 2
-        assert sum(plan.span_widths()) == plan.n_records
-        report = verify_plan(plan)
-        assert report.ok, report.summary()
-
-    def _span_members(self, plan):
-        (start, stop), = [s for s in plan.spans if s[1] - s[0] > 1]
-        return start, stop
-
-    def test_p109_shared_storage_group(self, monkeypatch):
-        plan = fanout_plan()
-        start, stop = self._span_members(plan)
-        ra, rb = plan._records[start], plan._records[start + 1]
-        root_a = plan._find(ra.out_slot)
-        slot_b = rb.out_slot
-        orig_find = plan._find
-        monkeypatch.setattr(
-            plan, "_find",
-            lambda s: root_a if orig_find(s) == orig_find(slot_b)
-            else orig_find(s),
-        )
-        report = verify_plan(plan)
-        found = report.by_rule("P109")
-        assert found and any("share a storage group" in f.message
-                             for f in found)
-
-    def test_p109_read_write_hazard(self):
-        plan = fanout_plan()
-        start, stop = self._span_members(plan)
-        ra, rb = plan._records[start], plan._records[start + 1]
-        # Span member b now reads span member a's output — the scheduler
-        # must never have put them in one span.
-        rb.input_slots = (ra.out_slot,)
-        report = verify_plan(plan)
-        found = report.by_rule("P109")
-        assert any("in the same span" in f.message for f in found)
-        # The address-level pass sees it too: a's buffer bytes are read by
-        # b while a (a span sibling) writes them.
-        assert any("writes bytes" in f.message for f in found)
-
-    def test_p109_write_write_overlap(self):
-        plan = fanout_plan()
-        start, stop = self._span_members(plan)
-        arena = next(iter(plan._arenas.values()))
-        # Both span members now write the same bytes.
-        arena.buffers[start + 1] = arena.buffers[start]
-        report = verify_plan(plan)
-        assert any("write overlapping buffer bytes" in f.message
-                   for f in report.by_rule("P109"))
-
-    def test_p109_broken_tiling(self):
-        plan = fanout_plan()
-        plan._spans = plan._spans[1:]  # first span vanished
-        report = verify_plan(plan)
-        found = report.by_rule("P109")
-        assert found and any("tiling" in f.message or "covers" in f.message
-                             for f in found)
-
-
 class TestSymbolicInference:
     def test_p106_missing_feed(self):
         plan = chain_plan()
@@ -280,9 +196,7 @@ class TestSymbolicInference:
 
     def test_p108_mistyped_cast_flags_downstream(self):
         model = DeepPot(water_config("mixed"))
-        # numpy backend pinned: the mutation searches the tape for a
-        # top-level cast record, which fusion would swallow into a group.
-        engine = BatchedEvaluator(model, plan_backend="numpy")
+        engine = BatchedEvaluator(model)
         s = water_box((3, 3, 3), seed=0)
         engine.evaluate_batch([s], [neighbor_pairs(s, model.config.rcut)])
         plan = engine.plan

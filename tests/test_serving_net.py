@@ -391,6 +391,19 @@ class TestServingForceBackend:
 # ---------------------------------------------------------------------------
 
 
+def wait_admitted(daemon, n):
+    """submit() returns once the frame is on the wire; wait for the daemon
+    reader to actually admit all ``n`` before pulling the plug (a stop that
+    beats admission refuses them instead — that path is
+    test_submit_during_drain_refused_with_server_closed's)."""
+    pause = threading.Event()
+    for _ in range(200):
+        if len(daemon.server.queue) == n:
+            break
+        pause.wait(0.05)
+    assert len(daemon.server.queue) == n
+
+
 class TestDrain:
     def test_drain_completes_queued_work_and_conserves(self, model, base):
         """Daemon stop under pre-loaded traffic: every queued request
@@ -399,6 +412,7 @@ class TestDrain:
             frames = perturbed_frames(base, 6, seed0=80)
             client = SocketClient(daemon.address, "water")
             futures = [client.submit(f, block=False) for f in frames]
+            wait_admitted(daemon, 6)
             daemon.server.start()
             daemon.stop(drain=True)  # drains workers, flushes outboxes
             results = [f.result(WAIT) for f in futures]
@@ -430,16 +444,7 @@ class TestDrain:
             frames = perturbed_frames(base, 4, seed0=90)
             client = SocketClient(daemon.address, "water")
             futures = [client.submit(f, block=False) for f in frames]
-            # submit() returns once the frame is on the wire; wait for the
-            # daemon reader to actually admit all 4 before pulling the plug
-            # (a stop that beats admission refuses them instead — that path
-            # is test_submit_during_drain_refused_with_server_closed's)
-            pause = threading.Event()
-            for _ in range(200):
-                if len(daemon.server.queue) == 4:
-                    break
-                pause.wait(0.05)
-            assert len(daemon.server.queue) == 4
+            wait_admitted(daemon, 4)
             daemon.stop(drain=False)
             for f in futures:
                 with pytest.raises(Exception):

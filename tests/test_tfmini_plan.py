@@ -95,14 +95,12 @@ class TestSyntheticGraphs:
 
     def test_liveness_recycles_dead_slots(self):
         # A long chain of same-shape elementwise ops: with recycling the
-        # arena needs far fewer buffers than the tape has records.  Pinned
-        # to the per-record numpy backend: the fused backend would collapse
-        # the whole chain into one record, which is its own test.
+        # arena needs far fewer buffers than the tape has records.
         x = tf.placeholder("x")
         node = x
         for _ in range(20):
             node = tf.tanh(tf.add(node, node))
-        plan = tf.compile_plan(node, [x], backend="numpy")
+        plan = tf.compile_plan(node, [x])
         out = plan.run({x: np.ones(5)})
         ref = tf.Session().run(node, {x: np.ones(5)})
         assert np.array_equal(out, ref)
@@ -272,9 +270,7 @@ class TestProfilingParity:
         s_ref = tf.Session(profile=True)
         s_ref.run(fetches, feeds)
 
-        # Per-record parity needs the per-record backend: fusion rewrites
-        # the tape's op inventory (member ops become one fused record).
-        plan = tf.compile_plan(fetches, [x], backend="numpy")
+        plan = tf.compile_plan(fetches, [x])
         s_warm = tf.Session(profile=True)
         plan.run(feeds, session=s_warm)  # warm (plain kernels)
         s_steady = tf.Session(profile=True)
@@ -381,9 +377,7 @@ class TestDeepPotPlans:
         model = zoo_models[("water", "double")]
         system = zoo_systems["water"]
         pi, pj = neighbor_pairs(system, model.config.rcut)
-        # numpy backend pinned: per-op profiling parity is a per-record
-        # property (fusion rewrites the op inventory).
-        planned = BatchedEvaluator(model, plan_backend="numpy")
+        planned = BatchedEvaluator(model)
         oracle = BatchedEvaluator(model, use_plan=False)
         planned.evaluate_batch([system], [(pi, pj)])  # warm outside profiling
         session = model.session
