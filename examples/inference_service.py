@@ -4,7 +4,7 @@ Spins up an :class:`~repro.serving.InferenceServer` hosting the zoo water
 model, then drives it with N closed-loop client threads — each submits a
 frame, waits for the result, and submits the next, so no client ever has
 more than one request in flight.  Coalescing across *clients* is therefore
-the only batching available, and the scheduler's ``max_wait_us`` window is
+the only batching available, and the server's ``max_wait_us`` window is
 what makes it happen: requests that arrive within the window ride the same
 batched graph execution.
 
@@ -155,7 +155,7 @@ def socket_main(args, model, base, server) -> None:
             f"{s}:{'parent' if s in parent_seqs else 'child'}"
             for s in rec.seqs
         )
-        print(f"  {rec.model} @ {rec.worker}: [{tags}]")
+        print(f"  {rec.model}: [{tags}]")
     if len(mixed) > 8:
         print(f"  ... and {len(mixed) - 8} more")
 
@@ -174,8 +174,6 @@ def main() -> None:
     parser.add_argument("--requests", type=int, default=10)
     parser.add_argument("--max-batch", type=int, default=8)
     parser.add_argument("--max-wait-us", type=float, default=1500.0)
-    parser.add_argument("--workers", default="per-model",
-                        help="'per-model' or an integer shared-pool size")
     parser.add_argument("--socket", action="store_true",
                         help="serve over TCP and split the clients across "
                              "two OS processes")
@@ -196,11 +194,9 @@ def main() -> None:
         {"water": model},
         max_batch=args.max_batch,
         max_wait_us=args.max_wait_us,
-        workers=args.workers,  # 'per-model' or an int (server coerces)
     )
     print(f"server up: model 'water' ({base.n_atoms}-atom frames), "
-          f"max_batch={args.max_batch}, max_wait={args.max_wait_us:.0f} us, "
-          f"workers={server.workers}")
+          f"max_batch={args.max_batch}, max_wait={args.max_wait_us:.0f} us")
 
     if args.socket:
         socket_main(args, model, base, server)

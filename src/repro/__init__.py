@@ -19,7 +19,7 @@ Subpackages
     precision, training with force matching, DP-GEN active learning.
 ``repro.serving``
     Dynamic micro-batching inference service over the batched engine:
-    bounded request queue, per-model coalescing scheduler, worker thread,
+    bounded request queue, one coalescing worker thread per model,
     client futures, deterministic server stats.
 ``repro.parallel``
     Simulated MPI + domain decomposition with ghost halo exchange; the

@@ -11,10 +11,6 @@ validate    — quick self-check: DP forces vs finite differences,
 serve       — run the inference service as a socket daemon (the
               repro.serving.net front-end; SIGTERM drains gracefully and
               the exit code asserts request conservation)
-serve-bench — closed-loop load generator against the micro-batching
-              inference service (N clients, deterministic counters +
-              throughput report); ``--socket`` drives it over real TCP
-              with mixed MD + interactive + cache-hit traffic
 md          — deterministic tiny MD run with optional exact-restart
               checkpointing (``--checkpoint-dir``) and a self-SIGTERM
               switch (``--sigterm-at``) for kill/resume testing
@@ -213,12 +209,11 @@ def cmd_validate(_args) -> int:
 
 
 def _bench_tiny_model():
-    """The deterministic tiny model every socket-bench process builds.
+    """The deterministic tiny model ``repro serve --tiny`` hosts.
 
-    Construction is fully seeded, so a daemon started by ``repro serve
-    --tiny`` and a bench started by ``repro serve-bench --socket --tiny
-    --connect`` hold bitwise-identical weights — the cross-process bitwise
-    spot checks need no weight shipping.
+    Construction is fully seeded, so a client process that builds it too
+    holds bitwise-identical weights — cross-process bitwise spot checks
+    need no weight shipping.
     """
     from repro.dp.model import DeepPot, DPConfig
 
@@ -243,9 +238,7 @@ def cmd_serve(args) -> int:
         max_batch=args.max_batch,
         max_wait_us=args.max_wait_us,
         max_queue=args.max_queue,
-        workers=args.workers,
         max_per_client=args.max_per_client,
-        cache_size=args.cache,
     )
     if args.tiny:
         server = InferenceServer({"water-tiny": _bench_tiny_model()}, **common)
@@ -271,7 +264,7 @@ def cmd_serve(args) -> int:
     print(
         f"repro serve: listening on {host}:{port} "
         f"(models: {', '.join(server.model_names())}; "
-        f"max_batch={args.max_batch}, cache={args.cache}, "
+        f"max_batch={args.max_batch}, "
         f"max_per_client={args.max_per_client})",
         flush=True,
     )
@@ -308,267 +301,6 @@ def cmd_serve(args) -> int:
         flush=True,
     )
     return 0 if conserved else 1
-
-
-def _serve_bench_socket(args) -> int:
-    """serve-bench over real TCP: mixed MD + interactive + cache traffic.
-
-    Either spins a local :class:`~repro.serving.net.ServingDaemon`
-    (``--socket``) or attaches to a running ``repro serve`` daemon
-    (``--connect host:port`` — the CI smoke path).  The traffic mix:
-
-    * ``--clients`` interactive closed-loop SocketClients (one connection
-      each, single request in flight — cross-client coalescing only);
-    * one MD client: a ``Simulation`` stepping through
-      ``BackendPotential(ServingForceBackend(SocketClient))``, verified
-      bitwise against a local in-process trajectory;
-    * one cache client re-submitting an identical frame (a deterministic
-      cache hit whenever the daemon's cache is on).
-
-    Deterministic asserts (never wall clock): completed counts, bitwise
-    spot checks, batches < requests, >= 1 cache hit, and conservation over
-    the bench's own traffic window.
-    """
-    import time
-
-    import numpy as np
-
-    from repro.analysis.structures import water_box
-    from repro.dp.backend import BackendPotential, ServingForceBackend
-    from repro.dp.pair import DeepPotPair
-    from repro.md.neighbor import fitted_neighbor_list
-    from repro.md.simulation import Simulation
-    from repro.serving import (
-        InferenceServer,
-        ServingDaemon,
-        SocketClient,
-        perturbed_frames,
-        run_closed_loop_clients,
-        served_matches_direct,
-    )
-
-    if not args.tiny:
-        print("serve-bench --socket requires --tiny: the daemon and the "
-              "bench must construct the same deterministic model for the "
-              "bitwise checks")
-        return 2
-    name = "water-tiny"
-    model = _bench_tiny_model()  # local twin of the daemon's model
-    base = water_box((2, 2, 2), seed=0)
-
-    daemon = None
-    if args.connect:
-        address = args.connect
-        print(f"attaching to daemon at {address}")
-    else:
-        server = InferenceServer(
-            {name: _bench_tiny_model()},
-            max_batch=args.max_batch,
-            max_wait_us=args.max_wait_us,
-            max_queue=args.max_queue,
-            workers=args.workers,
-            cache_size=args.cache,
-        )
-        daemon = ServingDaemon(server).start()
-        address = daemon.address
-        print(f"local daemon on {address[0]}:{address[1]}")
-
-    # connect_retry rides out the daemon-still-binding race (the CI smoke
-    # starts the daemon and the bench back to back): first-connect
-    # ECONNREFUSED is retried with capped exponential backoff inside the
-    # window instead of failing the whole bench.
-    probe = SocketClient(
-        address, name, client="bench-probe",
-        connect_retry=args.connect_retry,
-    )
-    try:
-        cache_on = probe.limits.get("cache_size", 0) > 0
-        start = probe.stats()  # the daemon may be long-running: delta counters
-
-        n_clients, n_requests = args.clients, args.requests
-        frames = {
-            tid: perturbed_frames(base, n_requests, seed0=1000 * (tid + 1))
-            for tid in range(n_clients)
-        }
-        t0 = time.perf_counter()
-
-        # interactive closed-loop clients, one TCP connection each
-        served = run_closed_loop_clients(
-            None, None, frames, timeout=300,
-            join_timeout=270.0 if args.tiny else None,
-            client_factory=lambda tid: SocketClient(
-                address, name, client=f"bench-{tid}",
-                connect_retry=args.connect_retry,
-            ),
-        )
-
-        # MD client: a Simulation whose forces come from the daemon
-        md_steps = args.md_steps
-        md_sys = base.copy()
-        with SocketClient(address, name, client="bench-md") as md_client:
-            sim = Simulation(
-                md_sys,
-                BackendPotential(
-                    ServingForceBackend(md_client), cutoff=md_client.cutoff
-                ),
-                dt=0.0005,
-                neighbor=fitted_neighbor_list(md_sys, md_client.cutoff),
-            )
-            sim.run(md_steps)
-        ref_sys = base.copy()
-        ref = Simulation(
-            ref_sys, DeepPotPair(model), dt=0.0005,
-            neighbor=fitted_neighbor_list(ref_sys, model.config.rcut),
-        )
-        ref.run(md_steps)
-        md_ok = np.array_equal(md_sys.positions, ref_sys.positions)
-
-        # cache client: identical frame twice — a deterministic hit
-        hit_frame = perturbed_frames(base, 1, seed0=77)[0]
-        probe.evaluate(hit_frame, timeout=300)
-        probe.evaluate(hit_frame, timeout=300)
-
-        wall = time.perf_counter() - t0
-        end = probe.stats()
-    finally:
-        probe.close()
-
-    d = {k: end[k] - start[k] for k in (
-        "requests_submitted", "requests_completed", "requests_failed",
-        "requests_cancelled", "batches", "frames", "cache_hits",
-        "cache_misses",
-    )}
-    total = d["requests_completed"]
-    print(f"\n{total} requests in {wall:.2f} s over TCP "
-          f"({total / wall:.1f} frames/s) — "
-          f"{d['batches']} batches, {d['frames']} batched frames, "
-          f"{d['cache_hits']} cache hits / {d['cache_misses']} misses")
-
-    checks = {
-        "all interactive requests served": (
-            sum(len(r) for r in served.values()) == n_clients * n_requests
-        ),
-        "interactive results bitwise vs direct": all(
-            served_matches_direct(model, *served[tid][-1])
-            for tid in range(n_clients)
-        ),
-        f"MD trajectory over socket bitwise vs in-process ({md_steps} steps)":
-            md_ok,
-        "conservation over the bench window": (
-            d["requests_submitted"]
-            == d["requests_completed"] + d["requests_failed"]
-            + d["requests_cancelled"]
-        ),
-    }
-    if cache_on:
-        checks[">= 1 deterministic cache hit"] = d["cache_hits"] >= 1
-        # every batch carries >= 1 frame and the hit produced none, so the
-        # coalescing inequality is deterministic, not timing-dependent
-        checks["batches < requests (coalescing)"] = d["batches"] < total
-    else:
-        print("note: daemon cache is off — cache-hit checks skipped "
-              "(start it with --cache N)")
-    for what, ok in checks.items():
-        print(f"  {'PASS' if ok else 'FAIL'}  {what}")
-
-    if daemon is not None:
-        daemon.stop(drain=True)
-        print(daemon.server.stats.report())
-    return 0 if all(checks.values()) else 1
-
-
-def cmd_serve_bench(args) -> int:
-    """Closed-loop load generation against the micro-batching service.
-
-    N client threads each submit ``--requests`` frames synchronously
-    (submit, wait for the result, submit the next — the hardest pattern to
-    batch, since each client has at most one request in flight).  Coalescing
-    across clients is what the scheduler's ``max_wait_us`` window buys.
-
-    ``--socket`` / ``--connect`` switch to the TCP front-end with a mixed
-    MD + interactive + cache workload (see :func:`_serve_bench_socket`).
-    """
-    import time
-
-    if args.socket or args.connect:
-        return _serve_bench_socket(args)
-
-    from repro.analysis.structures import fcc_lattice, water_box
-    from repro.serving import (
-        InferenceServer,
-        perturbed_frames,
-        run_closed_loop_clients,
-        served_matches_direct,
-    )
-
-    workers = args.workers  # 'per-model' or an int (server coerces/validates)
-    if args.tiny:
-        from repro.dp.model import DeepPot, DPConfig
-
-        name = "water-tiny"
-        model = DeepPot(DPConfig.tiny(sel=(8, 16), rcut=3.0))
-        base = water_box((2, 2, 2), seed=0)
-        server = InferenceServer(
-            {name: model},
-            max_batch=args.max_batch,
-            max_wait_us=args.max_wait_us,
-            max_queue=args.max_queue,
-            workers=workers,
-        )
-    else:
-        name = args.model
-        server = InferenceServer.from_zoo(
-            [name],
-            max_batch=args.max_batch,
-            max_wait_us=args.max_wait_us,
-            max_queue=args.max_queue,
-            workers=workers,
-        )
-        model = server.model(name)
-        base = (
-            fcc_lattice((3, 3, 3))
-            if name.startswith("copper")
-            else water_box((3, 3, 3), seed=0)
-        )
-
-    n_clients, n_requests = args.clients, args.requests
-    print(f"serving model {name!r}: {base.n_atoms}-atom frames, "
-          f"{n_clients} closed-loop clients x {n_requests} requests, "
-          f"max_batch={args.max_batch}, max_wait={args.max_wait_us:.0f} us, "
-          f"workers={server.workers} ({', '.join(server.worker_ids())})")
-
-    # Per-client frame sets (perturbed copies; decorrelated workloads).
-    frames = {
-        tid: perturbed_frames(base, n_requests, seed0=1000 * (tid + 1))
-        for tid in range(n_clients)
-    }
-
-    t0 = time.perf_counter()
-    # --tiny (the CI smoke path, 10-minute job timeout) keeps the join
-    # deadline tight so a wedged server fails WITH per-client progress
-    # instead of a hard job kill; real workloads scale with the helper's
-    # default (timeout * frames-per-client + slack).
-    served = run_closed_loop_clients(
-        server, name, frames, timeout=300,
-        join_timeout=270.0 if args.tiny else None,
-    )
-    wall = time.perf_counter() - t0
-    server.stop()
-
-    total = n_clients * n_requests
-    print(f"\n{total} requests in {wall:.2f} s "
-          f"({total / wall:.1f} frames/s, "
-          f"{wall / total * 1e3:.2f} ms/request mean round trip)")
-    print(server.stats.report())
-
-    # Correctness spot check: one request per client, bitwise vs direct.
-    ok = all(
-        served_matches_direct(model, *served[tid][-1])
-        for tid in range(n_clients)
-    )
-    print(f"bitwise vs direct evaluate ({n_clients} spot checks): "
-          f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
 
 
 def _md_tiny_sim(thermostat: str):
@@ -973,55 +705,21 @@ def main(argv=None) -> int:
                              "water/copper[-double|-single]")
     daemon.add_argument("--tiny", action="store_true",
                         help="host one untrained deterministic tiny model "
-                             "(fast; what serve-bench --connect expects)")
+                             "(fast; no zoo training)")
     daemon.add_argument("--host", default="127.0.0.1")
     daemon.add_argument("--port", type=int, default=0,
                         help="TCP port (0 = ephemeral, printed at startup)")
     daemon.add_argument("--max-batch", type=int, default=8)
     daemon.add_argument("--max-wait-us", type=float, default=1000.0)
     daemon.add_argument("--max-queue", type=int, default=64)
-    daemon.add_argument("--workers", default="per-model")
     daemon.add_argument("--max-per-client", type=int, default=0,
                         help="per-client admission quota (0 = unlimited)")
-    daemon.add_argument("--cache", type=int, default=0,
-                        help="result-cache entries (0 = off)")
     daemon.add_argument("--checkpoint-dir", default=None,
                         help="persist lifetime counters across restarts "
                              "(serving-stats.json in this directory)")
     daemon.add_argument("--idle-timeout", type=float, default=0.0,
                         help="sweep client connections idle longer than "
                              "this many seconds (0 = never)")
-    serve = sub.add_parser(
-        "serve-bench",
-        help="closed-loop load generator for the inference service",
-    )
-    serve.add_argument("--model", default="water",
-                       help="zoo model: water/copper[-double|-single]")
-    serve.add_argument("--tiny", action="store_true",
-                       help="use an untrained tiny model (fast; no zoo cache)")
-    serve.add_argument("--clients", type=int, default=4)
-    serve.add_argument("--requests", type=int, default=8,
-                       help="requests per client")
-    serve.add_argument("--max-batch", type=int, default=8)
-    serve.add_argument("--max-wait-us", type=float, default=1000.0)
-    serve.add_argument("--max-queue", type=int, default=64)
-    serve.add_argument("--workers", default="per-model",
-                       help="'per-model' (one worker per hosted model) or "
-                            "an integer shared-pool size")
-    serve.add_argument("--socket", action="store_true",
-                       help="drive the bench over a real TCP daemon "
-                            "(in-process unless --connect)")
-    serve.add_argument("--connect", metavar="HOST:PORT", default=None,
-                       help="attach to a running `repro serve` daemon "
-                            "instead of spinning one locally")
-    serve.add_argument("--cache", type=int, default=16,
-                       help="result-cache entries for the local --socket "
-                            "daemon (ignored with --connect)")
-    serve.add_argument("--md-steps", type=int, default=3,
-                       help="steps for the socket bench's MD client")
-    serve.add_argument("--connect-retry", type=float, default=10.0,
-                       help="seconds to retry the initial connect while the "
-                            "daemon is still binding (0 = one attempt)")
     md = sub.add_parser(
         "md",
         help="deterministic tiny MD run with exact-restart checkpointing",
@@ -1098,7 +796,6 @@ def main(argv=None) -> int:
         "scaling": cmd_scaling,
         "validate": cmd_validate,
         "serve": cmd_serve,
-        "serve-bench": cmd_serve_bench,
         "md": cmd_md,
         "resume": cmd_resume,
         "chaos-smoke": cmd_chaos_smoke,

@@ -194,8 +194,8 @@ class ServingForceBackend:
     (both mean "nothing was computed wrong — resubmitting is safe") is
     resubmitted up to ``retries`` times before the error propagates;
     ``retried_frames`` counts the resubmissions.  Resubmission is bitwise
-    safe: the same arrays produce the same server-side content key, so a
-    replayed frame returns the identical result.
+    safe: evaluation is deterministic, so a replayed frame returns the
+    identical result.
     """
 
     def __init__(self, client, timeout: Optional[float] = 300.0,
@@ -254,9 +254,7 @@ class ServingForceBackend:
 
     def invalidate_buckets(self) -> None:
         """Reneighbor/migration signal.  Server-side bucketing is per batch
-        (nothing cached across calls), so this only counts the event — the
-        result cache needs no flush either, because a reneighbored frame has
-        a different pair list and therefore a different content key."""
+        (nothing cached across calls), so this only counts the event."""
         self.invalidations += 1
 
 

@@ -2,20 +2,19 @@
 
 The ROADMAP's "heavy traffic" north star, built on the batched evaluation
 engine (:mod:`repro.dp.batch`): many clients submit frames
-(positions/types/box), a scheduler coalesces whatever is pending — up to
-``max_batch`` frames, waiting at most ``max_wait_us`` — into ONE batched
-graph execution per model, executed by a pool of worker threads (one per
-model by default, so multi-model traffic overlaps inside numpy's
-GIL-releasing kernels), and results scatter back to per-request futures in
-submission order.  Per-frame results are bitwise identical to direct
-``DeepPot.evaluate`` calls regardless of batch composition or worker
-interleaving.
+(positions/types/box), each model's worker thread coalesces whatever is
+pending for it — up to ``max_batch`` frames, waiting at most
+``max_wait_us`` — into ONE batched graph execution (one worker per model,
+so multi-model traffic overlaps inside numpy's GIL-releasing kernels), and
+results scatter back to per-request futures in submission order.
+Per-frame results are bitwise identical to direct ``DeepPot.evaluate``
+calls regardless of batch composition or worker interleaving.
 
-    queue.py      bounded priority/EDF request queue (backpressure, seq
-                  stamping, per-key deques + key-aware wakeups, per-client
-                  quotas) + the content-addressed ResultCache
-    scheduler.py  micro-batching policy (max_batch / max_wait_us, per model)
-    worker.py     InferenceServer: model registry + the worker pool
+    queue.py      bounded FIFO request queue (backpressure, seq stamping,
+                  one deque + one wakeup condition per model, per-client
+                  quotas, the max_batch / max_wait_us fill loop)
+    worker.py     InferenceServer: model registry, admission (frame
+                  validation), one supervised worker per model
     client.py     InferenceClient: sync and future-based submission
     metrics.py    ServerStats: deterministic counters + timing gauges
     protocol.py   the length-prefixed binary wire format
@@ -61,16 +60,14 @@ from repro.serving.net import ServingDaemon, SocketClient
 from repro.serving.protocol import PROTOCOL_VERSION, MsgType, ProtocolError
 from repro.serving.queue import (
     InferenceRequest,
+    InvalidFrame,
     QueueFull,
     QuotaExceeded,
     RequestQueue,
-    ResultCache,
     ServerClosed,
     TransientEvalError,
     WorkerCrashed,
-    frame_content_key,
 )
-from repro.serving.scheduler import MicroBatchScheduler
 from repro.serving.worker import InferenceServer
 
 __all__ = [
@@ -83,14 +80,13 @@ __all__ = [
     "InferenceRequest",
     "InferenceServer",
     "InjectedWorkerCrash",
-    "MicroBatchScheduler",
+    "InvalidFrame",
     "MsgType",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "QueueFull",
     "QuotaExceeded",
     "RequestQueue",
-    "ResultCache",
     "ServerClosed",
     "ServerStats",
     "ServingDaemon",
@@ -99,7 +95,6 @@ __all__ = [
     "TamperFrame",
     "TransientEvalError",
     "WorkerCrashed",
-    "frame_content_key",
     "perturbed_frames",
     "run_closed_loop_clients",
     "served_matches_direct",

@@ -39,16 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class InferenceClient:
     """Submits frames for one model hosted by an :class:`InferenceServer`.
 
-    ``priority`` (bigger = dispatched sooner) and ``client_id`` (the quota
-    accounting identity; ``None`` = exempt) stamp every submission from
-    this client — the per-request ``deadline`` stays a per-call argument.
+    ``client_id`` (the quota accounting identity; ``None`` = exempt)
+    stamps every submission from this client.
     """
 
     def __init__(
         self,
         server: "InferenceServer",
         model: str,
-        priority: int = 0,
         client_id: Optional[str] = None,
     ):
         if model not in server.model_names():
@@ -57,7 +55,6 @@ class InferenceClient:
             )
         self.server = server
         self.model = model
-        self.priority = int(priority)
         self.client_id = client_id
 
     @property
@@ -72,7 +69,6 @@ class InferenceClient:
         pair_j: Optional[np.ndarray] = None,
         block: bool = True,
         timeout: Optional[float] = None,
-        deadline: Optional[float] = None,
         nloc: Optional[int] = None,
         pbc: bool = True,
     ) -> Future:
@@ -80,13 +76,10 @@ class InferenceClient:
 
         ``block``/``timeout`` control backpressure behaviour when the
         server's bounded queue is full (see ``InferenceServer.submit``);
-        ``deadline`` (seconds) requests EDF ordering within this client's
-        priority class; ``nloc``/``pbc`` carry the domain-decomposition
-        frame mode.
+        ``nloc``/``pbc`` carry the domain-decomposition frame mode.
         """
         return self.server.submit(
             self.model, system, pair_i, pair_j, block=block, timeout=timeout,
-            priority=self.priority, deadline=deadline,
             client_id=self.client_id, nloc=nloc, pbc=pbc,
         )
 
@@ -129,7 +122,7 @@ class InferenceClient:
         timeout: Optional[float] = None,
     ) -> list["PotentialResult"]:
         """Submit a frame stack, then gather — the pipelined pattern that
-        lets the scheduler coalesce the whole stack into few batches.
+        lets the server coalesce the whole stack into few batches.
 
         ``timeout`` is one total budget for all submissions and all results
         (a shared deadline, like :meth:`evaluate`).  On any abandonment of
@@ -180,7 +173,7 @@ def run_closed_loop_clients(
 
     Each client submits its frames synchronously — submit, wait, submit the
     next — so cross-client coalescing is the only batching available (the
-    scheduler's ``max_wait_us`` window at work).  Returns, per client id,
+    server's ``max_wait_us`` window at work).  Returns, per client id,
     the list of ``(frame, result)`` pairs.  A failure in any client thread
     (poisoned batch, backpressure timeout, shutdown) is re-raised here after
     all threads have joined — a broken serving stack can never masquerade as
@@ -199,8 +192,7 @@ def run_closed_loop_clients(
     worst-case per-client budget ``timeout * max(len(frames)) + 30`` — and
     a blown deadline raises with each hung client's progress instead of
     hanging ``repro validate`` (and CI) forever on a stuck server.  Shared
-    by ``repro validate``, ``repro serve-bench``, and
-    ``examples/inference_service.py``.
+    by ``repro validate``, the tests, and ``examples/inference_service.py``.
     """
     import threading
 

@@ -20,28 +20,24 @@ from typing import NamedTuple
 
 
 class BatchRecord(NamedTuple):
-    """One executed batch: which model, which request seqs, which worker.
+    """One executed batch: which model, which request seqs.
 
-    Equality-compatible with plain ``(model, seqs, worker)`` tuples, so
-    tests can assert whole-log expectations literally.  ``worker`` is the
-    executing worker's id — the model name itself in per-model-pool mode
-    (making "each model's batches ran on its own worker" a one-line
-    deterministic assert), ``pool-<i>`` in shared-pool mode.
+    Equality-compatible with plain ``(model, seqs)`` tuples, so tests can
+    assert whole-log expectations literally.  The batch ran on the model's
+    own worker — there is exactly one per model.
     """
 
     model: str
     seqs: tuple
-    worker: str
 
 
 class ServerStats:
     """Thread-safe counter block for one :class:`~repro.serving.worker.
     InferenceServer`.
 
-    ``batch_log`` records, per executed batch, the model name, the
-    submission sequence numbers it coalesced, and the worker that ran it —
-    the ground truth the FIFO-fairness, worker-ownership, and amortization
-    tests (``tests/test_serving.py``,
+    ``batch_log`` records, per executed batch, the model name and the
+    submission sequence numbers it coalesced — the ground truth the
+    FIFO-fairness and amortization tests (``tests/test_serving.py``,
     ``benchmarks/test_serving_throughput.py``) assert against.  Only the
     most recent ``batch_log_limit`` entries are kept (the scalar counters
     are complete for the server's whole lifetime), so a long-running server
@@ -59,21 +55,15 @@ class ServerStats:
         self.requests_submitted = 0
         self.requests_completed = 0
         self.requests_failed = 0
-        self.requests_rejected = 0   # bounded-queue backpressure refusals
+        self.requests_rejected = 0   # refused at admission: full/quota/bad frame
         self.requests_cancelled = 0  # pending requests dropped at shutdown
         self.quota_rejections = 0    # per-client admission-quota refusals
-        self.cache_hits = 0          # requests served from the result cache
-        self.cache_misses = 0        # cache lookups that went to the queue
-        self.cache_evictions = 0     # FIFO evictions under capacity pressure
         self.worker_crashes = 0      # worker threads that died mid-batch
         self.worker_respawns = 0     # workers respawned by the supervisor
-        self.cache_invalidations = 0  # entries dropped on respawn/hot-swap
         self.batches = 0
         self.frames = 0              # sum of batch sizes
         self.max_batch_frames = 0
         self.frames_per_model: Counter = Counter()
-        self.frames_per_worker: Counter = Counter()
-        self.batches_per_worker: Counter = Counter()
         self.batch_log: list[BatchRecord] = []
         # timing gauges (report-only)
         self.queue_wait_total = 0.0
@@ -105,23 +95,6 @@ class ServerStats:
             self.quota_rejections += 1
             self.requests_rejected += 1
 
-    def record_cache_hit(self) -> None:
-        """A request served from the result cache: it completes without
-        ever entering the queue, so it counts as completed (conservation:
-        submitted == completed + failed + cancelled holds with zero
-        batches) but adds no frame to any batch."""
-        with self._lock:
-            self.cache_hits += 1
-            self.requests_completed += 1
-
-    def record_cache_miss(self) -> None:
-        with self._lock:
-            self.cache_misses += 1
-
-    def record_cache_eviction(self) -> None:
-        with self._lock:
-            self.cache_evictions += 1
-
     def record_worker_crash(self, failed: int) -> None:
         """A worker thread died mid-batch: its ``failed`` in-flight
         requests fail with ``WorkerCrashed`` — counted here exactly once
@@ -136,20 +109,12 @@ class ServerStats:
         with self._lock:
             self.worker_respawns += 1
 
-    def record_cache_invalidation(self, n: int) -> None:
-        """``n`` result-cache entries dropped because their model's worker
-        respawned (or the model was hot-swapped) — distinct from capacity
-        evictions."""
-        with self._lock:
-            self.cache_invalidations += n
-
     def record_batch(
         self,
         model: str,
         seqs: tuple[int, ...],
         waits: tuple[float, ...],
         failed: bool = False,
-        worker: str = "",
     ) -> None:
         with self._lock:
             n = len(seqs)
@@ -157,9 +122,7 @@ class ServerStats:
             self.frames += n
             self.max_batch_frames = max(self.max_batch_frames, n)
             self.frames_per_model[model] += n
-            self.frames_per_worker[worker] += n
-            self.batches_per_worker[worker] += 1
-            self.batch_log.append(BatchRecord(model, seqs, worker))
+            self.batch_log.append(BatchRecord(model, seqs))
             if len(self.batch_log) > self.batch_log_limit:
                 del self.batch_log[: -self.batch_log_limit]
             if failed:
@@ -175,8 +138,7 @@ class ServerStats:
     _RESTORABLE = (
         "requests_submitted", "requests_completed", "requests_failed",
         "requests_rejected", "requests_cancelled", "quota_rejections",
-        "cache_hits", "cache_misses", "cache_evictions",
-        "worker_crashes", "worker_respawns", "cache_invalidations",
+        "worker_crashes", "worker_respawns",
         "batches", "frames", "max_batch_frames",
     )
 
@@ -191,10 +153,6 @@ class ServerStats:
             for name in self._RESTORABLE:
                 setattr(self, name, int(snap.get(name, getattr(self, name))))
             self.frames_per_model = Counter(snap.get("frames_per_model", {}))
-            self.frames_per_worker = Counter(snap.get("frames_per_worker", {}))
-            self.batches_per_worker = Counter(
-                snap.get("batches_per_worker", {})
-            )
             self.queue_wait_total = float(snap.get("queue_wait_total", 0.0))
             self.queue_wait_max = float(snap.get("queue_wait_max", 0.0))
 
@@ -230,25 +188,19 @@ class ServerStats:
                 "requests_rejected": self.requests_rejected,
                 "requests_cancelled": self.requests_cancelled,
                 "quota_rejections": self.quota_rejections,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cache_evictions": self.cache_evictions,
                 "worker_crashes": self.worker_crashes,
                 "worker_respawns": self.worker_respawns,
-                "cache_invalidations": self.cache_invalidations,
                 "batches": self.batches,
                 "frames": self.frames,
                 "max_batch_frames": self.max_batch_frames,
                 "frames_per_model": dict(self.frames_per_model),
-                "frames_per_worker": dict(self.frames_per_worker),
-                "batches_per_worker": dict(self.batches_per_worker),
                 "occupancy": self.frames / self.batches if self.batches else 0.0,
                 "queue_wait_total": self.queue_wait_total,
                 "queue_wait_max": self.queue_wait_max,
             }
 
     def report(self) -> str:
-        """Human-readable block for CLI output (``repro serve-bench``)."""
+        """Human-readable block for CLI output (``repro serve``)."""
         s = self.snapshot()
         lines = [
             f"requests: {s['requests_submitted']} submitted, "
@@ -262,29 +214,16 @@ class ServerStats:
             f"queueing: mean wait {self.mean_queue_wait() * 1e3:.2f} ms, "
             f"max {s['queue_wait_max'] * 1e3:.2f} ms",
         ]
-        if s["cache_hits"] or s["cache_misses"] or s["cache_evictions"]:
-            lines.append(
-                f"cache:    {s['cache_hits']} hits, "
-                f"{s['cache_misses']} misses, "
-                f"{s['cache_evictions']} evictions"
-            )
         if s["quota_rejections"]:
             lines.append(f"quotas:   {s['quota_rejections']} rejections")
         if s["worker_crashes"] or s["worker_respawns"]:
             lines.append(
                 f"faults:   {s['worker_crashes']} worker crashes, "
-                f"{s['worker_respawns']} respawns, "
-                f"{s['cache_invalidations']} cache entries invalidated"
+                f"{s['worker_respawns']} respawns"
             )
         if s["frames_per_model"]:
             per = ", ".join(
                 f"{m}: {n}" for m, n in sorted(s["frames_per_model"].items())
             )
             lines.append(f"models:   {per}")
-        if s["frames_per_worker"]:
-            per = ", ".join(
-                f"{w}: {n} frames/{s['batches_per_worker'].get(w, 0)} batches"
-                for w, n in sorted(s["frames_per_worker"].items())
-            )
-            lines.append(f"workers:  {per}")
         return "\n".join(lines)

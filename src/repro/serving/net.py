@@ -12,7 +12,7 @@ coalesce into one set of served batches.
 
 Daemon lifecycle::
 
-    accept ──> per-connection reader ──> RequestQueue ──> worker pool
+    accept ──> per-connection reader ──> RequestQueue ──> model workers
                      │  (decode SUBMIT,                     │
                      │   server.submit)                     │ evaluate_batch
                      │                                      v
@@ -21,7 +21,7 @@ Daemon lifecycle::
 
 One acceptor thread; per connection, one reader thread (decodes frames,
 submits into the queue — the same admission path in-process clients use,
-including quotas and the result cache) and one writer thread (drains an
+including quotas and frame validation) and one writer thread (drains an
 outbox fed by future done-callbacks, so array encoding never runs on a
 worker thread).  Graceful drain: :meth:`ServingDaemon.stop` refuses new
 connections and submissions, lets queued requests complete, flushes every
@@ -52,6 +52,7 @@ import numpy as np
 from repro.serving import protocol as proto
 from repro.serving.protocol import MsgType, ProtocolError
 from repro.serving.queue import (
+    InvalidFrame,
     QueueFull,
     QuotaExceeded,
     ServerClosed,
@@ -156,22 +157,6 @@ class _Connection:
                 "req": int(header.get("req", -1)),
                 "stats": self.daemon.server.stats.snapshot(),
             })
-        elif mtype == MsgType.CONTROL:
-            op = header.get("op")
-            if op == "invalidate_cache":
-                dropped = self.daemon.server.invalidate_cache(
-                    header.get("model")
-                )
-                self._post(MsgType.CONTROL_ACK, {
-                    "req": int(header.get("req", -1)),
-                    "op": op, "dropped": dropped,
-                })
-            else:
-                self._post(MsgType.ERROR, {
-                    "req": int(header.get("req", -1)),
-                    "kind": proto.ERR_PROTOCOL,
-                    "message": f"unknown control op {op!r}",
-                })
         else:
             self._post(MsgType.ERROR, {
                 "req": int(header.get("req", -1)),
@@ -199,8 +184,6 @@ class _Connection:
                 pair_j,
                 block=bool(header.get("block", True)),
                 timeout=header.get("admit_timeout"),
-                priority=int(header.get("priority", 0)),
-                deadline=header.get("deadline"),
                 client_id=self.client_id,
                 nloc=None if nloc is None else int(nloc),
                 pbc=bool(header.get("pbc", True)),
@@ -225,6 +208,15 @@ class _Connection:
             self._post(MsgType.ERROR, {
                 "req": req_id, "kind": proto.ERR_UNKNOWN_MODEL,
                 "message": str(exc),
+            })
+            return
+        except ValueError as exc:
+            # InvalidFrame from admission, or arrays System/Box refuse to
+            # build at all — either way this one request is refused.
+            if not isinstance(exc, InvalidFrame):
+                self.daemon.server.stats.record_reject()
+            self._post(MsgType.ERROR, {
+                "req": req_id, "kind": proto.ERR_INVALID, "message": str(exc),
             })
             return
         with self._lock:
@@ -307,15 +299,12 @@ class _Connection:
                 "message": f"{type(exc).__name__}: {exc}",
             })
             return
-        result = future.result()
-        # seq is the queue's global admission stamp (-1 = served from the
-        # result cache, which bypasses the queue) — clients use it to line
-        # their requests up against the server's batch_log.
-        seq = getattr(getattr(future, "request", None), "seq", -1)
+        # seq is the queue's global admission stamp — clients use it to
+        # line their requests up against the server's batch_log.
         self._send(
             MsgType.RESULT,
-            {"req": req_id, "seq": int(seq), "cached": seq < 0},
-            proto.result_arrays(result),
+            {"req": req_id, "seq": int(future.request.seq)},
+            proto.result_arrays(future.result()),
         )
 
     # ------------------------------------------------------------- lifecycle
@@ -456,10 +445,9 @@ class ServingDaemon:
                 "protocol": proto.PROTOCOL_VERSION,
                 "models": models,
                 "limits": {
-                    "max_batch": self.server.scheduler.max_batch,
+                    "max_batch": self.server.max_batch,
                     "max_queue": self.server.queue.maxsize,
                     "max_per_client": self.server.queue.max_per_client,
-                    "cache_size": self.server.cache.max_entries,
                 },
             })
         except (ConnectionError, OSError, ProtocolError):
@@ -556,24 +544,22 @@ def _parse_address(address) -> tuple[str, int]:
 class _ResendRecord:
     """Everything needed to resubmit one in-flight SUBMIT after a
     reconnect: the original header, the original arrays (re-encoded
-    bitwise identical, so the server's content-hash cache recognizes the
-    replay), the remaining retry budget, and the request's absolute
-    deadline (``None`` = none)."""
+    bitwise identical, so the replay evaluates to the same result), and
+    the remaining retry budget."""
 
-    __slots__ = ("header", "arrays", "retries_left", "deadline")
+    __slots__ = ("header", "arrays", "retries_left")
 
-    def __init__(self, header, arrays, retries_left, deadline):
+    def __init__(self, header, arrays, retries_left):
         self.header = header
         self.arrays = arrays
         self.retries_left = retries_left
-        self.deadline = deadline
 
 
 class SocketClient:
     """A remote :class:`~repro.serving.client.InferenceClient` speaking the
     wire protocol — same calling surface (``submit``/``evaluate``/
-    ``evaluate_many``/``cutoff``), plus ``stats()``/``invalidate_cache()``
-    round trips and ``close()``.
+    ``evaluate_many``/``cutoff``), plus a ``stats()`` round trip and
+    ``close()``.
 
     One background reader thread resolves this client's futures as RESULT/
     ERROR frames arrive; submission is locked, so a client may be shared by
@@ -581,10 +567,9 @@ class SocketClient:
     its own connection instead — that is what exercises cross-client
     coalescing).
 
-    ``model=None`` binds to the daemon's sole hosted model.  ``priority``
-    and the per-call ``deadline`` are honoured server-side by the
-    priority/EDF queue order; the server enforces per-client quotas against
-    this connection's identity (``client`` name).
+    ``model=None`` binds to the daemon's sole hosted model.  The server
+    enforces per-client quotas against this connection's identity
+    (``client`` name).
 
     Resilience knobs (all off/minimal by default — a plain client behaves
     exactly like PR 7's):
@@ -596,11 +581,10 @@ class SocketClient:
     * ``retries`` — per-request resubmit budget.  ``> 0`` turns on
       reconnection: a dropped connection is re-dialed (capped exponential
       backoff + jitter, at most ``reconnect_attempts`` dials) and every
-      unresolved SUBMIT still inside its budget and its original deadline
-      is resent bitwise identical under the same request id.  Replays are
-      safe: evaluation is deterministic, and the server's content-hash
-      result cache answers a frame whose RESULT was lost without
-      re-queueing it.
+      unresolved SUBMIT still inside its budget is resent bitwise
+      identical under the same request id.  Replays are safe: evaluation
+      is deterministic, so a frame whose RESULT was lost is simply
+      evaluated again to the same bits.
     * ``heartbeat`` — seconds between PING frames (0 = none), keeping an
       idle connection alive across the daemon's ``idle_timeout`` sweeps.
     """
@@ -609,7 +593,6 @@ class SocketClient:
         self,
         address: Union[str, tuple],
         model: Optional[str] = None,
-        priority: int = 0,
         client: Optional[str] = None,
         connect_timeout: float = 30.0,
         connect_retry: float = 5.0,
@@ -620,7 +603,6 @@ class SocketClient:
         heartbeat: float = 0.0,
         jitter_seed: int = 0,
     ):
-        self.priority = int(priority)
         self._address = _parse_address(address)
         self._client_name = client
         self._connect_timeout = float(connect_timeout)
@@ -768,13 +750,12 @@ class SocketClient:
         """Reconnect after a dropped connection and resubmit unresolved
         requests (runs on the reader thread).
 
-        Each pending SUBMIT still inside its retry budget and its original
-        deadline is resent with the SAME request id and bitwise-identical
-        arrays; the server's content-hash result cache answers a replayed
-        frame whose RESULT was lost in flight bitwise identically (and
-        without re-evaluating, on a hit).  Requests out of budget, past
-        deadline, or without a resend record (STATS/CONTROL round trips —
-        not known idempotent) fail with the original error.  Returns False
+        Each pending SUBMIT still inside its retry budget is resent with
+        the SAME request id and bitwise-identical arrays; evaluation is
+        deterministic, so a replayed frame whose RESULT was lost in flight
+        resolves bitwise identically.  Requests out of budget or without a
+        resend record (STATS round trips) fail with the original error.
+        Returns False
         when resilience is off, the client is closing, or every re-dial
         failed.
         """
@@ -804,7 +785,6 @@ class SocketClient:
                     delay = self._backoff_sleep(delay)
         if sock is None:
             return False
-        now = time.perf_counter()
         doomed: list[Future] = []
         resend: list[tuple[int, _ResendRecord]] = []
         with self._lock:
@@ -818,11 +798,7 @@ class SocketClient:
                 if future.cancelled():
                     self._pending.pop(rid)
                     self._inflight.pop(rid, None)
-                elif (
-                    rec is None
-                    or rec.retries_left <= 0
-                    or (rec.deadline is not None and rec.deadline <= now)
-                ):
+                elif rec is None or rec.retries_left <= 0:
                     doomed.append(self._pending.pop(rid))
                     self._inflight.pop(rid, None)
                 else:
@@ -836,13 +812,8 @@ class SocketClient:
                     else ConnectionError(str(exc))
                 )
         for rid, rec in resend:
-            head = dict(rec.header)
-            if rec.deadline is not None:
-                # Honor the ORIGINAL deadline: the server's EDF clock gets
-                # whatever budget is left, not a fresh one.
-                head["deadline"] = max(0.0, rec.deadline - now)
             try:
-                self._send(MsgType.SUBMIT, head, rec.arrays)
+                self._send(MsgType.SUBMIT, rec.header, rec.arrays)
                 self.resubmits += 1
             except (ServerClosed, ConnectionError, OSError):
                 # The new socket died mid-resubmit: the next read fails and
@@ -875,11 +846,10 @@ class SocketClient:
         try:
             if mtype == MsgType.RESULT:
                 # Mirror the in-process future metadata: which queue seq
-                # answered this request, and whether the cache did.
+                # answered this request.
                 future.seq = int(header.get("seq", -1))
-                future.cached = bool(header.get("cached", False))
                 future.set_result(proto.build_result(arrays))
-            elif mtype in (MsgType.STATS_RESULT, MsgType.CONTROL_ACK):
+            elif mtype == MsgType.STATS_RESULT:
                 future.set_result(header)
             elif mtype == MsgType.ERROR:
                 self._resolve_error(future, header)
@@ -908,6 +878,8 @@ class SocketClient:
             exc = ServerClosed(message)
         elif kind == proto.ERR_UNKNOWN_MODEL:
             exc = KeyError(message)
+        elif kind == proto.ERR_INVALID:
+            exc = InvalidFrame(message)
         elif kind == proto.ERR_CRASH:
             exc = WorkerCrashed(message)
         elif kind == proto.ERR_TRANSIENT:
@@ -941,7 +913,6 @@ class SocketClient:
         pair_j: Optional[np.ndarray] = None,
         block: bool = True,
         timeout: Optional[float] = None,
-        deadline: Optional[float] = None,
         nloc: Optional[int] = None,
         pbc: bool = True,
     ) -> Future:
@@ -963,8 +934,6 @@ class SocketClient:
         header = {
             "req": req_id,
             "model": self.model,
-            "priority": self.priority,
-            "deadline": deadline,
             "block": block,
             "admit_timeout": timeout,
             "nloc": nloc,
@@ -973,14 +942,7 @@ class SocketClient:
         if self.retries > 0:
             with self._lock:
                 self._inflight[req_id] = _ResendRecord(
-                    header=dict(header),
-                    arrays=arrays,
-                    retries_left=self.retries,
-                    deadline=(
-                        None
-                        if deadline is None
-                        else time.perf_counter() + deadline
-                    ),
+                    header, arrays, self.retries
                 )
         try:
             self._send(MsgType.SUBMIT, header, arrays)
@@ -1065,24 +1027,13 @@ class SocketClient:
                     return rid
         return None
 
-    # ------------------------------------------------------------ control ops
+    # ------------------------------------------------------------------ stats
 
     def stats(self, timeout: float = 30.0) -> dict:
         """A ``ServerStats.snapshot()`` of the remote daemon."""
         req_id, future = self._next_req()
         self._send(MsgType.STATS, {"req": req_id})
         return future.result(timeout)["stats"]
-
-    def invalidate_cache(
-        self, model: Optional[str] = None, timeout: float = 30.0
-    ) -> int:
-        """Drop the daemon's cached results (see ``InferenceServer.
-        invalidate_cache``); returns the number of entries dropped."""
-        req_id, future = self._next_req()
-        self._send(MsgType.CONTROL, {
-            "req": req_id, "op": "invalidate_cache", "model": model,
-        })
-        return int(future.result(timeout).get("dropped", 0))
 
     # ------------------------------------------------------------- lifecycle
 

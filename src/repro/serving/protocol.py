@@ -15,7 +15,7 @@ the connection with a :class:`ProtocolError`).  The second byte is the
 message type (:class:`MsgType`).
 
 The JSON header carries only **metadata** — request ids, model names,
-priority/deadline, error kinds, array *specs*.  Numerical array data never
+admission flags, error kinds, array *specs*.  Numerical array data never
 rides in JSON (floats would round-trip through decimal); every
 :class:`numpy.ndarray` travels as a dtype/shape-tagged raw buffer appended
 after the header, so positions, forces, energies and box lengths are
@@ -28,19 +28,17 @@ Message types
 =============  ====  =======================================================
 HELLO          c->s  ``{client}`` — open a session
 WELCOME        s->c  ``{models: {name: {rcut, n_types}}, limits}`` — accept
-SUBMIT         c->s  ``{req, model, priority, deadline, nloc, pbc}`` +
+SUBMIT         c->s  ``{req, model, block, admit_timeout, nloc, pbc}`` +
                      arrays positions/types/box/masses[/pair_i/pair_j]
-RESULT         s->c  ``{req, seq, cached}`` + arrays energy/forces/virial
-                     [/atom_energies] (seq = queue admission stamp, -1 when
-                     the result cache answered without queueing)
+RESULT         s->c  ``{req, seq}`` + arrays energy/forces/virial
+                     [/atom_energies] (seq = queue admission stamp)
 ERROR          s->c  ``{req, kind, message}`` — per-request failure
-                     (kind in QUEUE_FULL/QUOTA/CLOSED/UNKNOWN_MODEL/EVAL/
-                     CRASH/TRANSIENT — the last two are safe to resubmit)
+                     (kind in QUEUE_FULL/QUOTA/CLOSED/UNKNOWN_MODEL/INVALID/
+                     EVAL/CRASH/TRANSIENT — the last two are safe to
+                     resubmit)
 CANCEL         c->s  ``{req}`` — abandon a queued request (deadline blown)
 STATS          c->s  ``{}`` — ask for a ServerStats snapshot
 STATS_RESULT   s->c  ``{stats: {...}}``
-CONTROL        c->s  ``{op, model?}`` — ``invalidate_cache`` today
-CONTROL_ACK    s->c  ``{op}``
 GOODBYE        both  ``{}`` — orderly half-close before disconnecting
 PING           c->s  ``{req}`` — heartbeat (refreshes the daemon's
                      idle-timeout clock for this connection)
@@ -63,7 +61,9 @@ import numpy as np
 #: The protocol version byte.  Compatibility rule: both peers must send the
 #: same value; there is no negotiation (bump it on ANY wire change).
 #: v2: PING/PONG heartbeats + CRASH/TRANSIENT error kinds (fault tolerance).
-PROTOCOL_VERSION = 2
+#: v3: SUBMIT lost its ordering fields and RESULT its cache flag, the
+#: cache-control message pair is gone, and the INVALID error kind is new.
+PROTOCOL_VERSION = 3
 
 #: Frames larger than this are refused before allocation — a corrupt length
 #: prefix must not trigger a multi-GB read.
@@ -81,11 +81,9 @@ class MsgType(IntEnum):
     CANCEL = 6
     STATS = 7
     STATS_RESULT = 8
-    CONTROL = 9
-    CONTROL_ACK = 10
-    GOODBYE = 11
-    PING = 12
-    PONG = 13
+    GOODBYE = 9
+    PING = 10
+    PONG = 11
 
 
 #: ``ERROR.kind`` values, mapped back to exceptions client-side
@@ -94,6 +92,7 @@ ERR_QUEUE_FULL = "QUEUE_FULL"
 ERR_QUOTA = "QUOTA"
 ERR_CLOSED = "CLOSED"
 ERR_UNKNOWN_MODEL = "UNKNOWN_MODEL"
+ERR_INVALID = "INVALID"      # InvalidFrame: refused at admission
 ERR_EVAL = "EVAL"
 ERR_CANCELLED = "CANCELLED"
 ERR_PROTOCOL = "PROTOCOL"

@@ -2,27 +2,20 @@
 
 The queue is the only structure clients and the workers share.  Clients
 ``put`` :class:`InferenceRequest` objects (backpressure: a full queue blocks
-or raises :class:`QueueFull`); worker-side schedulers remove coalescable
-runs of requests with :meth:`RequestQueue.pop_batch`.
+or raises :class:`QueueFull`); each model's worker removes coalescable runs
+of its own requests with :meth:`RequestQueue.pop_batch`.
 
 Sequence numbers are stamped *inside* ``put`` under the queue lock, so
 submission order, queue order, and sequence order are one and the same —
 that is the invariant the FIFO-fairness tests assert through
 ``ServerStats.batch_log``.
 
-Internally the queue is **segregated by key** (one deque per model): the
-request's key is computed exactly once, at admission (``key_calls`` counts
-the invocations — a deterministic assert that no code path rescans the
-queue re-deriving keys), and every per-key count the batching fill loop
-needs is an O(1) ``len`` of that key's deque, never an O(queue) scan.
-Global FIFO order across keys survives as the ``seq`` ordering of the
-per-key heads, so the head-of-queue key is found in O(#keys).
-
-Wakeups are **key-aware**: each key has its own condition variable (all
-sharing the queue lock), and ``put`` notifies only the admitted key's
-condition plus the any-key condition — a worker parked on
-``pop_batch(only=model)`` never wakes for another model's traffic (no
-thundering herd in the per-model-worker pool).
+Internally the queue is **one lane per model** — a deque and a condition
+variable (all conditions share the queue lock).  Every per-model count the
+batching fill loop needs is an O(1) ``len`` of that model's deque, never an
+O(queue) scan, and dispatch within a model is plain FIFO.  ``put`` notifies
+only the admitted model's condition, so a worker parked on
+``pop_batch(model, ...)`` never wakes for another model's traffic.
 
 Requests whose futures are **cancelled while queued** (a client gave up on
 its deadline — see ``InferenceClient.evaluate``) never burn a batch slot:
@@ -34,36 +27,18 @@ removes the request reports it through the ``on_drop`` callback, which the
 server wires to ``ServerStats.record_cancelled`` — every abandoned request
 is counted exactly once.
 
-Production traffic semantics (the socket front-end's contract):
-
-* **priority + deadline ordering** — within each key's pending set,
-  requests are ordered by ``(-priority, deadline, seq)``: higher
-  ``priority`` values dispatch first, ties run earliest-deadline-first
-  (EDF), and the default class (priority 0, no deadline) degenerates to
-  the original per-key FIFO, so plain traffic keeps the exact batch
-  compositions the FIFO-fairness tests pin.  Ordering is decided at
-  admission time by sorted insertion (:class:`_PendingDeque`); the per-key
-  O(1) pending counts and key-aware wakeups are untouched.
-* **per-client admission quotas** — ``max_per_client`` bounds how many
-  requests one ``client_id`` may have queued at once; excess submissions
-  raise :class:`QuotaExceeded` immediately (reject, never starve the other
-  clients behind one runaway submitter).  Requests without a client id
-  (in-process legacy traffic) are exempt.
-* **result cache** — :class:`ResultCache`, a bounded FIFO map from frame
-  content hash to the frame's result.  MD steps from idle clients and
-  active-learning screens resubmit bitwise-identical frames; a hit is
-  served straight from the cache (bitwise identical to a fresh
-  evaluation — entries are private copies, handed out as copies) without
-  touching the queue.
+**Per-client admission quotas** (the socket front-end's contract):
+``max_per_client`` bounds how many requests one ``client_id`` may have
+queued at once; excess submissions raise :class:`QuotaExceeded` immediately
+(reject, never starve the other clients behind one runaway submitter).
+Requests without a client id (in-process traffic) are exempt.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from bisect import bisect_right
-from collections import OrderedDict
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -85,6 +60,14 @@ class QuotaExceeded(RuntimeError):
     """One client exceeded its per-client admission quota (rejected, so the
     bounded queue can never fill up with a single runaway client's
     requests while everyone else starves)."""
+
+
+class InvalidFrame(ValueError):
+    """The frame itself was refused at admission: non-finite positions,
+    non-finite or non-positive box lengths, or type ids outside the model's
+    ``[0, n_types)``.  Evaluating it would return finite-looking wrong
+    physics (a NaN atom just falls out of every neighbour comparison), so
+    it fails alone, before it can share a batch with anyone."""
 
 
 class WorkerCrashed(RuntimeError):
@@ -112,16 +95,11 @@ class InferenceRequest:
     of the same frame regardless of which other requests it was batched
     with (see :mod:`repro.dp.batch`).
 
-    ``priority`` (bigger = dispatched sooner) and ``deadline`` (absolute
-    ``time.perf_counter()`` value; EDF within a priority class) order the
-    request among its key's pending set.  ``client_id`` attributes the
-    request to one submitter for quota accounting (``None`` = exempt).
-    ``nloc``/``pbc`` carry the domain-decomposition frame mode (all-local
-    minimum-image frames by default), so the request duck-types
-    :class:`repro.dp.backend.ForceFrame` and distributed sub-domain frames
-    can be served through the same queue.  ``cache_key`` is the frame's
-    content hash when result caching is on (stamped by the server at
-    submission, used to insert the result after the batch runs).
+    ``client_id`` attributes the request to one submitter for quota
+    accounting (``None`` = exempt).  ``nloc``/``pbc`` carry the domain-
+    decomposition frame mode (all-local minimum-image frames by default),
+    so the request duck-types :class:`repro.dp.backend.ForceFrame` and
+    distributed sub-domain frames can be served through the same queue.
     """
 
     model: str
@@ -131,73 +109,18 @@ class InferenceRequest:
     future: Future = field(default_factory=Future)
     seq: int = -1
     enqueued_at: float = 0.0
-    priority: int = 0
-    deadline: Optional[float] = None
     client_id: Optional[str] = None
     nloc: Optional[int] = None
     pbc: bool = True
-    cache_key: Optional[bytes] = None
-
-    def order_key(self) -> tuple:
-        """Dispatch order within a key: priority class, then EDF, then
-        admission order (the pure-FIFO degenerate case)."""
-        deadline = float("inf") if self.deadline is None else self.deadline
-        return (-self.priority, deadline, self.seq)
-
-
-class _PendingDeque:
-    """One key's pending requests, kept in dispatch order.
-
-    A deque with sorted insertion: ``append`` places the request by its
-    :meth:`InferenceRequest.order_key` (stable — equal keys keep admission
-    order because ``seq`` is the tiebreaker), so the extraction loop's
-    ``[0]``/``popleft`` views the most urgent request first.  Insertion is
-    O(log n) search + O(n) shift on a bounded queue (default depth 64) —
-    the O(1) *count* operations the fill loop leans on are plain ``len``.
-    """
-
-    __slots__ = ("_keys", "_reqs")
-
-    def __init__(self) -> None:
-        self._keys: list[tuple] = []
-        self._reqs: list[InferenceRequest] = []
-
-    def append(self, request: InferenceRequest) -> None:
-        k = request.order_key()
-        i = bisect_right(self._keys, k)
-        self._keys.insert(i, k)
-        self._reqs.insert(i, request)
-
-    def popleft(self) -> InferenceRequest:
-        self._keys.pop(0)
-        return self._reqs.pop(0)
-
-    def remove(self, request: InferenceRequest) -> None:
-        i = self._reqs.index(request)  # raises ValueError like deque.remove
-        del self._keys[i]
-        del self._reqs[i]
-
-    def __getitem__(self, i: int) -> InferenceRequest:
-        return self._reqs[i]
-
-    def __len__(self) -> int:
-        return len(self._reqs)
-
-    def __iter__(self):
-        return iter(self._reqs)
-
-    def __bool__(self) -> bool:
-        return bool(self._reqs)
 
 
 class RequestQueue:
     """Bounded FIFO of pending requests with batch-oriented removal.
 
-    ``maxsize <= 0`` means unbounded.  ``key`` maps a request to its
-    coalescing key (default: the request's model name) and is evaluated
-    once per admission; the coalescing *policy* (batch bound, wait budget)
-    belongs to the scheduler.  ``on_drop(n)`` is invoked (under the queue
-    lock) whenever ``pop_batch`` discards ``n`` already-cancelled requests.
+    ``maxsize <= 0`` means unbounded.  The coalescing *policy* (batch
+    bound, wait budget) is the consumer's: it passes both to
+    :meth:`pop_batch`.  ``on_drop(n)`` is invoked (under the queue lock)
+    whenever ``n`` already-cancelled requests are discarded.
     ``max_per_client`` (0 = unlimited) bounds any one ``client_id``'s
     simultaneously queued requests — the per-client admission quota.
     """
@@ -205,29 +128,25 @@ class RequestQueue:
     def __init__(
         self,
         maxsize: int = 64,
-        key: Optional[Callable[[InferenceRequest], object]] = None,
         on_drop: Optional[Callable[[int], None]] = None,
         max_per_client: int = 0,
         faults=None,
     ):
         self.maxsize = int(maxsize)
         self.max_per_client = int(max_per_client)
-        self._key = key if key is not None else (lambda r: r.model)
         self._on_drop = on_drop
         #: optional :class:`~repro.serving.faults.FaultPlan` whose
         #: ``on_queue_put`` hook runs before each admission (outside the
         #: queue lock, so an injected delay never blocks consumers).
         self.faults = faults
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)  # any-key consumers
         self._not_full = threading.Condition(self._lock)
-        self._key_conds: dict[object, threading.Condition] = {}
-        self._by_key: dict[object, _PendingDeque] = {}
+        #: model -> (pending requests in admission order, wakeup condition)
+        self._lanes: dict[str, tuple[deque, threading.Condition]] = {}
         self._per_client: dict[str, int] = {}  # client_id -> queued requests
         self._size = 0
         self._closed = False
         self._seq = 0
-        self.key_calls = 0  # deterministic: == admissions, never re-derived
 
     def __len__(self) -> int:
         with self._lock:
@@ -238,44 +157,34 @@ class RequestQueue:
         with self._lock:
             return self._closed
 
-    def pending_by_key(self) -> dict:
-        """Snapshot of per-key pending counts (the O(1) fill-loop counts)."""
+    def pending_by_model(self) -> dict:
+        """Snapshot of per-model pending counts (the O(1) fill-loop counts)."""
         with self._lock:
-            return {k: len(dq) for k, dq in self._by_key.items() if dq}
+            return {m: len(dq) for m, (dq, _) in self._lanes.items() if dq}
 
     # ------------------------------------------------------------- internals
 
-    def _cond(self, key: object) -> threading.Condition:
-        """The key's wakeup condition (lazily created, shares the lock)."""
-        cond = self._key_conds.get(key)
-        if cond is None:
+    def _lane(self, model: str) -> tuple[deque, threading.Condition]:
+        """The model's deque and wakeup condition (lazily created)."""
+        lane = self._lanes.get(model)
+        if lane is None:
             # Safe despite lazy creation: every caller already holds
             # self._lock (the condition wraps that same lock), so two threads
             # can never race the dict insert.
-            cond = self._key_conds[key] = threading.Condition(self._lock)  # repro-lint: disable=L103
-        return cond
+            cond = threading.Condition(self._lock)  # repro-lint: disable=L103
+            lane = self._lanes[model] = (deque(), cond)
+        return lane
 
-    def _pending(self, only: Optional[object]) -> int:
-        if only is None:
-            return self._size
-        dq = self._by_key.get(only)
-        return len(dq) if dq is not None else 0
-
-    def _head_key(self) -> object:
-        """Key of the globally most-urgent pending request.
-
-        Heads compete on the same ``(priority class, deadline, seq)`` order
-        requests sort by inside a key — for all-default traffic that is
-        min head seq, the original global-FIFO rule.
-        """
-        return min(
-            (dq[0].order_key(), k) for k, dq in self._by_key.items() if dq
-        )[1]
-
-    def _note_admitted(self, request: InferenceRequest) -> None:
-        if request.client_id is not None:
-            self._per_client[request.client_id] = (
-                self._per_client.get(request.client_id, 0) + 1
+    def _check_quota(self, request: InferenceRequest) -> None:
+        if (
+            self.max_per_client > 0
+            and request.client_id is not None
+            and self._per_client.get(request.client_id, 0)
+            >= self.max_per_client
+        ):
+            raise QuotaExceeded(
+                f"client {request.client_id!r} already has "
+                f"{self.max_per_client} requests queued"
             )
 
     def _note_removed(self, request: InferenceRequest) -> None:
@@ -288,15 +197,9 @@ class RequestQueue:
         else:
             self._per_client.pop(cid, None)
 
-    def pending_for_client(self, client_id: str) -> int:
-        """Queued (not yet dispatched/cancelled) requests for one client."""
-        with self._lock:
-            return self._per_client.get(client_id, 0)
-
     def _notify_all_conds(self) -> None:
-        self._not_empty.notify_all()
         self._not_full.notify_all()
-        for cond in self._key_conds.values():
+        for _, cond in self._lanes.values():
             cond.notify_all()
 
     # ------------------------------------------------------------- producer
@@ -315,24 +218,14 @@ class RequestQueue:
         ``max_per_client`` queue slots raises :class:`QuotaExceeded` without
         waiting (quota rejections are immediate even when ``block=True`` —
         backpressure waits are for *shared* capacity, not for one client's
-        own backlog to clear).  Only the request's key (and the any-key
-        condition) is notified.
+        own backlog to clear).  Only the request's model is notified.
         """
         if self.faults is not None:
             self.faults.on_queue_put(request)
         with self._not_full:
             if self._closed:
                 raise ServerClosed("request queue is closed")
-            if (
-                self.max_per_client > 0
-                and request.client_id is not None
-                and self._per_client.get(request.client_id, 0)
-                >= self.max_per_client
-            ):
-                raise QuotaExceeded(
-                    f"client {request.client_id!r} already has "
-                    f"{self.max_per_client} requests queued"
-                )
+            self._check_quota(request)
             if self.maxsize > 0 and self._size >= self.maxsize:
                 if not block:
                     raise QueueFull(f"queue depth {self.maxsize} reached")
@@ -352,32 +245,21 @@ class RequestQueue:
                     self._not_full.wait(remaining)
                 if self._closed:
                     raise ServerClosed("request queue closed while waiting")
-                if (
-                    self.max_per_client > 0
-                    and request.client_id is not None
-                    and self._per_client.get(request.client_id, 0)
-                    >= self.max_per_client
-                ):
-                    # The client's own backlog filled up while this thread
-                    # waited for shared capacity; the quota invariant holds
-                    # at admission, not merely at entry.
-                    raise QuotaExceeded(
-                        f"client {request.client_id!r} already has "
-                        f"{self.max_per_client} requests queued"
-                    )
-            k = self._key(request)
-            self.key_calls += 1
+                # The client's own backlog may have filled up while this
+                # thread waited for shared capacity; the quota invariant
+                # holds at admission, not merely at entry.
+                self._check_quota(request)
             request.seq = self._seq
             self._seq += 1
             request.enqueued_at = time.perf_counter()
-            dq = self._by_key.get(k)
-            if dq is None:
-                dq = self._by_key[k] = _PendingDeque()
+            dq, cond = self._lane(request.model)
             dq.append(request)
-            self._note_admitted(request)
+            if request.client_id is not None:
+                self._per_client[request.client_id] = (
+                    self._per_client.get(request.client_id, 0) + 1
+                )
             self._size += 1
-            self._cond(k).notify_all()
-            self._not_empty.notify_all()
+            cond.notify_all()
         # A cancelled-while-queued request frees its (bounded) slot
         # immediately — blocked submitters must not starve behind dead
         # requests nobody will read.  Registered OUTSIDE the critical
@@ -386,11 +268,11 @@ class RequestQueue:
         # Future.cancel() runs it on the cancelling thread, which never
         # holds the queue lock.
         request.future.add_done_callback(
-            lambda fut, req=request, key=k: self._discard_cancelled(req, key)
+            lambda fut, req=request: self._discard_cancelled(req)
         )
         return request
 
-    def _discard_cancelled(self, request: InferenceRequest, key: object) -> None:
+    def _discard_cancelled(self, request: InferenceRequest) -> None:
         """Remove a cancelled request from its deque, if still queued.
 
         Done-callback target: fires on completion too (cheap no-op) and on
@@ -401,13 +283,10 @@ class RequestQueue:
         if not request.future.cancelled():
             return  # normal completion: the request already left the queue
         with self._lock:
-            dq = self._by_key.get(key)
-            if dq is None:
-                return
             try:
-                dq.remove(request)
+                self._lanes[request.model][0].remove(request)
             except ValueError:
-                return  # already extracted (or drained) by a consumer
+                return  # already extracted (or drained) by the consumer
             self._note_removed(request)
             self._size -= 1
             self._not_full.notify_all()
@@ -418,83 +297,61 @@ class RequestQueue:
 
     def pop_batch(
         self,
+        model: str,
         max_batch: int,
         max_wait: float,
-        only: Optional[object] = None,
         gate: Optional[threading.Event] = None,
     ) -> Optional[list[InferenceRequest]]:
-        """Remove the next coalescable batch, FIFO with same-key gathering.
+        """Remove ``model``'s next batch, in admission order.
 
-        Blocks until at least one request is pending (and ``gate``, if given,
-        is set — the server's pause switch), then gives later arrivals up to
-        ``max_wait`` seconds to fill the batch to ``max_batch`` requests
-        sharing the batch key.  ``only=None`` takes the head-of-queue key
-        (shared-pool workers); ``only=key`` restricts the consumer to that
-        key's requests and parks it on that key's condition, so it never
-        wakes for other traffic (per-model workers).  Requests with other
-        keys keep their queue positions.  Requests whose futures are already
-        cancelled are discarded instead of returned (reported via
-        ``on_drop``).  Returns ``None`` once the queue is closed and this
-        consumer's view is drained; a close cuts every wait short so
-        shutdown never sleeps out a wait budget.
+        Blocks until at least one of ``model``'s requests is pending (and
+        ``gate``, if given, is set — the server's pause switch), then gives
+        later arrivals up to ``max_wait`` seconds to fill the batch to
+        ``max_batch`` requests.  The consumer parks on the model's own
+        condition, so it never wakes for other traffic, and other models'
+        requests keep their queue positions.  Requests whose futures are
+        already cancelled are discarded instead of returned (reported via
+        ``on_drop``).  Returns ``None`` once the queue is closed and the
+        model's deque is drained; a close cuts every wait short so shutdown
+        never sleeps out a wait budget.
         """
-        if only is None:
-            cond = self._not_empty
-        else:
-            with self._lock:  # _key_conds is only ever touched under lock
-                cond = self._cond(only)
+        with self._lock:  # _lanes is only ever touched under the lock
+            dq, cond = self._lane(model)
         with cond:
             while True:
                 # -- wait for work (or closure) --------------------------
-                while (
-                    self._pending(only) == 0
-                    or (gate is not None and not gate.is_set())
-                ):
+                while not dq or (gate is not None and not gate.is_set()):
                     if self._closed:
-                        if self._pending(only) == 0:
+                        if not dq:
                             return None
                         break  # closed with leftovers: drain even if gated
                     cond.wait()
-                if self._pending(only) == 0:
-                    if self._closed:
-                        return None
-                    continue
 
                 # -- give the batch max_wait to fill ---------------------
-                # Per-key pending counts are O(1) deque lengths — no rescan
-                # of the queue per wakeup.  A pause (gate cleared) cuts the
-                # fill window short, so requests staged under pause() join
-                # the post-resume coalescing instead of riding a batch
-                # already gathering.
-                head_key = only if only is not None else self._head_key()
-                fill_cond = self._cond(head_key)
+                # A pause (gate cleared) cuts the fill window short, so
+                # requests staged under pause() join the post-resume
+                # coalescing instead of riding a batch already gathering.
                 if max_wait > 0 and not self._closed:
                     deadline = time.perf_counter() + max_wait
                     while gate is None or gate.is_set():
-                        pending = self._pending(head_key)
-                        if pending >= max_batch or pending == 0 or self._closed:
-                            # full batch, key drained by a racing shared-pool
-                            # worker (nothing left to fill — re-pick a head
-                            # instead of sleeping out the budget), or closing
+                        if len(dq) >= max_batch or not dq or self._closed:
+                            # full batch, every pending request cancelled
+                            # (nothing left to fill), or closing
                             break
                         remaining = deadline - time.perf_counter()
                         if remaining <= 0:
                             break
-                        fill_cond.wait(remaining)
+                        cond.wait(remaining)
 
-                # -- extract matching requests, preserving FIFO ----------
-                dq = self._by_key.get(head_key)
-                if not dq:
-                    continue  # drained behind our back (shutdown/racing pop)
+                # -- extract, preserving FIFO -----------------------------
                 batch: list[InferenceRequest] = []
                 dropped = 0
                 while dq and len(batch) < max_batch:
-                    r = dq[0]
+                    r = dq.popleft()
                     if r.future.cancelled():
-                        dq.popleft()  # abandoned deadline: free the slot
-                        dropped += 1
+                        dropped += 1  # abandoned deadline: free the slot
                     else:
-                        batch.append(dq.popleft())
+                        batch.append(r)
                     self._note_removed(r)
                 self._size -= len(batch) + dropped
                 if batch or dropped:
@@ -524,142 +381,12 @@ class RequestQueue:
         with self._lock:
             self._closed = True
             pending = sorted(
-                (r for dq in self._by_key.values() for r in dq),
+                (r for dq, _ in self._lanes.values() for r in dq),
                 key=lambda r: r.seq,
             )
-            self._by_key.clear()
+            for dq, _ in self._lanes.values():
+                dq.clear()
             self._per_client.clear()
             self._size = 0
             self._notify_all_conds()
             return pending
-
-
-# ---------------------------------------------------------------------------
-# result cache
-# ---------------------------------------------------------------------------
-
-
-def frame_content_key(
-    model: str,
-    system: System,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-    nloc: Optional[int] = None,
-    pbc: bool = True,
-) -> bytes:
-    """Content hash of one evaluation frame — the result-cache key.
-
-    Two frames share a key iff every input the evaluation reads is
-    bitwise identical: model name, positions, types, box lengths, the
-    half pair list, and the ghost/pbc mode.  MD steps from an idle client
-    and repeated active-learning screens therefore hash equal, while a
-    single bit of positional drift (or a different neighbor list over the
-    same positions) misses.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(model.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(np.ascontiguousarray(system.positions).tobytes())
-    h.update(np.ascontiguousarray(system.types).tobytes())
-    h.update(np.ascontiguousarray(system.box.lengths).tobytes())
-    h.update(np.ascontiguousarray(pair_i).tobytes())
-    h.update(np.ascontiguousarray(pair_j).tobytes())
-    n = system.n_atoms if nloc is None else int(nloc)
-    h.update(f"{n}|{int(bool(pbc))}".encode("ascii"))
-    return h.digest()
-
-
-class ResultCache:
-    """Bounded FIFO cache of frame results, keyed by content hash.
-
-    ``max_entries <= 0`` disables the cache entirely (every lookup misses
-    without being *counted* as a miss — a disabled cache is invisible in
-    the stats).  Insertion order is eviction order (FIFO, matching every
-    other engine-side cache in this repo); a re-insert of an existing key
-    refreshes the entry without consuming capacity.
-
-    Stored results are **private copies** and lookups hand back fresh
-    copies, so no client can mutate another client's arrays (or the cache)
-    through a shared result — the bitwise-identity contract survives
-    aliasing.  ``stats`` (a :class:`~repro.serving.metrics.ServerStats`)
-    receives hit/miss/eviction counts when provided.
-    """
-
-    def __init__(self, max_entries: int = 256, stats=None):
-        self.max_entries = int(max_entries)
-        self.stats = stats
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, tuple[str, object]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_entries > 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @staticmethod
-    def _copy_result(result):
-        from repro.md.potential import PotentialResult
-
-        return PotentialResult(
-            energy=result.energy,
-            forces=result.forces.copy(),
-            virial=result.virial.copy(),
-            atom_energies=(
-                None
-                if result.atom_energies is None
-                else result.atom_energies.copy()
-            ),
-        )
-
-    def get(self, key: bytes):
-        """The cached result for ``key`` (a fresh copy), or ``None``."""
-        if not self.enabled:
-            return None
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                if self.stats is not None:
-                    self.stats.record_cache_miss()
-                return None
-            self.hits += 1
-            if self.stats is not None:
-                self.stats.record_cache_hit()
-            return self._copy_result(entry[1])
-
-    def put(self, key: bytes, model: str, result) -> None:
-        if not self.enabled:
-            return
-        copy = self._copy_result(result)
-        with self._lock:
-            if key in self._entries:
-                self._entries[key] = (model, copy)  # refresh, keep FIFO slot
-                return
-            self._entries[key] = (model, copy)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                if self.stats is not None:
-                    self.stats.record_cache_eviction()
-
-    def invalidate(self, model: Optional[str] = None) -> int:
-        """Drop every entry (or just one model's — the hot-swap hook);
-        returns how many entries were dropped.  Invalidated entries are
-        not counted as evictions (eviction = capacity pressure)."""
-        with self._lock:
-            if model is None:
-                n = len(self._entries)
-                self._entries.clear()
-                return n
-            doomed = [
-                k for k, (m, _) in self._entries.items() if m == model
-            ]
-            for k in doomed:
-                del self._entries[k]
-            return len(doomed)

@@ -1,37 +1,36 @@
-"""The inference server: a pool of worker threads driving batched evaluations.
+"""The inference server: one worker thread per model driving batched
+evaluations.
 
-Architecture (the ROADMAP's "serving depth" rung)::
+Architecture::
 
-    clients                  queue                    worker pool
-    ------- submit() --> [bounded FIFO, ---- pop_batch(only=model) --> worker "a"
-    futures <----------   per-key deques \\-- pop_batch(only=model) --> worker "b"
-                          + key-aware wakeups]        |  each: evaluate_batch
-                                                      |  on its OWN engine,
+    clients                  queue                    workers
+    ------- submit() --> [bounded FIFO, ---- pop_batch("a") --> worker "a"
+    futures <----------   one deque per \\--- pop_batch("b") --> worker "b"
+                          model, per-model            |  each: evaluate_batch
+                          wakeups]                    |  on its OWN engine,
                           results scattered back <----+  scatter to futures
 
-Many client threads submit frames; each worker thread coalesces its share
-into per-model micro-batches and runs each batch through a persistent
-:class:`~repro.dp.batch.BatchedEvaluator` — whose graph executes as a
-compiled execution plan (:mod:`repro.tfmini.plan`), so the steady-state
+Many client threads submit frames; each model's worker coalesces that
+model's requests into micro-batches and runs each batch through a
+persistent :class:`~repro.dp.batch.BatchedEvaluator` — whose graph executes
+as a compiled execution plan (:mod:`repro.tfmini.plan`), so the steady-state
 serving loop performs no graph traversal and no per-op output allocation.
 
-Two pool shapes:
+The batching policy is the pair every dynamic batching system exposes:
+``max_batch`` bounds the coalesced frames per graph execution (the batched
+engine's cost is ``fixed + n_frames * marginal``, and on this CPU backend
+large stacks go memory-bound quickly — see ``benchmarks/test_batched_eval.
+py`` — hence a bound rather than "everything pending"), and ``max_wait_us``
+is the latency budget: once a request heads its model's queue, later
+arrivals get at most this long to join its batch (zero = take only what is
+already queued).  Batches never mix models: one batch is one
+``evaluate_batch`` call on one model's engine.
 
-``workers="per-model"`` (default)
-    One worker thread per registered model, parked on a key-aware queue
-    condition so it only ever wakes for its own model's requests.  Each
-    worker owns its model's registry engine exclusively; two-model traffic
-    overlaps plan execution inside numpy's GIL-releasing BLAS/ufunc kernels
-    instead of serializing behind one loop.  Per-model FIFO dispatch *and*
-    completion order are preserved (one worker per model).
-
-``workers=N``
-    A shared pool of N workers, each taking whatever model heads the queue.
-    A worker lazily acquires its **own** engine per model it serves (the
-    registry engine is claimed by the first worker to need it; later
-    workers build fresh ones), so N workers can run the same model's
-    batches concurrently.  Per-model dispatch stays FIFO, but completion
-    order across two in-flight batches of one model is not guaranteed.
+Each worker is parked on its model's own queue condition, so it only ever
+wakes for its own model's requests, and owns its model's engine
+exclusively; two-model traffic overlaps plan execution inside numpy's
+GIL-releasing BLAS/ufunc kernels instead of serializing behind one loop.
+Per-model dispatch *and* completion order are FIFO (one worker per model).
 
 **One-engine-one-thread invariant**: an engine's scratch pool and its
 plan's buffer arenas are mutable run state, so an engine is only ever
@@ -42,9 +41,12 @@ plan's buffer arenas are mutable run state, so an engine is only ever
 
 Numerical contract: every request's result is **bitwise identical** to a
 direct ``DeepPot.evaluate`` of the same frame, no matter which other
-requests it shared a batch with or which worker interleaving executed it
-(the engine's per-frame independence guarantee; asserted under genuinely
-concurrent two-model load in ``tests/test_serving.py``).
+requests it shared a batch with or how the workers interleaved (the
+engine's per-frame independence guarantee; asserted under genuinely
+concurrent two-model load in ``tests/test_serving.py``).  A frame that
+could not be evaluated honestly — non-finite positions or box, type ids the
+model does not know — is refused at admission with :class:`~repro.serving.
+queue.InvalidFrame` and never reaches a batch.
 
 Avoid calling ``model.evaluate`` on a model from another thread *while* the
 server is processing requests for it: the model's default R=1 engine and
@@ -57,22 +59,20 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from repro.serving.metrics import ServerStats
 from repro.serving.queue import (
     InferenceRequest,
+    InvalidFrame,
     QueueFull,
     QuotaExceeded,
     RequestQueue,
-    ResultCache,
     ServerClosed,
     WorkerCrashed,
-    frame_content_key,
 )
-from repro.serving.scheduler import MicroBatchScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import Future
@@ -82,13 +82,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.faults import FaultPlan
 
 
-class _Worker:
-    """One pool member: a thread plus the engines that thread owns.
+def _frame_problem(system: "System", n_types: int) -> Optional[str]:
+    """Why ``system`` cannot be evaluated honestly, or ``None`` if it can."""
+    if not np.isfinite(system.positions).all():
+        return "non-finite positions"
+    lengths = system.box.lengths
+    if not (np.isfinite(lengths).all() and (lengths > 0).all()):
+        return f"box lengths must be finite and positive, got {lengths}"
+    types = system.types
+    if types.size and (types.min() < 0 or types.max() >= n_types):
+        return f"type ids outside [0, {n_types})"
+    return None
 
-    ``only`` is the model name a per-model worker is bound to (``None`` for
-    shared-pool workers).  ``engines`` holds the evaluators this worker has
-    acquired — the structural form of the one-engine-one-thread invariant:
-    nothing in here is ever executed by another thread.
+
+class _Worker:
+    """One model's worker: the thread that executes ``model``'s engine.
 
     ``inflight`` is the batch currently being evaluated (set before the
     engine runs, cleared after the futures resolve) — the supervisor reads
@@ -97,15 +105,13 @@ class _Worker:
     worker slot has burned (the crash-loop bound).
     """
 
-    __slots__ = ("wid", "only", "thread", "engines", "inflight", "respawns")
+    __slots__ = ("model", "thread", "inflight", "respawns")
 
-    def __init__(self, wid: str, only: Optional[str]):
-        self.wid = wid
-        self.only = only
+    def __init__(self, model: str, respawns: int = 0):
+        self.model = model
         self.thread: Optional[threading.Thread] = None
-        self.engines: dict[str, object] = {}
         self.inflight: Optional[list[InferenceRequest]] = None
-        self.respawns = 0
+        self.respawns = respawns
 
 
 class InferenceServer:
@@ -116,17 +122,13 @@ class InferenceServer:
     models:
         Optional mapping ``{name: DeepPot}`` to register at construction.
     max_batch, max_wait_us:
-        Coalescing policy (see :class:`~repro.serving.scheduler.
-        MicroBatchScheduler`).
+        Coalescing policy: at most ``max_batch`` frames per batch, and at
+        most ``max_wait_us`` microseconds for later arrivals to join the
+        request at the head of its model's queue (see the module docstring).
     max_queue:
         Bounded queue depth — the backpressure limit (``<= 0``: unbounded).
-    workers:
-        ``"per-model"`` (default): one worker thread per registered model,
-        key-aware wakeups, strict per-model FIFO.  An integer ``N``: a
-        shared pool of N workers drawing on the whole queue (``workers=1``
-        reproduces the original single-worker loop exactly).
     autostart:
-        Start the worker pool immediately.  Benchmarks pass ``False`` (or
+        Start the workers immediately.  Benchmarks pass ``False`` (or
         use :meth:`paused`) to pre-load the queue and get a deterministic
         batch count: N pre-queued requests execute in exactly
         ``ceil(N / max_batch)`` batches per model.
@@ -137,12 +139,6 @@ class InferenceServer:
         ``client_id`` (0 = unlimited; submissions without a client id are
         exempt).  Excess submissions raise :class:`~repro.serving.queue.
         QuotaExceeded` instead of starving other clients.
-    cache_size:
-        Result-cache capacity in entries (0 = off, the default — caching
-        changes batch counters, so it is opt-in).  Repeated frames (an
-        idle MD client resubmitting an unchanged step, an active-learning
-        screen re-harvesting) are served straight from the cache, bitwise
-        identical to a fresh evaluation.
     faults:
         Optional :class:`~repro.serving.faults.FaultPlan` — deterministic
         fault injection for the worker loop (crashes, transient failures)
@@ -161,27 +157,20 @@ class InferenceServer:
         max_batch: int = 8,
         max_wait_us: float = 1000.0,
         max_queue: int = 64,
-        workers: Union[int, str] = "per-model",
         autostart: bool = True,
         backend: str = "optimized",
         max_per_client: int = 0,
-        cache_size: int = 0,
         faults: Optional["FaultPlan"] = None,
         max_respawns: int = 8,
     ):
         from repro.dp.batch import BatchedEvaluator
 
-        if workers != "per-model":
-            try:
-                workers = int(workers)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"workers must be 'per-model' or a positive integer, "
-                    f"got {workers!r}"
-                ) from None
-            if workers < 1:
-                raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        if max_wait_us < 0:
+            raise ValueError(f"max_wait_us must be >= 0, got {max_wait_us}")
+        self.max_batch = int(max_batch)
+        self.max_wait_us = float(max_wait_us)
         self._engine_cls = BatchedEvaluator
         self._models: dict[str, "DeepPot"] = {}
         self._engines: dict[str, object] = {}
@@ -195,16 +184,10 @@ class InferenceServer:
             max_per_client=max_per_client,
             faults=faults,
         )
-        self.cache = ResultCache(max_entries=cache_size, stats=self.stats)
-        self.scheduler = MicroBatchScheduler(
-            self.queue, max_batch=max_batch, max_wait_us=max_wait_us
-        )
         self._gate = threading.Event()  # set = workers may take batches
         self._pool_lock = threading.Lock()  # guards _workers mutation
         self._workers: list[_Worker] = []
         self._started = False  # start() called (even with zero models yet)
-        self._engine_lock = threading.Lock()
-        self._claimable: dict[str, object] = {}  # registry engines, unclaimed
         if models:
             for name, model in models.items():
                 self.register(name, model)
@@ -219,8 +202,7 @@ class InferenceServer:
         The evaluator's compiled execution plan is built here (one graph
         topo-sort, at registration) so the first served request only pays
         the per-batch-shape arena warm-up, never graph compilation.  On a
-        running per-model pool, registration also spawns the new model's
-        worker.
+        started server, registration also spawns the new model's worker.
         """
         if name in self._models:
             raise ValueError(f"model {name!r} already registered")
@@ -228,33 +210,21 @@ class InferenceServer:
         engine = self._engine_cls(model)
         engine.plan  # compile now, off the serving hot path
         self._engines[name] = engine
-        if self.workers != "per-model":
-            # Shared pools hand registry engines to the first worker that
-            # needs them; per-model workers read the registry directly.
-            with self._engine_lock:
-                self._claimable[name] = engine
-        # A started per-model pool grows a worker per registration — even
-        # when this is the FIRST model (zero workers alive, so `running`
-        # alone cannot stand in for "started").
-        if (
-            self.workers == "per-model"
-            and self._started
-            and not self.queue.closed
-        ):
-            self._spawn_worker(name, only=name)
+        # A started server grows a worker per registration — even when
+        # this is the FIRST model (zero workers alive, so `running` alone
+        # cannot stand in for "started").
+        if self._started and not self.queue.closed:
+            self._spawn_worker(name)
         return self
 
     def model_names(self) -> list[str]:
         return sorted(self._models)
 
     def executor_stats(self) -> dict[str, dict]:
-        """Per-engine compiled-plan counters (deterministic, lock-free
+        """Per-model compiled-plan counters (deterministic, lock-free
         snapshots — safe to call from a monitoring thread mid-traffic).
 
-        Per-model pools report one entry per model (that model's worker
-        owns exactly one engine).  Shared pools report one entry per
-        *acquired* engine, keyed ``model@worker`` (plus any still-unclaimed
-        registry engine under its bare model name).  For each engine:
+        For each model's engine:
         ``topo_sorts`` (1 per engine lifetime), ``runs``, ``arena_builds``
         (one per distinct batch shape seen), ``arena_allocs``, the colored
         arena footprint (``arena_nbytes``) next to the FIFO baseline it
@@ -262,10 +232,9 @@ class InferenceServer:
         everything except ``runs``.
         """
         out: dict[str, dict] = {}
-
-        def add(key: str, engine) -> None:
+        for name, engine in list(self._engines.items()):
             plan = engine.plan
-            out[key] = {
+            out[name] = {
                 "topo_sorts": plan.stats.topo_sorts,
                 "runs": plan.stats.runs,
                 "arena_builds": plan.stats.arena_builds,
@@ -273,29 +242,10 @@ class InferenceServer:
                 "arena_nbytes": plan.arena_nbytes(),
                 "arena_nbytes_fifo": plan.fifo_arena_nbytes(),
             }
-
-        if self.workers == "per-model":
-            for name, engine in list(self._engines.items()):
-                add(name, engine)
-            return out
-        claimed: set[int] = set()
-        for w in list(self._workers):
-            for name, engine in list(w.engines.items()):
-                add(f"{name}@{w.wid}", engine)
-                claimed.add(id(engine))
-        for name, engine in list(self._engines.items()):
-            if id(engine) not in claimed:
-                add(name, engine)
         return out
 
     def model(self, name: str) -> "DeepPot":
         return self._models[name]
-
-    def invalidate_cache(self, model: Optional[str] = None) -> int:
-        """Drop cached results (one model's, or all) — the hot-swap hook:
-        call this whenever a model's weights change so stale results can
-        never be served.  Returns the number of entries dropped."""
-        return self.cache.invalidate(model)
 
     @classmethod
     def from_zoo(
@@ -340,8 +290,6 @@ class InferenceServer:
         pair_j: Optional[np.ndarray] = None,
         block: bool = True,
         timeout: Optional[float] = None,
-        priority: int = 0,
-        deadline: Optional[float] = None,
         client_id: Optional[str] = None,
         nloc: Optional[int] = None,
         pbc: bool = True,
@@ -350,24 +298,25 @@ class InferenceServer:
 
         The neighbor pair list is computed here (caller's thread) when not
         supplied, keeping the worker threads free for graph execution.
-        ``priority`` (bigger dispatches sooner) and ``deadline`` (seconds
-        from now; EDF within a priority class) order the request among its
-        model's pending set; ``client_id`` attributes it to one submitter
-        for quota accounting; ``nloc``/``pbc`` carry the domain-
-        decomposition frame mode (see :class:`~repro.dp.backend.
-        ForceFrame`).  When the result cache is on and holds this exact
-        frame, the returned future is already resolved — bitwise identical
-        to a fresh evaluation — and nothing enters the queue.
+        ``client_id`` attributes the request to one submitter for quota
+        accounting; ``nloc``/``pbc`` carry the domain-decomposition frame
+        mode (see :class:`~repro.dp.backend.ForceFrame`).
 
         Raises :class:`KeyError` for an unregistered model,
-        :class:`QueueFull` under backpressure, :class:`~repro.serving.
-        queue.QuotaExceeded` over quota, :class:`ServerClosed` after
-        shutdown.
+        :class:`~repro.serving.queue.InvalidFrame` for a frame that cannot
+        be evaluated honestly (counted in ``requests_rejected``; it never
+        shares a batch with anyone), :class:`QueueFull` under backpressure,
+        :class:`~repro.serving.queue.QuotaExceeded` over quota,
+        :class:`ServerClosed` after shutdown.
         """
         if model not in self._models:
             raise KeyError(
                 f"model {model!r} not registered (have {self.model_names()})"
             )
+        problem = _frame_problem(system, self._models[model].config.n_types)
+        if problem is not None:
+            self.stats.record_reject()
+            raise InvalidFrame(f"frame refused for model {model!r}: {problem}")
         if pair_i is None or pair_j is None:
             from repro.md.neighbor import neighbor_pairs
 
@@ -379,10 +328,6 @@ class InferenceServer:
             system=system,
             pair_i=pair_i,
             pair_j=pair_j,
-            priority=int(priority),
-            deadline=(
-                None if deadline is None else time.perf_counter() + deadline
-            ),
             client_id=client_id,
             nloc=nloc,
             pbc=pbc,
@@ -396,15 +341,6 @@ class InferenceServer:
         # workers, so requests_completed can never transiently exceed
         # requests_submitted; a refused put takes the count back.
         self.stats.record_submit()
-        if self.cache.enabled:
-            key = frame_content_key(model, system, pair_i, pair_j, nloc, pbc)
-            cached = self.cache.get(key)  # counts the hit/miss
-            if cached is not None:
-                # Served without touching the queue: the hit was recorded
-                # as a completion, so conservation holds with zero batches.
-                request.future.set_result(cached)
-                return request.future
-            request.cache_key = key
         try:
             self.queue.put(request, block=block, timeout=timeout)
         except QuotaExceeded:
@@ -443,18 +379,15 @@ class InferenceServer:
         )
 
     def worker_ids(self) -> list[str]:
-        """Ids of the pool's workers (model names in per-model mode)."""
-        return [w.wid for w in list(self._workers)]
+        """The models that have a worker (a worker's id is its model)."""
+        return [w.model for w in list(self._workers)]
 
-    def _spawn_worker(
-        self, wid: str, only: Optional[str], respawns: int = 0
-    ) -> _Worker:
-        worker = _Worker(wid, only)
-        worker.respawns = respawns
+    def _spawn_worker(self, model: str, respawns: int = 0) -> _Worker:
+        worker = _Worker(model, respawns)
         worker.thread = threading.Thread(
             target=self._supervised_loop,
             args=(worker,),
-            name=f"repro-serving-{wid}",
+            name=f"repro-serving-{model}",
             daemon=True,
         )
         with self._pool_lock:
@@ -471,16 +404,8 @@ class InferenceServer:
             raise ServerClosed("server was stopped; build a new one")
         self._gate.set()
         self._started = True
-        if self.workers == "per-model":
-            spawned = {
-                w.wid for w in list(self._workers) if w.thread.is_alive()
-            }
-            for name in self._models:
-                if name not in spawned:
-                    self._spawn_worker(name, only=name)
-        else:
-            for i in range(self.workers):
-                self._spawn_worker(f"pool-{i}", only=None)
+        for name in self._models:
+            self._spawn_worker(name)
         return self
 
     def pause(self) -> None:
@@ -505,7 +430,7 @@ class InferenceServer:
             self.resume()
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Shut down the worker pool.
+        """Shut down the workers.
 
         ``drain=True`` completes every queued request first; ``drain=False``
         cancels pending futures (waiters get ``CancelledError``).  In-flight
@@ -539,7 +464,7 @@ class InferenceServer:
                 if deadline is None
                 else max(0.0, deadline - time.perf_counter())
             )
-        stuck = [w.wid for w in workers if w.thread.is_alive()]
+        stuck = [w.model for w in workers if w.thread.is_alive()]
         if stuck:  # pragma: no cover - join timeout
             raise RuntimeError(f"serving workers did not stop in time: {stuck}")
 
@@ -554,11 +479,11 @@ class InferenceServer:
     def _supervised_loop(self, worker: _Worker) -> None:
         """The worker thread's real target: ``_serve_loop`` under
         supervision.  An unhandled exception anywhere in the loop (an
-        engine bug outside the per-batch guard, a scheduler defect, an
-        injected :class:`~repro.serving.faults.InjectedWorkerCrash`) used
-        to strand the batch's futures forever *and* silently halve the
-        pool; now it lands in :meth:`_on_worker_crash`, which fails the
-        in-flight futures and respawns the slot."""
+        engine bug outside the per-batch guard, a queue defect, an
+        injected :class:`~repro.serving.faults.InjectedWorkerCrash`) lands
+        in :meth:`_on_worker_crash`, which fails the in-flight futures and
+        respawns the slot — instead of stranding the batch's futures
+        forever and silently leaving the model without a worker."""
         try:
             self._serve_loop(worker)
         except BaseException as exc:
@@ -566,7 +491,10 @@ class InferenceServer:
 
     def _serve_loop(self, worker: _Worker) -> None:
         while True:
-            batch = self.scheduler.next_batch(gate=self._gate, only=worker.only)
+            batch = self.queue.pop_batch(
+                worker.model, self.max_batch, self.max_wait_us * 1e-6,
+                gate=self._gate,
+            )
             if batch is None:
                 return
             self._run_batch(batch, worker)
@@ -578,18 +506,14 @@ class InferenceServer:
            :class:`WorkerCrashed` — each counted failed exactly once (the
            crashed batch never reached ``record_batch``), so conservation
            holds through the crash;
-        2. drop the model's result-cache entries — the dead engine's state
-           is suspect mid-batch, so nothing it produced may be replayed
-           (counted in ``cache_invalidations``);
-        3. respawn the slot with a **fresh engine** (per-model pools
-           replace the registry engine; shared-pool replacements build
-           their own lazily in :meth:`_engine_for`), unless the server is
+        2. respawn the slot with a **fresh engine** — the crashed one's
+           scratch pool and plan arenas died mid-run — unless the server is
            stopping or the slot hit :attr:`max_respawns`.
         """
         live = worker.inflight or []
         worker.inflight = None
         crash = WorkerCrashed(
-            f"worker {worker.wid!r} died mid-batch: "
+            f"worker {worker.model!r} died mid-batch: "
             f"{type(exc).__name__}: {exc}"
         )
         failed = 0
@@ -601,52 +525,15 @@ class InferenceServer:
         with self._pool_lock:
             if worker in self._workers:
                 self._workers.remove(worker)
-        dropped = 0
-        names = (
-            [worker.only] if worker.only is not None else sorted(worker.engines)
-        )
-        for name in names:
-            dropped += self.cache.invalidate(name)
-        if dropped:
-            self.stats.record_cache_invalidation(dropped)
         if self.queue.closed or not self._started:
             return  # shutting down: stop() drains/cancels the rest
         if worker.respawns >= self.max_respawns:
             return  # crash loop: leave the slot down
-        if worker.only is not None:
-            # The replacement gets a fresh registry engine — the crashed
-            # one's scratch pool and plan arenas died mid-run.
-            engine = self._engine_cls(self._models[worker.only])
-            engine.plan
-            self._engines[worker.only] = engine
+        engine = self._engine_cls(self._models[worker.model])
+        engine.plan  # compile before publishing (executor_stats reads it)
+        self._engines[worker.model] = engine
         self.stats.record_worker_respawn()
-        self._spawn_worker(worker.wid, worker.only, respawns=worker.respawns + 1)
-
-    def _engine_for(self, worker: _Worker, name: str):
-        """The engine ``worker`` executes ``name``'s batches on.
-
-        Per-model workers read the registry entry every batch (there is
-        exactly one consumer per model, so the entry is effectively owned
-        by that worker; tests may swap it to inject failures).  Shared-pool
-        workers acquire engines for themselves: the registry engine goes to
-        the first worker that needs the model, later workers build their
-        own — two threads never execute one engine.
-        """
-        if worker.only is not None:
-            return self._engines[name]
-        engine = worker.engines.get(name)
-        if engine is None:
-            with self._engine_lock:
-                engine = self._claimable.pop(name, None)
-            if engine is None:
-                engine = self._engine_cls(self._models[name])
-                # Compile before publishing: executor_stats() may reach
-                # engine.plan from a monitoring thread the moment this
-                # engine appears in worker.engines, and lazy compilation is
-                # not safe to race (nor welcome on the serving hot path).
-                engine.plan
-            worker.engines[name] = engine
-        return engine
+        self._spawn_worker(worker.model, respawns=worker.respawns + 1)
 
     def _run_batch(self, batch: list[InferenceRequest], worker: _Worker) -> None:
         dispatched_at = time.perf_counter()
@@ -657,8 +544,11 @@ class InferenceServer:
             self.stats.record_cancelled(len(batch) - len(live))
         if not live:
             return
-        name = live[0].model
-        engine = self._engine_for(worker, name)
+        name = worker.model
+        # Read from the registry every batch: there is exactly one consumer
+        # per model, so the entry is effectively owned by this worker
+        # (tests may swap it to inject failures).
+        engine = self._engines[name]
         seqs = tuple(r.seq for r in live)
         waits = tuple(dispatched_at - r.enqueued_at for r in live)
         # Published before evaluation so the supervisor can fail exactly
@@ -666,7 +556,7 @@ class InferenceServer:
         worker.inflight = live
         try:
             if self.faults is not None:
-                self.faults.on_worker_batch(worker.wid, name)
+                self.faults.on_worker_batch(name, name)  # worker id == model
             if any(r.nloc is not None or not r.pbc for r in live):
                 # Domain-decomposition frames in the batch (explicit ghosts
                 # and/or open boundaries): requests duck-type ForceFrame, so
@@ -692,14 +582,10 @@ class InferenceServer:
             # on to the next batch.
             for r in live:
                 r.future.set_exception(exc)
-            self.stats.record_batch(
-                name, seqs, waits, failed=True, worker=worker.wid
-            )
+            self.stats.record_batch(name, seqs, waits, failed=True)
             worker.inflight = None
             return
         for r, result in zip(live, results):
-            if r.cache_key is not None:
-                self.cache.put(r.cache_key, name, result)
             r.future.set_result(result)
-        self.stats.record_batch(name, seqs, waits, worker=worker.wid)
+        self.stats.record_batch(name, seqs, waits)
         worker.inflight = None

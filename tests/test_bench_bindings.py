@@ -47,3 +47,57 @@ def test_executor_stats_keys_the_serving_workload_reads(model):
         server.stop()
     assert {"topo_sorts", "arena_builds", "arena_allocs",
             "arena_nbytes"} <= set(stats)
+
+
+# What bench/child.py::serving_layers and bench/daemon.py read off STATS.
+SERVING_STATS_KEYS = {
+    "requests_submitted", "requests_completed", "requests_failed",
+    "requests_cancelled", "requests_rejected", "batches", "frames",
+    "queue_wait_total", "worker_respawns",
+}
+
+
+def test_serving_surface_the_daemon_and_the_workload_drive():
+    """Every serving call ``bench/daemon.py`` and ``workloads.ServeSocket``
+    make, in their spelling: a rename or a lost default fails here by name
+    instead of as a dead daemon minutes into a benchmark run."""
+    from repro.analysis.structures import water_box
+    from repro.md.neighbor import neighbor_pairs
+    from repro.serving import (
+        ServingDaemon,
+        SocketClient,
+        perturbed_frames,
+        served_matches_direct,
+    )
+
+    server = InferenceServer.from_zoo(["water"])  # every serving default
+    direct = server.model("water")
+    frames = perturbed_frames(water_box((3, 3, 3), seed=0), 3, seed0=10**6)
+    pairs = [neighbor_pairs(f, direct.config.rcut) for f in frames]
+    with server.paused():  # daemon.warm: pre-queued, then coalesced
+        futures = [server.submit("water", f) for f in frames[:2]]
+    for future in futures:
+        future.result(60.0)
+    daemon = ServingDaemon(server).start()
+    try:
+        client = SocketClient(tuple(daemon.address), "water", client="bench-0")
+        before = client.stats()
+        one = client.submit(frames[0], *pairs[0]).result(60.0)
+        many = client.evaluate_many(frames, pairs, timeout=60.0)
+        many += client.evaluate_many(frames, pairs)  # the burst: no timeout
+        after = client.stats()
+        client.close()
+    finally:
+        daemon.stop(drain=True)
+    assert daemon.wait(1.0)
+    assert SERVING_STATS_KEYS <= set(before)
+    assert SERVING_STATS_KEYS <= set(server.stats.snapshot())
+    assert after["requests_completed"] - before["requests_completed"] == 7
+    assert after["frames"] - before["frames"] == 7
+    assert after["batches"] > before["batches"]
+    assert "water" in server.executor_stats()
+    assert served_matches_direct(direct, frames[0], one)
+    assert all(
+        served_matches_direct(direct, frame, result)
+        for frame, result in zip(frames + frames, many)
+    )

@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _bench_tiny_model, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # Everything ``plan-report`` / ``check-plans --report`` writes per plan.
@@ -33,20 +41,24 @@ class TestCli:
         assert "missing out= kernels" not in out
         assert "plan backends" not in out  # there is one executor
 
-    def test_serve_bench_tiny(self, capsys):
-        assert main([
-            "serve-bench", "--tiny", "--clients", "2", "--requests", "2",
-            "--max-batch", "2", "--max-wait-us", "2000",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "4 requests" in out
-        assert "occupancy" in out
-        assert "PASS" in out
+    def test_serve_rejects_unknown_zoo_name(self):
+        from repro.serving import InferenceServer
 
-    def test_serve_bench_rejects_unknown_zoo_name(self):
-        with pytest.raises(KeyError):
-            main(["serve-bench", "--model", "helium", "--clients", "1",
-                  "--requests", "1"])
+        with pytest.raises(KeyError, match="helium"):
+            InferenceServer.from_zoo(["helium"])
+        with pytest.raises(KeyError, match="helium"):
+            main(["serve", "--models", "helium"])
+
+    def test_serving_surface_is_one_path(self, capsys):
+        """One load generator (the benchmark's), no cache or pool flags."""
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "serve-bench" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = capsys.readouterr().out
+        assert "--max-batch" in out and "--max-per-client" in out
+        assert "--cache" not in out and "--workers" not in out
 
     def test_scaling_prints_tables(self, capsys):
         assert main(["scaling"]) == 0
@@ -105,3 +117,41 @@ class TestMdDroppedNeighbors:
         assert main(["md", "--steps", "2"]) == 0
         out = capsys.readouterr().out
         assert "neighbors beyond sel were dropped" in out
+
+
+class TestServeDaemon:
+    def test_serve_tiny_serves_bitwise_and_drains_clean_on_sigterm(self):
+        """``repro serve`` end to end, as an operator runs it: a foreground
+        daemon process, clients over TCP, SIGTERM, exit status."""
+        from repro.analysis.structures import water_box
+        from repro.serving import (
+            SocketClient,
+            perturbed_frames,
+            served_matches_direct,
+        )
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--tiny", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            banner = daemon.stdout.readline()
+            address = re.search(r"listening on (\S+:\d+)", banner).group(1)
+            model = _bench_tiny_model()  # seeded: the daemon's weights
+            frames = perturbed_frames(water_box((2, 2, 2), seed=0), 4)
+            with SocketClient(address, "water-tiny") as client:
+                results = client.evaluate_many(frames, timeout=60.0)
+            assert all(
+                served_matches_direct(model, frame, result)
+                for frame, result in zip(frames, results)
+            )
+            daemon.send_signal(signal.SIGTERM)
+            out, _ = daemon.communicate(timeout=60)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+        assert daemon.returncode == 0
+        assert "drain clean: 4 submitted == 4 completed" in out

@@ -8,9 +8,9 @@ Three layers:
    log records exactly what fired.
 2. **worker supervision** (:mod:`repro.serving.worker`) — an injected
    worker crash fails the in-flight futures with ``WorkerCrashed``
-   exactly once (conservation holds through the crash), drops the dead
-   engine's cache entries, and respawns a fresh worker that serves
-   subsequent requests bitwise correctly.
+   exactly once (conservation holds through the crash) and respawns a
+   fresh worker, with a fresh engine, that serves subsequent requests
+   bitwise correctly.
 3. **client resilience** (:mod:`repro.serving.net`) — a severed
    connection is re-dialed with capped backoff and every unresolved
    request is resubmitted under its original id, so the trajectory of
@@ -376,7 +376,7 @@ class TestClientResilience:
         plan = FaultPlan(
             [TamperFrame(client="cor", at_frame=2, action="corrupt")]
         )
-        server, daemon = self._serve(model, plan, cache_size=16)
+        server, daemon = self._serve(model, plan)
         frames = perturbed_frames(base, 4, seed0=430)
         try:
             with SocketClient(daemon.address, "water", client="cor",

@@ -14,17 +14,15 @@ see the bench-timing policy):
    them; either way the workers exit and later submissions are refused;
 5. **stats** — the ``ServerStats`` counter block is an exact, reproducible
    function of the request schedule;
-6. **worker pool** — per-model pools run each model's batches on that
-   model's own worker over its own engine (never shared across threads),
-   and shared pools give each worker private engines;
+6. **workers** — each model's batches run on that model's own worker
+   over its own engine (never shared across threads), FIFO per model;
 7. **deadlines** — a request abandoned at its client deadline is cancelled
    and counted exactly once, never completed; future metadata exists before
    any worker can resolve the future; hung client threads are joined
    against a deadline instead of forever;
-8. **result cache** — repeated frames replay bitwise-identical results
-   without re-entering the queue, ``invalidate`` forces recomputation,
-   capacity evicts FIFO, and cached results are private copies (no client
-   can corrupt another's replay by mutating a returned array).
+8. **admission validation** — a frame that cannot be evaluated honestly
+   (non-finite positions or box, unknown type ids) raises ``InvalidFrame``
+   at ``submit``, counted rejected, and never shares a batch with anyone.
 
 Determinism device: ``server.paused()`` parks the workers between batches,
 so a submission schedule can be staged in full before coalescing begins —
@@ -33,7 +31,6 @@ N pre-queued same-model requests then execute in exactly
 """
 
 import threading
-import time
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeout
 
@@ -44,17 +41,14 @@ from repro.analysis.structures import water_box
 from repro.dp.model import DeepPot, DPConfig
 from repro.md.neighbor import neighbor_pairs
 from repro.serving import (
-    CrashWorker,
-    FaultPlan,
     InferenceClient,
     InferenceRequest,
     InferenceServer,
-    MicroBatchScheduler,
+    InvalidFrame,
     QueueFull,
     RequestQueue,
     ServerClosed,
     ServerStats,
-    WorkerCrashed,
 )
 
 WAIT = 60.0  # generous future timeouts; the suite never sleeps this long
@@ -171,22 +165,21 @@ class TestFifoFairness:
         for f in futures:
             f.result(WAIT)
         server.stop()
-        # per-model pool: the model's own worker (id == model name) ran all
         assert server.stats.batch_log == [
-            ("water", (0, 1, 2, 3), "water"),
-            ("water", (4, 5, 6, 7), "water"),
-            ("water", (8, 9), "water"),
+            ("water", (0, 1, 2, 3)),
+            ("water", (4, 5, 6, 7)),
+            ("water", (8, 9)),
         ]
 
     def test_interleaved_models_never_mix_and_keep_order(
         self, model, model_b, base
     ):
         """Batches gather same-model requests FIFO, skipping (not
-        reordering) the other model's requests.  A single shared worker
-        (workers=1) pins the global batch order deterministically."""
+        reordering) the other model's requests.  The two workers run
+        concurrently, so only the per-model order of the log is pinned."""
         frames = perturbed(base, 8)
         server = InferenceServer(
-            {"a": model, "b": model_b}, max_batch=4, workers=1, autostart=False
+            {"a": model, "b": model_b}, max_batch=4, autostart=False
         )
         futures = []
         for k, frame in enumerate(frames):
@@ -194,10 +187,10 @@ class TestFifoFairness:
         server.start()
         results = [f.result(WAIT) for f in futures]
         server.stop()
-        assert server.stats.batch_log == [
-            ("a", (0, 2, 4, 6), "pool-0"),
-            ("b", (1, 3, 5, 7), "pool-0"),
-        ]
+        log = server.stats.batch_log
+        assert [rec for rec in log if rec.model == "a"] == [("a", (0, 2, 4, 6))]
+        assert [rec for rec in log if rec.model == "b"] == [("b", (1, 3, 5, 7))]
+        assert len(log) == 2
         for k, (frame, result) in enumerate(zip(frames, results)):
             assert_bitwise(result, direct(model if k % 2 == 0 else model_b, frame))
 
@@ -383,12 +376,11 @@ class TestStatsAndRegistry:
     def test_batch_log_is_bounded_but_counters_are_complete(self):
         stats = ServerStats(batch_log_limit=2)
         for k in range(5):
-            stats.record_batch("m", (k,), (0.0,), worker="w0")
-        assert stats.batch_log == [("m", (3,), "w0"), ("m", (4,), "w0")]
+            stats.record_batch("m", (k,), (0.0,))
+        assert stats.batch_log == [("m", (3,)), ("m", (4,))]
         assert stats.batches == 5
         assert stats.frames == 5
-        assert stats.frames_per_worker == {"w0": 5}
-        assert stats.batches_per_worker == {"w0": 5}
+        assert stats.frames_per_model == {"m": 5}
 
     def test_registry_rejects_duplicates_and_unknown_names(self, model, base):
         server = InferenceServer({"water": model}, autostart=False)
@@ -437,11 +429,11 @@ class TestQueueAndScheduler:
         q = RequestQueue(maxsize=0)
         for name in ["a", "b", "a", "a", "b"]:
             q.put(InferenceRequest(name, None, None, None))
-        batch = q.pop_batch(max_batch=2, max_wait=0.0)
+        batch = q.pop_batch("a", max_batch=2, max_wait=0.0)
         assert [r.seq for r in batch] == [0, 2]
-        batch = q.pop_batch(max_batch=8, max_wait=0.0)
+        batch = q.pop_batch("b", max_batch=8, max_wait=0.0)
         assert [r.seq for r in batch] == [1, 4]  # b-requests kept their order
-        batch = q.pop_batch(max_batch=8, max_wait=0.0)
+        batch = q.pop_batch("a", max_batch=8, max_wait=0.0)
         assert [r.seq for r in batch] == [3]
 
     def test_pop_batch_only_restricts_to_one_key(self):
@@ -450,27 +442,24 @@ class TestQueueAndScheduler:
         q = RequestQueue(maxsize=0)
         for name in ["a", "a", "b", "a", "b"]:
             q.put(InferenceRequest(name, None, None, None))
-        batch = q.pop_batch(max_batch=8, max_wait=0.0, only="b")
+        batch = q.pop_batch("b", max_batch=8, max_wait=0.0)
         assert [r.seq for r in batch] == [2, 4]
-        assert q.pending_by_key() == {"a": 3}
-        batch = q.pop_batch(max_batch=2, max_wait=0.0, only="a")
+        assert q.pending_by_model() == {"a": 3}
+        batch = q.pop_batch("a", max_batch=2, max_wait=0.0)
         assert [r.seq for r in batch] == [0, 1]
 
     def test_per_key_counts_and_single_key_derivation(self):
-        """The queue maintains per-key pending counts under its lock and
-        computes each request's key exactly once, at admission — the fill
-        loop never rescans the queue re-deriving keys (the O(queue)-per-
-        wakeup fix)."""
+        """The queue maintains per-model pending counts under its lock (one
+        deque per model, keyed by the request's model name alone) — the
+        fill loop reads an O(1) ``len``, never rescans the queue."""
         q = RequestQueue(maxsize=0)
         for name in ["a", "b", "a", "b", "b", "c"]:
             q.put(InferenceRequest(name, None, None, None))
-        assert q.pending_by_key() == {"a": 2, "b": 3, "c": 1}
-        assert q.key_calls == 6
-        q.pop_batch(max_batch=8, max_wait=0.0)        # takes the a-run
-        q.pop_batch(max_batch=1, max_wait=0.0, only="b")
-        assert q.pending_by_key() == {"b": 2, "c": 1}
+        assert q.pending_by_model() == {"a": 2, "b": 3, "c": 1}
+        q.pop_batch("a", max_batch=8, max_wait=0.0)   # takes the a-run
+        q.pop_batch("b", max_batch=1, max_wait=0.0)
+        assert q.pending_by_model() == {"b": 2, "c": 1}
         assert len(q) == 3
-        assert q.key_calls == 6  # pops never re-derived a key
 
     def test_pop_batch_drops_cancelled_requests(self):
         """Requests whose futures were cancelled while queued are discarded
@@ -482,7 +471,7 @@ class TestQueueAndScheduler:
             q.put(r)
         assert reqs[0].future.cancel()
         assert reqs[2].future.cancel()
-        batch = q.pop_batch(max_batch=8, max_wait=0.0)
+        batch = q.pop_batch("m", max_batch=8, max_wait=0.0)
         assert [r.seq for r in batch] == [1, 3]
         assert sum(drops) == 2
         assert len(q) == 0
@@ -503,7 +492,7 @@ class TestQueueAndScheduler:
         late = q.put(InferenceRequest("m", None, None, None), block=False)
         assert late.seq == 2  # the refused put above consumed no seq
         assert sum(drops) == 1
-        batch = q.pop_batch(max_batch=8, max_wait=0.0)
+        batch = q.pop_batch("m", max_batch=8, max_wait=0.0)
         assert [r.seq for r in batch] == [1, 2]
         assert sum(drops) == 1  # the earlier cancel is never re-counted
 
@@ -513,10 +502,10 @@ class TestQueueAndScheduler:
         q.close()
         with pytest.raises(ServerClosed):
             q.put(InferenceRequest("m", None, None, None))
-        batch = q.pop_batch(max_batch=4, max_wait=1.0)
+        batch = q.pop_batch("m", max_batch=4, max_wait=1.0)
         assert len(batch) == 1  # close cuts the wait budget short
-        assert q.pop_batch(4, 0.0) is None
-        assert q.pop_batch(4, 0.0, only="m") is None
+        assert q.pop_batch("m", 4, 0.0) is None
+        assert q.pop_batch("never-seen", 4, 0.0) is None
 
     def test_close_and_drain_returns_pending(self):
         q = RequestQueue(maxsize=4)
@@ -529,30 +518,24 @@ class TestQueueAndScheduler:
         assert q.close_and_drain() == reqs  # global admission order
         assert len(q) == 0
 
-    def test_scheduler_validates_policy(self):
-        q = RequestQueue()
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(q, max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(q, max_wait_us=-1.0)
-
-    def test_server_validates_workers(self, model):
-        with pytest.raises(ValueError):
-            InferenceServer({"water": model}, workers=0, autostart=False)
-        with pytest.raises(ValueError):
-            InferenceServer({"water": model}, workers="three", autostart=False)
+    def test_scheduler_validates_policy(self, model):
+        """The batching policy's range checks live in the server's
+        constructor (and fire before any worker thread exists)."""
+        with pytest.raises(ValueError, match="max_batch"):
+            InferenceServer({"water": model}, max_batch=0)
+        with pytest.raises(ValueError, match="max_wait_us"):
+            InferenceServer({"water": model}, max_wait_us=-1.0)
 
 
 class TestWorkerPool:
-    """The multi-worker serving pool (one worker per model by default)."""
+    """One worker per model."""
 
     def test_per_model_workers_concurrent_two_model_bitwise(
         self, model, model_b, base
     ):
-        """Genuinely concurrent 2-model load on a per-model pool: every
-        served result is bitwise identical to a direct evaluation, every
-        batch of a model ran on that model's own worker, and per-model
-        dispatch order is FIFO regardless of worker interleaving."""
+        """Genuinely concurrent 2-model load: every served result is
+        bitwise identical to a direct evaluation, and per-model dispatch
+        order is FIFO regardless of worker interleaving."""
         server = InferenceServer(
             {"a": model, "b": model_b}, max_batch=4, max_wait_us=2000
         )
@@ -582,15 +565,13 @@ class TestWorkerPool:
             for mdl, frame, result in results:
                 assert_bitwise(result, direct(mdl, frame))
         log = server.stats.batch_log
-        # each model's batches executed by its own worker, FIFO per model
-        assert log and all(rec.worker == rec.model for rec in log)
-        for name in ("a", "b"):
+        for name in ("a", "b"):  # FIFO per model
             seqs = [s for rec in log if rec.model == name for s in rec.seqs]
             assert len(seqs) == 8
             assert seqs == sorted(seqs)
         snap = server.stats.snapshot()
         assert snap["requests_completed"] == 16
-        assert snap["frames_per_worker"] == {"a": 8, "b": 8}
+        assert snap["frames_per_model"] == {"a": 8, "b": 8}
 
     def test_per_model_prequeued_coalescing_is_deterministic(
         self, model, model_b, base
@@ -618,50 +599,7 @@ class TestWorkerPool:
         assert [rec.seqs for rec in log if rec.model == "b"] == [
             (1, 3, 5, 7), (9, 11, 13, 15)
         ]
-        assert all(rec.worker == rec.model for rec in log)
-        assert server.stats.snapshot()["batches_per_worker"] == {
-            "a": 2, "b": 2
-        }
-
-    def test_shared_pool_workers_hold_private_engines(
-        self, model, model_b, base
-    ):
-        """workers=N shared pool: any worker may serve any model, but no
-        engine object is ever owned by two workers (scratch pools and plan
-        arenas are single-threaded state)."""
-        server = InferenceServer(
-            {"a": model, "b": model_b}, max_batch=2, max_wait_us=1000,
-            workers=2,
-        )
-        assert server.worker_ids() == ["pool-0", "pool-1"]
-        served = []
-
-        def run_client(name, mdl, tid):
-            client = server.client(name)
-            for f in perturbed(base, 3, seed0=500 * tid):
-                served.append((mdl, f, client.evaluate(f, timeout=WAIT)))
-
-        threads = [
-            threading.Thread(target=run_client, args=(name, mdl, tid))
-            for tid, (name, mdl) in enumerate(
-                [("a", model), ("b", model_b), ("a", model)]
-            )
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(WAIT)
-        server.stop()
-        for mdl, frame, result in served:
-            assert_bitwise(result, direct(mdl, frame))
-        engine_owners: dict[int, str] = {}
-        for w in server._workers:
-            for engine in w.engines.values():
-                assert id(engine) not in engine_owners, (
-                    f"engine shared by {engine_owners[id(engine)]} and {w.wid}"
-                )
-                engine_owners[id(engine)] = w.wid
-        assert server.stats.snapshot()["requests_completed"] == 9
+        assert server.stats.snapshot()["batches"] == 4
 
     def test_per_worker_engines_stop_allocating_steady_state(
         self, model, model_b, base
@@ -693,7 +631,7 @@ class TestWorkerPool:
             assert es2[name]["arena_builds"] == es1[name]["arena_builds"]
             assert es2[name]["runs"] == es1[name]["runs"] + 1
         snap = server.stats.snapshot()
-        assert snap["frames_per_worker"] == {"a": 8, "b": 8}
+        assert snap["frames_per_model"] == {"a": 8, "b": 8}
 
     def test_register_on_running_per_model_pool_spawns_worker(
         self, model, model_b, base
@@ -705,7 +643,7 @@ class TestWorkerPool:
         result = server.client("b").evaluate(base, timeout=WAIT)
         server.stop()
         assert_bitwise(result, direct(model_b, base))
-        assert server.stats.batch_log[-1].worker == "b"
+        assert server.stats.batch_log[-1].model == "b"
 
     def test_register_first_model_on_started_empty_server(self, model, base):
         """A per-model server started with zero models must still spawn a
@@ -856,291 +794,49 @@ class TestDeadlinesAndMetadata:
         server.stop(drain=False)
 
 
-class TestResultCache:
-    """The frame-content result cache: hits are bitwise replays, invalidate
-    forces recomputation, capacity evicts FIFO, and concurrent clients can
-    never corrupt each other's results through the cache."""
-
-    def test_hit_on_repeated_frame_is_bitwise(self, model, base):
-        server = InferenceServer({"water": model}, cache_size=8)
-        client = server.client("water")
-        first = client.evaluate(base, timeout=WAIT)
-        second = client.evaluate(base, timeout=WAIT)
-        server.stop()
-        assert_bitwise(first, direct(model, base))
-        assert_bitwise(second, first)
-        snap = server.stats.snapshot()
-        assert snap["cache_hits"] == 1
-        assert snap["cache_misses"] == 1
-        # the hit completed without entering the queue: one batch total,
-        # but conservation still holds
-        assert snap["batches"] == 1
-        assert snap["requests_completed"] == 2
-        assert snap["requests_submitted"] == 2
-
-    def test_miss_after_invalidate(self, model, base):
-        server = InferenceServer({"water": model}, cache_size=8)
-        client = server.client("water")
-        warm = client.evaluate(base, timeout=WAIT)
-        assert server.invalidate_cache("water") == 1
-        cold = client.evaluate(base, timeout=WAIT)  # recomputed, not replayed
-        server.stop()
-        assert_bitwise(cold, warm)
-        snap = server.stats.snapshot()
-        assert snap["cache_hits"] == 0
-        assert snap["cache_misses"] == 2
-        assert snap["batches"] == 2
-        # invalidation is not capacity pressure
-        assert snap["cache_evictions"] == 0
-        assert server.invalidate_cache() == 1  # the recomputed entry
-
-    def test_eviction_at_capacity_is_fifo(self, model, base):
-        server = InferenceServer({"water": model}, cache_size=2)
-        client = server.client("water")
-        frames = perturbed(base, 3, seed0=11)
-        for f in frames:
-            client.evaluate(f, timeout=WAIT)
-        # cache holds frames[1], frames[2]; frames[0] was evicted FIFO
-        assert len(server.cache) == 2
-        assert server.stats.snapshot()["cache_evictions"] == 1
-        client.evaluate(frames[1], timeout=WAIT)  # hit: still resident
-        client.evaluate(frames[0], timeout=WAIT)  # miss: was evicted
-        server.stop()
-        snap = server.stats.snapshot()
-        assert snap["cache_hits"] == 1
-        assert snap["cache_misses"] == 4
-        assert snap["cache_evictions"] == 2  # frames[0]'s re-insert evicted
-
-    def test_disabled_cache_is_invisible(self, model, base):
-        server = InferenceServer({"water": model})  # cache_size=0
-        client = server.client("water")
-        client.evaluate(base, timeout=WAIT)
-        client.evaluate(base, timeout=WAIT)
-        server.stop()
-        snap = server.stats.snapshot()
-        assert snap["cache_hits"] == 0
-        assert snap["cache_misses"] == 0
-        assert snap["batches"] == 2
-
-    def test_concurrent_two_client_load_bitwise(self, model, base):
-        """Two closed-loop clients hammer an overlapping frame set; every
-        result is bitwise identical to a direct evaluation even though many
-        are cache replays, and mutating a returned array cannot poison the
-        cache for the other client."""
-        frames = perturbed(base, 4, seed0=23)
-        refs = [direct(model, f) for f in frames]
-        server = InferenceServer(
-            {"water": model}, max_batch=4, max_wait_us=2000, cache_size=16
-        )
-        done: dict[int, int] = {0: 0, 1: 0}
-        errors: list[BaseException] = []
-
-        def run(tid: int):
-            client = server.client("water")
-            try:
-                for _ in range(3):  # 3 passes over the shared frames
-                    for k, f in enumerate(frames):
-                        r = client.evaluate(f, timeout=WAIT)
-                        assert_bitwise(r, refs[k])
-                        done[tid] += 1
-                        # adversarial aliasing: scribble on the returned
-                        # arrays; the cache must hand out private copies,
-                        # so the other client's replays stay pristine
-                        r.forces += 1e30
-                        r.virial += 1e30
-            except BaseException as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run, args=(t,)) for t in (0, 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(WAIT)
-        server.stop()
-        assert not errors, errors
-        assert done == {0: 12, 1: 12}
-        snap = server.stats.snapshot()
-        # 12 requests/client; at most 4 distinct frames ever need computing,
-        # and each miss can be charged at most once per client (a frame is
-        # only recomputed if both clients missed it before either insert)
-        assert snap["cache_hits"] >= 24 - 2 * 4
-        assert snap["cache_hits"] + snap["cache_misses"] == 24
-        assert snap["requests_completed"] == 24
-
-
-class TestPriorityStarvation:
-    """Priority + EDF dispatch under sustained mixed-priority load.
-
-    The hazard: with ``order_key() = (-priority, deadline, seq)``, a steady
-    stream of priority-1 traffic could in principle starve the priority-0
-    class forever.  The determinism device is the paused-preload round: each
-    round stages its full mixed schedule before the workers run, so the
-    dispatch order recorded in ``batch_log`` is an exact function of the
-    order keys — no wall-clock races.  Across rounds the load is sustained
-    (new high-priority work keeps arriving), yet every round's priority-0
-    requests complete before the next round begins, and their displacement
-    behind their FIFO position is bounded by the number of co-pending
-    high-priority requests.  That bound *is* the no-starvation statement.
-    """
-
-    ROUNDS = 4
-    N_LO = 4  # priority 0, no deadline (the background class)
-    N_HI = 2  # priority 1, deadlines reversed vs submission order
-
-    def test_sustained_mixed_load_edf_and_bounded_displacement(
+class TestAdmissionValidation:
+    def test_nan_frame_is_refused_and_batch_mates_complete_bitwise(
         self, model, base
     ):
-        server = InferenceServer({"water": model}, max_batch=2, max_wait_us=0)
-        completed = 0
-        for r in range(self.ROUNDS):
-            frames = perturbed(base, self.N_LO + self.N_HI, seed0=3000 + 10 * r)
-            log_before = len(server.stats.batch_log)
-            with server.paused():
-                pending = []  # (frame, future) in submission order
-                for k in range(self.N_LO):
-                    fut = server.submit("water", frames[k], priority=0)
-                    pending.append((frames[k], fut))
-                # Reversed deadlines within the high class: the *later*
-                # submission carries the *earlier* deadline, so plain
-                # priority-then-FIFO would dispatch them in the wrong
-                # order — only EDF produces the expected log.
-                fut_late = server.submit(
-                    "water", frames[self.N_LO], priority=1, deadline=90.0
-                )
-                fut_soon = server.submit(
-                    "water", frames[self.N_LO + 1], priority=1, deadline=60.0
-                )
-                pending.append((frames[self.N_LO], fut_late))
-                pending.append((frames[self.N_LO + 1], fut_soon))
-            # no starvation: the whole round drains, priority 0 included,
-            # before the next round's high-priority wave arrives — and
-            # every result is bitwise its own frame's evaluation
-            for f, fut in pending:
-                assert_bitwise(fut.result(WAIT), direct(model, f))
-            completed += len(pending)
-
-            seqs = [fut.request.seq for _, fut in pending]
-            lo_seqs, hi_seqs = seqs[: self.N_LO], seqs[self.N_LO:]
-            batches = server.stats.batch_log[log_before:]
-            assert all(b.model == "water" for b in batches)
-            dispatched = [s for b in batches for s in b.seqs]
-            # EDF within the high class (soon before late despite later
-            # submission), then the background class in FIFO seq order
-            assert dispatched == [hi_seqs[1], hi_seqs[0]] + lo_seqs
-            # batch composition: the high class fills the first batch
-            # alone; priority 0 coalesces in submission order behind it
-            assert [list(b.seqs) for b in batches] == [
-                [hi_seqs[1], hi_seqs[0]],
-                lo_seqs[:2],
-                lo_seqs[2:],
-            ]
-            # bounded displacement: a priority-0 request is pushed back at
-            # most N_HI slots from its FIFO position — never unboundedly
-            for fifo_pos, s in enumerate(lo_seqs):
-                assert dispatched.index(s) - fifo_pos <= self.N_HI
-
+        """A NaN position used to evaluate to a *finite* energy and finite
+        forces (the atom just falls out of every neighbour comparison) —
+        silent wrong physics.  It is refused at admission, alone."""
+        good = perturbed(base, 2, seed0=61)
+        bad = base.copy()
+        bad.positions[5, 1] = np.nan
+        server = InferenceServer({"water": model}, max_batch=4)
+        with server.paused():
+            first = server.submit("water", good[0])
+            with pytest.raises(InvalidFrame, match="non-finite positions"):
+                server.submit("water", bad)
+            second = server.submit("water", good[1])
+        assert_bitwise(first.result(WAIT), direct(model, good[0]))
+        assert_bitwise(second.result(WAIT), direct(model, good[1]))
         server.stop()
         snap = server.stats.snapshot()
-        assert snap["requests_completed"] == completed
-        assert snap["requests_submitted"] == completed
-        assert snap["requests_failed"] == snap["requests_cancelled"] == 0
+        assert snap["requests_rejected"] == 1
+        assert snap["requests_submitted"] == snap["requests_completed"] == 2
+        assert snap["requests_failed"] == 0
+        assert server.stats.batch_log == [("water", (0, 1))]
 
-
-class TestCacheUnderCrash:
-    """ResultCache x WorkerCrashed: a crash poisons exactly the crashed
-    model's cached entries.  Anything the dead engine produced may not be
-    replayed (its mid-batch state is suspect), so those entries drop and
-    recompute; every *other* model's entries keep serving hits — including
-    during the window where the crashed worker is down."""
-
-    def _wait_respawn(self, server, n=1):
-        """The crash cleanup runs on the dying worker thread *after* it
-        fails the futures; poll (bounded) until invalidation + respawn have
-        been recorded before touching the cache again."""
-        deadline = time.perf_counter() + WAIT
-        while server.stats.snapshot()["worker_respawns"] < n:
-            assert time.perf_counter() < deadline, "respawn never recorded"
-            time.sleep(0.005)
-
-    def test_crash_invalidates_only_the_crashed_models_entries(
-        self, model, model_b, base
-    ):
-        plan = FaultPlan([CrashWorker(worker="a", at_batch=2)])
-        server = InferenceServer(
-            {"a": model, "b": model_b}, cache_size=8, faults=plan
-        )
-        fa, fb, fa2 = perturbed(base, 3, seed0=41)
-        # prime both caches (two misses), then replay both (two hits)
-        ra = server.submit("a", fa).result(WAIT)
-        rb = server.submit("b", fb).result(WAIT)
-        assert_bitwise(server.submit("a", fa).result(WAIT), ra)
-        assert_bitwise(server.submit("b", fb).result(WAIT), rb)
-        # a fresh frame for model a: misses the cache, reaches worker "a"
-        # as its 2nd batch, and dies there
-        with pytest.raises(WorkerCrashed):
-            server.submit("a", fa2).result(WAIT)
-        self._wait_respawn(server)
+    def test_bad_box_and_unknown_type_ids_are_refused(self, model, base):
+        server = InferenceServer({"water": model}, autostart=False)
+        inf_pos = base.copy()
+        inf_pos.positions[0, 0] = np.inf
+        nan_box = base.copy()
+        nan_box.box.lengths[2] = np.nan
+        flat_box = base.copy()
+        flat_box.box.lengths[0] = 0.0  # mutated after Box's own check
+        alien = base.copy()
+        alien.types[3] = model.config.n_types
+        negative = base.copy()
+        negative.types[3] = -1
+        for frame in (inf_pos, nan_box, flat_box, alien, negative):
+            with pytest.raises(InvalidFrame):
+                server.submit("water", frame)
+        assert isinstance(InvalidFrame("x"), ValueError)
         snap = server.stats.snapshot()
-        assert snap["worker_crashes"] == 1
-        assert snap["worker_respawns"] == 1
-        assert snap["cache_invalidations"] == 1  # a's entry, not b's
-        assert plan.fired(CrashWorker) == 1
-        # model a's entry is gone: the same frame recomputes (a miss) on
-        # the respawned worker's fresh engine, bitwise equal to before
-        assert_bitwise(server.submit("a", fa).result(WAIT), ra)
-        # model b's entry survived the crash: still a replay, no new batch
-        assert_bitwise(server.submit("b", fb).result(WAIT), rb)
-        server.stop()
-        snap = server.stats.snapshot()
-        assert snap["cache_hits"] == 3  # a-replay, b-replay, b-after-crash
-        assert snap["cache_misses"] == 4  # a, b, crashed fa2, a-recompute
-        assert snap["requests_submitted"] == 7
-        assert snap["requests_completed"] == 6
-        assert snap["requests_failed"] == 1
-        assert snap["requests_cancelled"] == 0
-
-    def test_cache_hits_serve_while_another_worker_is_down(
-        self, model, model_b, base
-    ):
-        """Replays never touch the queue, so model b's cached frame keeps
-        serving even while model a's only worker slot is dead *for good*
-        (``max_respawns=0`` — the crash-loop stop, not a transient gap)."""
-        plan = FaultPlan([CrashWorker(worker="a", at_batch=1)])
-        server = InferenceServer(
-            {"a": model, "b": model_b},
-            cache_size=8,
-            faults=plan,
-            max_respawns=0,
-        )
-        fa, fb = perturbed(base, 2, seed0=53)
-        warm_b = server.submit("b", fb).result(WAIT)
-        with pytest.raises(WorkerCrashed):
-            server.submit("a", fa).result(WAIT)
-        # a's slot is permanently down (and a had nothing cached, so the
-        # crash dropped zero entries); b's replay path is queue-free and
-        # keeps answering bitwise
-        for _ in range(3):
-            assert_bitwise(server.submit("b", fb).result(WAIT), warm_b)
-        snap = server.stats.snapshot()
-        assert snap["worker_crashes"] == 1
-        assert snap["worker_respawns"] == 0
-        assert snap["cache_invalidations"] == 0
-        assert snap["cache_hits"] == 3
+        assert snap["requests_rejected"] == 5
+        assert snap["requests_submitted"] == 0
+        assert len(server.queue) == 0
         server.stop(drain=False)
-
-    def test_crash_with_cache_disabled_counts_no_invalidations(
-        self, model, base
-    ):
-        plan = FaultPlan([CrashWorker(worker="water", at_batch=1)])
-        server = InferenceServer({"water": model}, faults=plan)  # cache off
-        with pytest.raises(WorkerCrashed):
-            server.submit("water", base).result(WAIT)
-        self._wait_respawn(server)
-        # respawned slot serves normally; no cache, so nothing to drop
-        served = server.submit("water", base).result(WAIT)
-        server.stop()
-        assert_bitwise(served, direct(model, base))
-        snap = server.stats.snapshot()
-        assert snap["cache_invalidations"] == 0
-        assert snap["worker_crashes"] == 1
-        assert snap["worker_respawns"] == 1

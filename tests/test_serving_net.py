@@ -7,8 +7,9 @@ Four layers, tested bottom-up:
    and version-mismatch refusal;
 2. **daemon + client** (:mod:`repro.serving.net`) — a real TCP round trip
    is bitwise identical to in-process serving; errors (backpressure,
-   quotas, unknown model) surface as the same exception types; STATS and
-   CONTROL round-trip; disconnecting a client cancels its queued work;
+   quotas, unknown model, invalid frame) surface as the same exception
+   types; STATS round-trips; disconnecting a client cancels its queued
+   work;
 3. **ServingForceBackend** (:mod:`repro.dp.backend`) — a ``Simulation``
    and an ``EnsembleSimulation`` driven over the socket produce
    trajectories bitwise identical to in-process runs;
@@ -34,6 +35,7 @@ from repro.md.neighbor import fitted_neighbor_list, neighbor_pairs
 from repro.md.simulation import Simulation
 from repro.serving import (
     InferenceServer,
+    InvalidFrame,
     ProtocolError,
     QueueFull,
     QuotaExceeded,
@@ -101,7 +103,7 @@ class TestProtocol:
         assert np.array_equal(proto.unpack_arrays(specs, blob)["x"], arr)
 
     def test_frame_round_trip(self):
-        header = {"req": 7, "model": "water", "deadline": None, "pbc": True}
+        header = {"req": 7, "model": "water", "nloc": None, "pbc": True}
         arrays = {"positions": np.random.default_rng(0).normal(size=(5, 3))}
         frame = proto.encode_frame(proto.MsgType.SUBMIT, header, arrays)
         mtype, got_header, got_arrays = proto.decode_payload(frame[4:])
@@ -114,6 +116,15 @@ class TestProtocol:
         payload = bytearray(frame[4:])
         payload[0] = proto.PROTOCOL_VERSION + 1
         with pytest.raises(ProtocolError, match="version"):
+            proto.decode_payload(bytes(payload))
+
+    def test_v2_hello_refused(self):
+        """The wire changed (no ordering fields, no cache messages), so the
+        version byte moved: a v2 peer is refused, not half-understood."""
+        assert proto.PROTOCOL_VERSION == 3
+        payload = bytearray(proto.encode_frame(proto.MsgType.HELLO, {})[4:])
+        payload[0] = 2
+        with pytest.raises(ProtocolError, match="version 2 != 3"):
             proto.decode_payload(bytes(payload))
 
     def test_malformed_frames_refused(self):
@@ -232,20 +243,40 @@ class TestDaemonRoundTrip:
                 # daemon refuses the handshake and closes: EOF
                 assert raw.recv(1) == b""
 
-    def test_stats_and_cache_control_round_trip(self, model, base):
-        with make_daemon(model, cache_size=8) as daemon:
+    def test_stats_round_trip(self, model, base):
+        with make_daemon(model) as daemon:
             with SocketClient(daemon.address, "water") as client:
                 frame = perturbed_frames(base, 1, seed0=30)[0]
                 r1 = client.evaluate(frame, timeout=WAIT)
                 r2 = client.evaluate(frame, timeout=WAIT)
-                assert_bitwise(r2, r1)  # cache hit, bitwise over the wire
+                assert_bitwise(r2, r1)  # a repeat is re-evaluated, bitwise
                 snap = client.stats()
-                assert snap["cache_hits"] == 1
+                assert snap == daemon.server.stats.snapshot()
                 assert snap["requests_completed"] == 2
-                assert client.invalidate_cache() == 1
-                assert client.stats()["cache_hits"] == 1  # unchanged
-                client.evaluate(frame, timeout=WAIT)  # re-miss after flush
-                assert client.stats()["cache_misses"] == 2
+                assert snap["batches"] == 2
+
+    def test_invalid_frame_surfaces_remotely(self, model, base):
+        """A NaN-position frame is refused with the in-process exception
+        type; the good frames pipelined around it on the same connection
+        complete bitwise, and the connection stays usable."""
+        good = perturbed_frames(base, 2, seed0=35)
+        bad = base.copy()
+        bad.positions[5, 1] = np.nan
+        pairs = neighbor_pairs(base, model.config.rcut)
+        with make_daemon(model, max_batch=4) as daemon:
+            with SocketClient(daemon.address, "water") as client:
+                with daemon.server.paused():
+                    first = client.submit(good[0])
+                    refused = client.submit(bad, *pairs)
+                    second = client.submit(good[1])
+                    with pytest.raises(InvalidFrame, match="non-finite"):
+                        refused.result(WAIT)
+                assert_bitwise(first.result(WAIT), direct(model, good[0]))
+                assert_bitwise(second.result(WAIT), direct(model, good[1]))
+                snap = client.stats()
+        assert snap["requests_rejected"] == 1
+        assert snap["requests_submitted"] == snap["requests_completed"] == 2
+        assert snap["requests_failed"] == 0
 
     def test_quota_exceeded_surfaces_remotely(self, model, base):
         """A connection over its per-client quota gets QuotaExceeded, while
