@@ -30,7 +30,7 @@ PAPER_GEMM_SHARE = {
 }
 
 
-def _measure(model, system, n_evals=3):
+def _measure(model, system, n_evals=5):
     import gc
 
     pi, pj = neighbor_pairs(system, model.config.rcut)
@@ -44,14 +44,23 @@ def _measure(model, system, n_evals=3):
     if model._batched is not None:
         model.batched.release_buffers()
     gc.collect()
-    model.session = tf.Session(profile=True)
+    # Each evaluation is profiled on its own and the quietest one is kept:
+    # this path allocates ~1 GB of op outputs per evaluation, and on a
+    # virtualized host a burst of slow page faults can stretch one
+    # evaluation from 0.5 s to 10 s, all of it booked to whichever
+    # allocation-bound op it hit.
+    best = None
     for _ in range(n_evals):
         # The serial path keeps energy reduction and ProdVirial inside the
         # profiled graph — the op set the paper's Fig 3 breaks down.  (The
         # batched engine computes those outside the graph, which would
         # silently shrink the CUSTOM share being measured here.)
+        model.session = tf.Session(profile=True)
         model.evaluate_serial(system, pi, pj)
-    pct = model.session.stats.category_percentages()
+        stats = model.session.stats
+        if best is None or stats.total_seconds() < best.total_seconds():
+            best = stats
+    pct = best.category_percentages()
     return {c: pct.get(c, 0.0) for c in CATEGORIES}
 
 

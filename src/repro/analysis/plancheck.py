@@ -16,18 +16,24 @@ are not reused):
 
 ====  ======================================================================
 P101  undefined-read: a record (or fetch) reads a slot no earlier feed,
-      variable, constant or record defines
-P102  use-after-free: a record reads a slot after the liveness pass retired
-      its storage group
+      variable, constant or record defines — or a needed record (or fetch)
+      reads the *value* of a shape probe, which steady runs never execute
+P102  use-after-free: a record reads the *value* of a slot after the
+      liveness pass retired its storage group (a shape read afterwards is
+      legal: the slot's array object keeps its shape)
 P103  arena-overlap: a warm arena gives a record a buffer whose bytes
       overlap an earlier record's buffer while that record's storage group
       is still live (address-interval check, so it sees straight through
       the coloring allocator's slab views)
 P104  alias-broken: a view record (``reshape``/``item``/...) whose output
-      is not in the same storage group as its inputs
+      is not in the same storage group as its ``view_of`` input
 P105  fetch-unpinned: a fetched slot whose storage group is not pinned
       immortal (a later run could recycle the caller's result)
 ====  ======================================================================
+
+Which reads are value reads is the op registry's declaration
+(``OpDef.shape_only`` / ``OpDef.view_of``), the same one the plan compiler
+acts on; the verifier re-derives every consequence from the tape.
 
 **Symbolic shape & dtype inference** (given a feed spec)
 
@@ -64,17 +70,6 @@ from repro.analysis.shapes import (
     format_shape,
 )
 
-# Input positions that only lend their *shape* to an op (zeros_like /
-# reshape targets); their dtype never mixes into the arithmetic, so the
-# P108 float-width check skips them.
-_SHAPE_ONLY_INPUTS = {
-    "reduce_to_shape": {1},
-    "broadcast_like": {1},
-    "reshape_like": {1},
-    "split_part": {1, 2},
-    "split_part_grad": {1, 2},
-}
-
 
 @dataclass
 class PlanFinding:
@@ -98,7 +93,7 @@ class PlanReport:
     findings: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     records: list = field(default_factory=list)  # one diagnostic line per record
-    n_records: int = 0
+    n_records: int = 0  # tape length: needed records and shape probes
     n_slots: int = 0
 
     @property
@@ -170,8 +165,10 @@ class FeedSpec:
     value: object = None
 
 
-def _mode_name(mode: int) -> str:
-    return {0: "out", 1: "copy", 2: "alias"}.get(mode, "?")
+def _mode_name(rec) -> str:
+    if not rec.needed:
+        return "probe"
+    return {0: "out", 1: "copy", 2: "alias"}.get(rec.mode, "?")
 
 
 class _SlotInfo:
@@ -209,6 +206,7 @@ def verify_plan(plan, spec=None, check_values: bool = False) -> PlanReport:
     concrete arrays left in the plan's slot table by its most recent run —
     the end-to-end agreement check the zoo matrix tests assert.
     """
+    from repro.tfmini.ops import get_op
     from repro.tfmini.plan import _INF, _MODE_ALIAS
 
     report = PlanReport(n_records=len(plan._records), n_slots=plan._n_slots)
@@ -233,40 +231,66 @@ def verify_plan(plan, spec=None, check_values: bool = False) -> PlanReport:
         d = def_pos[slot]
         return d is not None and d < r_idx
 
+    def is_probe_output(slot: int) -> bool:
+        return def_pos[slot] >= 0 and not records[def_pos[slot]].needed
+
     # --- P101 / P102 / P104: per-record reads ---------------------------
+    # The warm run executes every record and retires by its own table;
+    # steady runs execute the needed records only, so theirs are the reads
+    # the death table must cover.
+    warm_retired = {
+        s: r_idx for r_idx, slots in enumerate(plan._warm_retire) for s in slots
+    }
     for r_idx, rec in enumerate(records):
-        for s in rec.input_slots:
+        opdef = get_op(rec.op)
+        for pos, s in enumerate(rec.input_slots):
             if not defined_before(s, r_idx):
                 report.findings.append(PlanFinding(
                     "P101", f"reads slot {s}, which has no earlier definition",
                     record=r_idx, op=rec.op,
                 ))
                 continue
-            d = death.get(find(s), -1)
-            if d != _INF and d < r_idx:
+            if pos in opdef.shape_only:
+                continue
+            if rec.needed and is_probe_output(s):
+                report.findings.append(PlanFinding(
+                    "P101",
+                    f"reads the value of slot {s}, whose producer (record "
+                    f"{def_pos[s]}) is a shape probe that steady runs skip",
+                    record=r_idx, op=rec.op,
+                ))
+                continue
+            d = warm_retired.get(s, _INF)
+            if rec.needed:
+                d = min(d, death.get(find(s), -1))
+            if d < r_idx:
                 report.findings.append(PlanFinding(
                     "P102",
-                    f"reads slot {s} after its storage group was retired at "
-                    f"record {d}",
+                    f"reads the value of slot {s} after its storage group "
+                    f"was retired at record {d}",
                     record=r_idx, op=rec.op,
                 ))
         if rec.mode == _MODE_ALIAS:
-            root = find(rec.out_slot)
-            for s in rec.input_slots:
-                if 0 <= s < plan._n_slots and find(s) != root:
-                    report.findings.append(PlanFinding(
-                        "P104",
-                        f"view output slot {rec.out_slot} does not share a "
-                        f"storage group with input slot {s} — recycling can "
-                        f"clobber the live view",
-                        record=r_idx, op=rec.op,
-                    ))
+            s = rec.input_slots[opdef.view_of]
+            if 0 <= s < plan._n_slots and find(s) != find(rec.out_slot):
+                report.findings.append(PlanFinding(
+                    "P104",
+                    f"view output slot {rec.out_slot} does not share a "
+                    f"storage group with input slot {s} — recycling can "
+                    f"clobber the live view",
+                    record=r_idx, op=rec.op,
+                ))
 
     # --- P105: fetches pinned -------------------------------------------
     for fs in plan._fetch_slots:
         if not 0 <= fs < plan._n_slots or def_pos[fs] is None:
             report.findings.append(PlanFinding(
                 "P101", f"fetch slot {fs} has no definition"))
+            continue
+        if is_probe_output(fs):
+            report.findings.append(PlanFinding(
+                "P101", f"fetch slot {fs} is the output of a shape probe",
+                record=def_pos[fs]))
             continue
         if death.get(find(fs), -1) != _INF:
             report.findings.append(PlanFinding(
@@ -281,11 +305,13 @@ def verify_plan(plan, spec=None, check_values: bool = False) -> PlanReport:
     # ndarray *views* over shared byte slabs, so object identity proves
     # nothing — two records conflict iff their buffers' byte ranges
     # overlap while the earlier one's storage group is still live.
+    tape_index = {id(rec): r_idx for r_idx, rec in enumerate(records)}
     for arena in plan._arenas.values():
         live: list = []  # [start, end, owner record, owner death]
-        for r_idx, buf in enumerate(arena.buffers):
+        for rec, buf in arena.steady:  # exactly what a steady run walks
             if buf is None:
                 continue
+            r_idx = tape_index[id(rec)]
             # Retire intervals whose owner's storage group has died; a
             # dead owner's bytes are legitimately up for reuse.
             live = [iv for iv in live
@@ -298,9 +324,9 @@ def verify_plan(plan, spec=None, check_values: bool = False) -> PlanReport:
                             f"buffer bytes of record {prev} handed to record "
                             f"{r_idx} while its storage group lives until "
                             f"{'forever' if d == _INF else f'record {d}'}",
-                            record=r_idx, op=records[r_idx].op,
+                            record=r_idx, op=rec.op,
                         ))
-                d = death.get(find(records[r_idx].out_slot), -1)
+                d = death.get(find(rec.out_slot), -1)
                 live.append([start, end, r_idx, d])
 
     # --- symbolic shape/dtype walk --------------------------------------
@@ -311,7 +337,7 @@ def verify_plan(plan, spec=None, check_values: bool = False) -> PlanReport:
     else:
         for r_idx, rec in enumerate(records):
             report.records.append(
-                f"[{r_idx:>4}] {rec.op:<18} {_mode_name(rec.mode):<5} "
+                f"[{r_idx:>4}] {rec.op:<18} {_mode_name(rec):<5} "
                 f"slots {tuple(rec.input_slots)} -> {rec.out_slot}"
             )
     return report
@@ -337,14 +363,16 @@ def _buffer_intervals(buf) -> list:
 def plan_metrics(plan) -> dict:
     """Deterministic per-plan metrics for ``repro plan-report``.
 
-    Arena numbers cover every warmed feed-shape signature; a plan that has
-    never run reports zero arena bytes (the record count is always
-    present).
+    ``records`` is what a steady run executes, ``records_pruned`` the
+    shape probes it skips.  Arena numbers cover every warmed feed-shape
+    signature; a plan that has never run reports zero arena bytes (the
+    record counts are always present).
     """
     colored = plan.arena_nbytes()
     fifo = plan.fifo_arena_nbytes()
     return {
         "records": plan.n_records,
+        "records_pruned": plan.n_pruned,
         "arenas": len(plan.arenas),
         "arena_nbytes_colored": colored,
         "arena_nbytes_fifo": fifo,
@@ -402,13 +430,17 @@ def _shape_walk(plan, spec, report: PlanReport, check_values: bool) -> None:
             for s in rec.input_slots
         ]
 
-        # P108: float-width mixing outside declared cast points.
+        out = _infer_record(rec, ins, ctx, report, r_idx, no_rule_noted, get_op)
+        info[rec.out_slot] = out
+
+        # P108: float-width mixing outside declared cast points.  A
+        # shape-only input lends no values to the arithmetic, but it may
+        # lend its dtype (``zeros_like`` in ``slice_grad``), so the output's
+        # width counts beside the value inputs'.
         if rec.op not in ("cast", "cast_like"):
+            shape_only = get_op(rec.op).shape_only
             widths = set()
-            shape_only = _SHAPE_ONLY_INPUTS.get(rec.op, ())
-            for i, si in enumerate(ins):
-                if i in shape_only:
-                    continue
+            for si in [si for i, si in enumerate(ins) if i not in shape_only] + [out]:
                 dts = [d for _s, d in si.parts] if si.parts else [si.dtype]
                 widths |= {
                     np.dtype(d) for d in dts
@@ -423,10 +455,8 @@ def _shape_walk(plan, spec, report: PlanReport, check_values: bool) -> None:
                     record=r_idx, op=rec.op,
                 ))
 
-        out = _infer_record(rec, ins, ctx, report, r_idx, no_rule_noted, get_op)
-        info[rec.out_slot] = out
         report.records.append(
-            f"[{r_idx:>4}] {rec.op:<18} {_mode_name(rec.mode):<5} "
+            f"[{r_idx:>4}] {rec.op:<18} {_mode_name(rec):<5} "
             f"slots {tuple(rec.input_slots)} -> {rec.out_slot}  "
             f"{out.describe()}"
         )

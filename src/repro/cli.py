@@ -682,7 +682,8 @@ def cmd_plan_report(args) -> int:
         saved = e["arena_bytes_saved"]
         pct = 100.0 * saved / e["arena_nbytes_fifo"] if e["arena_nbytes_fifo"] else 0.0
         print(
-            f"  {e['plan']:<26} {e['records']:>4} records  "
+            f"  {e['plan']:<26} {e['records']:>4} records "
+            f"(+{e['records_pruned']:>2} pruned)  "
             f"arena {e['arena_nbytes_colored']:>10} B "
             f"(fifo {e['arena_nbytes_fifo']:>10} B, -{pct:.1f}%)"
         )
@@ -777,13 +778,13 @@ def main(argv=None) -> int:
     checkp.add_argument("--json", action="store_true", help="JSON report")
     checkp.add_argument(
         "--report", metavar="FILE", default=None,
-        help="also write per-plan compiler metrics (records, "
-             "colored-vs-FIFO arena bytes) as JSON to FILE",
+        help="also write per-plan compiler metrics (records run and "
+             "pruned, colored-vs-FIFO arena bytes) as JSON to FILE",
     )
     planrep = sub.add_parser(
         "plan-report",
         help="per-plan compiler metrics across the zoo matrix "
-             "(records, arena bytes before/after coloring)",
+             "(records run and pruned, arena bytes before/after coloring)",
     )
     planrep.add_argument(
         "--out", metavar="FILE", default=None,

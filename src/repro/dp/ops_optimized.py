@@ -251,6 +251,9 @@ register_op(
     flops=lambda node, ins, out: ins[0].size * 9 * 2,
     forward_out=_out_prod_virial,
     infer=_inf_prod_virial,
+    # W sums over every slot: padded slots contribute exact zeros through
+    # em_deriv, so the neighbor list itself is never consulted.
+    shape_only=(3,),
 )
 register_op(
     "prod_virial_grad",

@@ -50,14 +50,32 @@ class OpDef:
     # (shape, dtype) pairs.  Ops without a rule still verify — their
     # outputs become fresh symbols and the report carries a note.
     infer: Optional[Callable] = None
+    # Input positions of which ``forward`` / ``forward_out`` (and ``flops``)
+    # read only ``.shape`` / ``.dtype`` — ``like`` in ``reduce_to_shape(g,
+    # like)``.  The plan compiler counts only the other positions as value
+    # reads: a record whose output is read at shape-only positions alone
+    # runs in warm runs and never in a steady run, and a value may be
+    # retired while shape reads of it are still to come.  A wrong entry is
+    # silent wrong physics; ``tests/test_tfmini_ops.py`` gates every entry
+    # by poisoning the declared inputs.
+    shape_only: tuple = ()
+    # The one input position the forward may return a view of (or return
+    # unchanged): ``reshape``, ``item``, ``split_part``.  Such an op runs
+    # through ``forward`` under plans (an ``out=`` kernel would add a copy)
+    # and its output shares that input's storage group, so the arena never
+    # recycles bytes under a live view.  ``None``: the output is fresh
+    # memory.
+    view_of: Optional[int] = None
 
 
 _REGISTRY: dict[str, OpDef] = {}
 
 
-def register_op(name: str, forward, vjp=None, flops=None, forward_out=None, infer=None) -> None:
+def register_op(name: str, forward, vjp=None, flops=None, forward_out=None,
+                infer=None, shape_only=(), view_of=None) -> None:
     """Register an operator.  Used by DP custom ops as well as the built-ins."""
-    _REGISTRY[name] = OpDef(forward, vjp, flops, forward_out, infer)
+    _REGISTRY[name] = OpDef(forward, vjp, flops, forward_out, infer,
+                            tuple(shape_only), view_of)
 
 
 def register_out_kernel(name: str, forward_out) -> None:
@@ -84,31 +102,27 @@ def op_flops(node: Node, inputs: Sequence[np.ndarray], output) -> int:
     return int(fn(node, inputs, output))
 
 
-# Ops that legitimately never get an ``out=`` kernel.  Alias/view ops run
-# zero-copy under plans (an out= kernel would *add* a copy); structural
-# pseudo-ops never appear as tape records (plans resolve them to slots at
-# compile time).  Everything else without ``forward_out`` is a coverage gap
-# paying the allocate-and-copy fallback — ``out_kernel_coverage()`` makes
-# the gap visible in ``repro info``.
-OUT_KERNEL_EXEMPT = {
-    # alias/view ops (see repro.tfmini.plan.ALIAS_OPS)
-    "reshape", "reshape_like", "item", "reduce_to_shape",
-    # structural: never executed as tape records
-    "constant", "placeholder", "variable",
-}
+# Structural pseudo-ops never appear as tape records (plans resolve them to
+# slots at compile time), so they legitimately never get an ``out=`` kernel.
+# Neither do view ops (``OpDef.view_of``), which run zero-copy under plans.
+# Everything else without ``forward_out`` is a coverage gap paying the
+# allocate-and-copy fallback — ``out_kernel_coverage()`` makes the gap
+# visible in ``repro info``.
+OUT_KERNEL_EXEMPT = {"constant", "placeholder", "variable"}
 
 
 def out_kernel_coverage() -> dict:
     """Destination-passing kernel coverage of the op registry.
 
     Returns ``{"covered": n, "eligible": m, "missing": [names...]}`` where
-    *eligible* excludes :data:`OUT_KERNEL_EXEMPT` (view ops and structural
-    pseudo-ops, which by design run without an ``out=`` kernel).
+    *eligible* excludes view ops (``view_of`` set) and the structural
+    pseudo-ops of :data:`OUT_KERNEL_EXEMPT`, which by design run without an
+    ``out=`` kernel.
     """
     covered = []
     missing = []
     for name in sorted(_REGISTRY):
-        if name in OUT_KERNEL_EXEMPT:
+        if name in OUT_KERNEL_EXEMPT or _REGISTRY[name].view_of is not None:
             continue
         if _REGISTRY[name].forward_out is not None:
             covered.append(name)
@@ -160,6 +174,8 @@ register_op(
     _fwd_reduce_to_shape,
     vjp=lambda node, g: [Node("broadcast_like", (g, node.inputs[0])), None],
     flops=lambda node, ins, out: ins[0].size,
+    shape_only=(1,),
+    view_of=0,
 )
 
 register_op(
@@ -168,6 +184,7 @@ register_op(
     vjp=lambda node, g: [reduce_to_shape(g, node.inputs[0]), None],
     flops=lambda node, ins, out: 0,
     forward_out=lambda inputs, attrs, out: np.copyto(out, inputs[0]),
+    shape_only=(1,),
 )
 
 
@@ -475,6 +492,7 @@ register_op(
     ],
     flops=lambda n, i, o: 0,
     forward_out=_out_slice_axis_grad,
+    shape_only=(1,),
 )
 
 
@@ -532,7 +550,7 @@ def _fwd_split_part_grad(inputs, attrs):
     return out
 
 
-def _out_split_part_grad(inputs, attrs, out):
+def _out_grad_of_split_part(inputs, attrs, out):
     h, a, b = inputs
     axis = attrs["axis"]
     out.fill(0)
@@ -542,26 +560,23 @@ def _out_split_part_grad(inputs, attrs, out):
     out[tuple(sl)] = h
 
 
-def _out_split_part(inputs, attrs, out):
-    # The forward is a zero-cost view; the out= kernel materializes the
-    # same slice straight into the arena slot (what the copy fallback did
-    # in two steps: view, then copy) without the interposed view object.
-    np.copyto(out, _fwd_split_part(inputs, attrs))
-
-
+# ``split_part`` is a basic slice of the cotangent: a view under
+# ``Session.run`` and, with ``view_of``, under plans too.
 register_op(
     "split_part",
     _fwd_split_part,
     vjp=_vjp_split_part,
     flops=lambda node, ins, out: 0,
-    forward_out=_out_split_part,
+    shape_only=(1, 2),
+    view_of=0,
 )
 register_op(
     "split_part_grad",
     _fwd_split_part_grad,
     vjp=lambda node, g: [Node("split_part", (g, node.inputs[1], node.inputs[2]), dict(node.attrs)), None, None],
     flops=lambda node, ins, out: 0,
-    forward_out=_out_split_part_grad,
+    forward_out=_out_grad_of_split_part,
+    shape_only=(1, 2),
 )
 
 
@@ -602,6 +617,7 @@ register_op(
     ],
     flops=lambda node, ins, out: 0,
     forward_out=_out_slice_grad,
+    shape_only=(1,),
 )
 
 register_op(
@@ -609,12 +625,15 @@ register_op(
     lambda inputs, attrs: inputs[0].reshape(attrs["shape"]),
     vjp=lambda node, g: [Node("reshape_like", (g, node.inputs[0]))],
     flops=lambda node, ins, out: 0,
+    view_of=0,
 )
 register_op(
     "reshape_like",
     lambda inputs, attrs: inputs[0].reshape(inputs[1].shape),
     vjp=lambda node, g: [Node("reshape_like", (g, node.inputs[0])), None],
     flops=lambda node, ins, out: 0,
+    shape_only=(1,),
+    view_of=0,
 )
 
 
@@ -725,6 +744,7 @@ register_op(
     ],
     flops=lambda n, i, o: o.size,
     forward_out=_out_bcast_reduce_grad,
+    shape_only=(1,),
 )
 
 
@@ -953,13 +973,14 @@ register_op(
     flops=lambda node, ins, out: (TANH_FLOPS_PER_ELEM + 2) * out[0].size,
     forward_out=_out_tanh_fused,
 )
-# ``item`` is a pure component selector on a tuple-valued input — compiled
-# plans treat it as an aliasing op (its output shares the producer's
-# storage), so it gets no destination-passing kernel on purpose.
+# ``item`` is a pure component selector on a tuple-valued input: its output
+# is the producer's own storage (``view_of``), so it gets no
+# destination-passing kernel on purpose.
 register_op(
     "item",
     lambda inputs, attrs: inputs[0][attrs["index"]],
     flops=lambda node, ins, out: 0,
+    view_of=0,
 )
 
 
@@ -1000,6 +1021,7 @@ register_op(
     forward_out=lambda inputs, attrs, out: np.copyto(
         out, inputs[0], casting="unsafe"
     ),
+    shape_only=(1,),
 )
 
 

@@ -93,6 +93,7 @@ register_op(
     flops=lambda n, i, o: 0,
     forward_out=_out_ii_like,
     infer=_inf_ii_like,
+    shape_only=(0,),
 )
 
 

@@ -23,19 +23,32 @@ kernel backend, thread-forked spans), so only the winner is here.
    value liveness ranges before allocation.  Deterministic (ties break on
    the topological index), and because tape records are pure (variables
    are updated *outside* the graph) the reordering cannot change a bit of
-   any result.
-3. **Liveness / alias analysis** — last-use indices per storage group on
-   the scheduled order.  Aliasing ops (``reshape``, ``item``, ...) whose
-   outputs share their input's storage have their lifetimes unioned so
-   recycling can never clobber a live view.
+   any result.  One reverse sweep over the scheduled tape then marks a
+   record *needed* when its output is a fetch or is read, at a position
+   its reader's ``OpDef.shape_only`` does not list, by a needed record.
+   The rest are **shape probes**: records whose *values* no kernel ever
+   reads — the pre-fusion ``matmul(h, W)`` that survives only as the
+   ``like`` of a ``reduce_to_shape(g, like)`` in the backward graph, which
+   is built before the Sec 5.3 passes run.  A probe runs in the warm run
+   of each feed-shape signature (that is how its shape is learned) and
+   never in a steady run; its slot then holds a zero-stride stand-in of
+   the right shape and dtype.  There is no switch: ``Session.run``, which
+   computes everything, is the oracle.
+3. **Value liveness / storage groups** — the last *value* read by a needed
+   record, per storage group, on the scheduled order.  A shape read does
+   not keep bytes alive: the slot still holds the arena view object,
+   whose shape outlives its bytes.  A view op (``OpDef.view_of``:
+   ``reshape``, ``item``, ``split_part``, ...) shares its output's storage
+   group with that one input, so recycling can never clobber a live view.
 4. **Interference coloring** — at arena-build time (shapes are known after
    one warm run per feed-shape signature) the plan builds the interference
-   graph over buffer-producing records (two interfere when their liveness
-   ranges ``[tape index, storage-group death]`` overlap) and colors it
-   first-fit in order of decreasing size; each color becomes ONE byte slab
-   sized to its largest member, and every record's output buffer is a view
-   into its color's slab.  Unlike the PR 3 FIFO recycler — which reused a
-   buffer only for a later record with the *exact same shape and dtype* —
+   graph over the needed buffer-producing records (two interfere when
+   their liveness ranges ``[tape index, storage-group death]`` overlap)
+   and colors it first-fit in order of decreasing size; each color becomes
+   ONE byte slab sized to its largest member, and every record's output
+   buffer is a view into its color's slab.  Unlike the PR 3 FIFO recycler
+   — which reused a buffer only for a later record with the *exact same
+   shape and dtype* —
    coloring shares storage across shapes, so the arena footprint drops to
    roughly the peak live set.  The FIFO allocator's footprint is still
    simulated per arena (``BufferArena.fifo_nbytes``) as the regression
@@ -51,13 +64,15 @@ allocate-and-copy-into-slot (the slot buffer stays stable; only the op's
 own temporary churns).
 
 When a feed arrives with a new shape signature the plan re-plans
-automatically: one extra "warm" run executes through the plain kernels,
-records every output's shape/dtype, and builds a fresh colored arena for
-that signature.  Previously-seen signatures keep their warm arenas, so
-drivers alternating between batch shapes (R=1 MD steps interleaved with
-R=8 serving batches) stop allocating once each shape has been seen — the
-same policy as :class:`repro.dp.batch.ScratchPool`, now applied inside the
-executor.
+automatically: one extra "warm" run executes every record, probes
+included, through the plain kernels — replacing each value by its
+stand-in once nothing later reads it, so peak memory is the live set and
+not the sum of all outputs — and builds a fresh colored arena for that
+signature from the shapes left in the slot table.  Previously-seen
+signatures keep their warm arenas, so drivers alternating between batch
+shapes (R=1 MD steps interleaved with R=8 serving batches) stop allocating
+once each shape has been seen — the same policy as
+:class:`repro.dp.batch.ScratchPool`, now applied inside the executor.
 
 Numerical contract: a plan run is **bitwise identical** to ``Session.run``
 on the same fetches and feeds — every ``out=`` kernel reproduces its
@@ -93,28 +108,21 @@ _INF = 1 << 62
 # Execution modes for tape records.
 _MODE_OUT = 0  # destination-passing kernel into an arena buffer
 _MODE_COPY = 1  # allocating kernel, result copied into a stable arena buffer
-_MODE_ALIAS = 2  # output shares the input's storage; run as-is, union lifetimes
+_MODE_ALIAS = 2  # OpDef.view_of: output may view that input; run as-is
 
 # Byte alignment for views carved out of a color's slab (covers every numpy
 # dtype and keeps tuple parts cache-line separated).
 _ALIGN = 64
 
-# Ops whose forward may return a view of (or exactly) one of its inputs.
-# They keep their zero-copy behavior under plans; the liveness pass unions
-# their storage with their inputs' so a live view is never recycled over.
-# Third-party view-producing ops can be added via :func:`mark_alias_op`;
-# unknown ops default to the copy fallback, which is alias-safe by
-# construction (values are copied out of whatever the op returned).
-ALIAS_OPS = {"reshape", "reshape_like", "item", "reduce_to_shape"}
 
-
-def mark_alias_op(name: str) -> None:
-    """Declare that op ``name`` may return a view of an input.
-
-    Affects plans compiled afterwards; already-compiled plans keep their
-    tape.
-    """
-    ALIAS_OPS.add(name)
+def _stand_in(value):
+    """Zero-stride placeholder with ``value``'s shape and dtype (and, for
+    tuple outputs, arity): what a slot holds once its bytes are gone."""
+    if isinstance(value, np.ndarray):
+        return np.broadcast_to(np.zeros((), value.dtype), value.shape)
+    if isinstance(value, tuple):
+        return tuple(_stand_in(v) for v in value)
+    return value
 
 
 @dataclass
@@ -142,6 +150,7 @@ class _Record:
         "attrs",
         "out_slot",
         "mode",
+        "needed",
     )
 
     def __init__(self, node, forward, forward_out, input_slots, attrs, out_slot, mode):
@@ -153,29 +162,38 @@ class _Record:
         self.attrs = attrs
         self.out_slot = out_slot
         self.mode = mode
+        self.needed = True  # False: a shape probe (set by _mark_needed)
+
+    def value_slots(self):
+        """Input slots whose *values* the kernel reads."""
+        shape_only = get_op(self.op).shape_only
+        return [s for pos, s in enumerate(self.input_slots)
+                if pos not in shape_only]
 
 
 class BufferArena:
     """Colored per-record output buffers for one feed-shape signature.
 
-    ``buffers[i]`` is the destination for tape record ``i``: an ndarray
-    view into one of the arena's color slabs, a tuple of views
-    (multi-output kernels like ``tanh_fused``), or ``None`` for alias
-    records and exotic outputs.  ``alloc_count`` counts color slabs and
-    ``alloc_bytes`` their total footprint; both only ever grow at build
-    time — a warmed plan performs zero arena allocations, which the
-    benchmarks assert deterministically.  ``fifo_nbytes`` is the footprint
+    ``steady`` is what a steady run walks: each needed record paired with
+    its destination — an ndarray view into one of the arena's color slabs,
+    a tuple of views (multi-output kernels like ``tanh_fused``), or ``None``
+    for alias records and exotic outputs.  ``probes`` holds each shape
+    probe's ``(slot, stand-in)`` for this signature's shapes.
+    ``alloc_count`` counts color slabs and ``alloc_bytes`` their total
+    footprint; both only ever grow at build time — a warmed plan performs
+    zero arena allocations, which the benchmarks assert deterministically.  ``fifo_nbytes`` is the footprint
     the PR 3 FIFO shape-keyed recycler would have needed for the same tape
     and shapes — the baseline the coloring allocator is regression-tested
     against.
     """
 
-    __slots__ = ("signature", "buffers", "alloc_count", "alloc_bytes",
-                 "fifo_nbytes")
+    __slots__ = ("signature", "steady", "probes", "alloc_count",
+                 "alloc_bytes", "fifo_nbytes")
 
     def __init__(self, signature):
         self.signature = signature
-        self.buffers: list = []
+        self.steady: list = []
+        self.probes: list = []
         self.alloc_count = 0
         self.alloc_bytes = 0
         self.fifo_nbytes = 0
@@ -238,22 +256,41 @@ def _schedule_tape(records: list, fetch_slots: Sequence[int]) -> list:
     return [records[i] for i in order]
 
 
-def _liveness(records: list, fetch_slots: Sequence[int], n_slots: int):
-    """Stage 3: last uses and alias storage groups on the scheduled tape.
+def _mark_needed(records: list, fetch_slots: Sequence[int], n_slots: int) -> None:
+    """One reverse sweep: a record is needed when its output is a fetch or
+    is value-read by a needed record; the rest are shape probes."""
+    value_read = [False] * n_slots
+    for s in fetch_slots:
+        value_read[s] = True
+    for rec in reversed(records):
+        rec.needed = value_read[rec.out_slot]
+        if rec.needed:
+            for s in rec.value_slots():
+                value_read[s] = True
 
-    Returns ``(find, death)``: ``find(slot)`` is the slot's storage-group
-    root, ``death[root]`` the last tape index reading any group member
-    (``_INF`` = fetched, pinned forever; ``-1`` = never read).
+
+def _liveness(records: list, fetch_slots: Sequence[int], n_slots: int):
+    """Stage 3: last value reads and storage groups on the scheduled tape.
+
+    Returns ``(find, death, warm_death)``: ``find(slot)`` is the slot's
+    storage-group root, ``death[root]`` the last tape index at which a
+    needed record reads the value of any group member (``_INF`` = fetched,
+    pinned forever; ``-1`` = never value-read).  ``warm_death`` also counts
+    the value reads of shape probes: the table of the warm run, the one
+    run that executes them.
     """
     last_use = [-1] * n_slots
+    warm_last_use = [-1] * n_slots
     for r_idx, rec in enumerate(records):
-        for s in rec.input_slots:
-            last_use[s] = r_idx  # records iterate in ascending order
+        for s in rec.value_slots():
+            warm_last_use[s] = r_idx  # records iterate in ascending order
+            if rec.needed:
+                last_use[s] = r_idx
     for s in fetch_slots:
-        last_use[s] = _INF
+        last_use[s] = warm_last_use[s] = _INF
 
-    # Storage groups: alias outputs share their inputs' storage, so a
-    # group dies only when its *last* member does.
+    # Storage groups: a view output shares its ``view_of`` input's storage,
+    # so a group dies only when its *last* member does.
     parent = list(range(n_slots))
 
     def find(s: int) -> int:
@@ -264,31 +301,30 @@ def _liveness(records: list, fetch_slots: Sequence[int], n_slots: int):
 
     for rec in records:
         if rec.mode == _MODE_ALIAS:
-            root = find(rec.out_slot)
-            for s in rec.input_slots:
-                parent[find(s)] = root
+            viewed = rec.input_slots[get_op(rec.op).view_of]
+            parent[find(viewed)] = find(rec.out_slot)
     death: dict[int, int] = {}
+    warm_death: dict[int, int] = {}
     for s in range(n_slots):
         r = find(s)
-        d = last_use[s]
-        if d > death.get(r, -1):
-            death[r] = d
-    return find, death
+        death[r] = max(death.get(r, -1), last_use[s])
+        warm_death[r] = max(warm_death.get(r, -1), warm_last_use[s])
+    return find, death, warm_death
 
 
 def _make_units(records: list, values: list, find, death) -> list:
-    """Allocation units for coloring: one per buffer-producing record.
+    """Allocation units for coloring: one per needed buffer-producing record.
 
-    Shapes come from the warm run's ``values``.  Unit rows are
-    ``[r_idx, death, padded, raw, parts, key]``: the liveness range is
-    ``[r_idx, death]``, ``padded`` the bytes the unit needs in a slab
-    (tuple outputs are laid out in ``_ALIGN``-separated ``parts``),
-    ``raw``/``key`` feed the FIFO baseline simulation.  Alias records and
-    exotic (non-ndarray) outputs stay unmanaged.
+    Shapes come from the warm run's ``values`` (stand-ins by now, mostly).
+    Unit rows are ``[r_idx, death, padded, raw, parts, key]``: the liveness
+    range is ``[r_idx, death]``, ``padded`` the bytes the unit needs in a
+    slab (tuple outputs are laid out in ``_ALIGN``-separated ``parts``),
+    ``raw``/``key`` feed the FIFO baseline simulation.  Alias records,
+    shape probes and exotic (non-ndarray) outputs stay unmanaged.
     """
     units: list[list] = []
     for r_idx, rec in enumerate(records):
-        if rec.mode == _MODE_ALIAS:
+        if rec.mode == _MODE_ALIAS or not rec.needed:
             continue
         val = values[rec.out_slot]
         if isinstance(val, np.ndarray):
@@ -432,7 +468,7 @@ class ExecutionPlan:
                     f"but not listed in feed_nodes"
                 )
             opdef = get_op(node.op)
-            if node.op in ALIAS_OPS:
+            if opdef.view_of is not None:
                 mode = _MODE_ALIAS
             elif opdef.forward_out is not None:
                 mode = _MODE_OUT
@@ -450,16 +486,28 @@ class ExecutionPlan:
                 )
             )
 
-        # --- stage 2: liveness list-schedule ------------------------------
+        # --- stage 2: liveness list-schedule, then the needed sweep -------
         self._records = _schedule_tape(records, self._fetch_slots)
+        _mark_needed(self._records, self._fetch_slots, n_slots)
+        self._n_needed = sum(rec.needed for rec in self._records)
 
-        # --- stage 3: liveness and alias groups on the scheduled order;
-        # stage 4, coloring, happens per arena once shapes are known.
-        self._find, self._death = _liveness(
+        # --- stage 3: value liveness and storage groups on the scheduled
+        # order; stage 4, coloring, happens per arena once shapes are known.
+        self._find, self._death, warm_death = _liveness(
             self._records, self._fetch_slots, n_slots
         )
+        # The warm run executes the probes too, so it retires a value only
+        # after their reads: ``_warm_retire[i]`` lists the record outputs
+        # to replace by stand-ins once record ``i`` has run.
+        self._warm_retire: list[list[int]] = [[] for _ in self._records]
+        for r_idx, rec in enumerate(self._records):
+            dth = warm_death[self._find(rec.out_slot)]
+            if dth != _INF:
+                self._warm_retire[max(dth, r_idx)].append(rec.out_slot)
 
         self._arenas: dict[tuple, BufferArena] = {}
+        # The arena whose probe stand-ins the slot table currently holds.
+        self._installed: Optional[BufferArena] = None
         # Plan-owned feed staging buffers (the "arena-aware batched engine"
         # seam): callers stage feed values directly into these persistent
         # slots instead of a second scratch pool, so one pool serves both
@@ -502,13 +550,19 @@ class ExecutionPlan:
         return self._find(slot)
 
     def death_index(self, slot: int) -> int:
-        """Last tape index reading ``slot``'s storage group (``1 << 62`` =
-        pinned forever, ``-1`` = never read)."""
+        """Last tape index value-reading ``slot``'s storage group
+        (``1 << 62`` = pinned forever, ``-1`` = never value-read)."""
         return self._death.get(self._find(slot), -1)
 
     @property
     def n_records(self) -> int:
-        return len(self._records)
+        """Records a steady run executes (the tape minus shape probes)."""
+        return self._n_needed
+
+    @property
+    def n_pruned(self) -> int:
+        """Shape probes: tape records only warm runs execute."""
+        return len(self._records) - self._n_needed
 
     @property
     def arenas(self) -> dict[tuple, BufferArena]:
@@ -592,6 +646,7 @@ class ExecutionPlan:
         self._feed_store.clear()
         self._feed_ids.clear()
         self.feed_nbytes = 0
+        self._installed = None
         self._values = [None] * self._n_slots
         for slot, value in self._const_slots:
             self._values[slot] = value
@@ -657,6 +712,7 @@ class ExecutionPlan:
         profile = session is not None and session.profile
         arena = self._arenas.get(signature)
         if arena is None:
+            self._installed = None  # the warm run rewrites every slot
             self._warm_run(profile, session)
             while len(self._arenas) >= self.max_arenas:
                 # FIFO eviction: drop the oldest warm arena (re-warms on
@@ -664,17 +720,25 @@ class ExecutionPlan:
                 # without bound.
                 self._arenas.pop(next(iter(self._arenas)))
                 self.stats.arena_evictions += 1
-            self._arenas[signature] = self._build_arena(signature)
+            arena = self._arenas[signature] = self._build_arena(signature)
+            self._installed = arena  # its stand-ins are what the run left
             self.stats.arena_builds += 1
             if self._verify_arenas:
                 # The soundness gate on the colored result: P103 re-checks
                 # buffer-address disjointness of live storage groups on the
                 # arena just built.
                 self.verify(raise_on_findings=True)
-        elif profile:
-            self._steady_run_profiled(arena, session)
         else:
-            self._steady_run(arena)
+            if arena is not self._installed:
+                # Probe slots are never rewritten by a steady run: switch
+                # them to this signature's shapes.
+                for slot, stand_in in arena.probes:
+                    values[slot] = stand_in
+                self._installed = arena
+            if profile:
+                self._steady_run_profiled(arena, session)
+            else:
+                self._steady_run(arena)
         self.stats.runs += 1
 
         outs = [values[s] for s in self._fetch_slots]
@@ -690,9 +754,13 @@ class ExecutionPlan:
     # ----------------------------------------------------------- execution
 
     def _warm_run(self, profile: bool, session) -> None:
-        """First run for a signature: plain kernels, shapes recorded."""
+        """First run for a signature: every record, probes included, through
+        the plain kernels.  Each value is replaced by its stand-in once its
+        storage group's last value read has run (fetches stay), so the slot
+        table ends up holding the shapes and the run's peak memory is its
+        live set."""
         values = self._values
-        for rec in self._records:
+        for rec, retire in zip(self._records, self._warm_retire):
             ins = [values[s] for s in rec.input_slots]
             if profile:
                 t0 = time.perf_counter()
@@ -704,14 +772,18 @@ class ExecutionPlan:
             else:
                 out = rec.forward(ins, rec.attrs)
             values[rec.out_slot] = out
+            del ins, out  # the loop's own references would keep them alive
+            for s in retire:
+                values[s] = _stand_in(values[s])
 
     def _build_arena(self, signature) -> BufferArena:
         """Stage 4: interference-color the warm run's shapes into slabs.
 
-        Each buffer-producing record is an allocation unit with liveness
-        range ``[tape index, storage-group death]``.  Units whose ranges
-        overlap *interfere* and must not share storage; non-interfering
-        units may.  Greedy coloring (first-fit by decreasing size) assigns
+        Each needed buffer-producing record is an allocation unit with
+        liveness range ``[tape index, storage-group death]``.  Units whose
+        ranges overlap *interfere* and must not share storage;
+        non-interfering units may.  Greedy coloring (first-fit by
+        decreasing size) assigns
         each unit a color; the arena allocates ONE byte slab per color,
         sized to the color's largest member, and every unit's buffer is a
         shape/dtype view into its slab.  The FIFO recycler's footprint is
@@ -719,8 +791,7 @@ class ExecutionPlan:
         """
         records = self._records
         arena = BufferArena(signature)
-        buffers = arena.buffers
-        buffers.extend([None] * len(records))
+        buffers: list = [None] * len(records)
 
         units = _make_units(records, self._values, self._find, self._death)
         caps, assign = _color_units(units)
@@ -735,6 +806,10 @@ class ExecutionPlan:
                     np.ndarray(shape, dtype=dtype, buffer=slab, offset=off)
                     for shape, dtype, off in parts
                 )
+        arena.steady = [(rec, buf) for rec, buf in zip(records, buffers)
+                        if rec.needed]
+        arena.probes = [(rec.out_slot, self._values[rec.out_slot])
+                        for rec in records if not rec.needed]
 
         # --- FIFO baseline simulation (what PR 3's recycler would use) ---
         # The baseline allocator recycled a dead buffer only for a later
@@ -756,9 +831,9 @@ class ExecutionPlan:
         return arena
 
     def _steady_run(self, arena: BufferArena) -> None:
-        """The hot loop: flat tape, slot indexing, arena destinations."""
+        """The hot loop: needed records, slot indexing, arena destinations."""
         values = self._values
-        for rec, buf in zip(self._records, arena.buffers):
+        for rec, buf in arena.steady:
             ins = [values[s] for s in rec.input_slots]
             if buf is None:
                 values[rec.out_slot] = rec.forward(ins, rec.attrs)
@@ -777,7 +852,7 @@ class ExecutionPlan:
     def _steady_run_profiled(self, arena: BufferArena, session) -> None:
         values = self._values
         stats = session.stats
-        for rec, buf in zip(self._records, arena.buffers):
+        for rec, buf in arena.steady:
             ins = [values[s] for s in rec.input_slots]
             t0 = time.perf_counter()
             if buf is None:
@@ -807,11 +882,12 @@ def compile_plan(
 ) -> ExecutionPlan:
     """Compile ``fetches`` into an :class:`ExecutionPlan`.
 
-    Runs the pipeline (tape build → liveness list-schedule → liveness/alias
-    analysis; interference coloring happens per feed-shape signature at
-    warm time) exactly once; every subsequent :meth:`ExecutionPlan.run` is
-    a flat tape walk into colored, persistent output buffers.  Results are
-    bitwise identical to ``Session.run`` on the same fetches and feeds.
+    Runs the pipeline (tape build → liveness list-schedule and needed sweep
+    → value liveness; interference coloring happens per feed-shape
+    signature at warm time) exactly once; every subsequent
+    :meth:`ExecutionPlan.run` is a flat walk over the needed records into
+    colored, persistent output buffers.  Results are bitwise identical to
+    ``Session.run`` on the same fetches and feeds.
     ``verify=True`` (or ``REPRO_VERIFY_PLANS=1``) runs the static plan
     verifier's structural checks at compile time and on every freshly
     colored arena.

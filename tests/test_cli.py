@@ -17,8 +17,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Everything ``plan-report`` / ``check-plans --report`` writes per plan.
 PLAN_REPORT_KEYS = {
-    "plan", "ok", "findings", "records", "arenas", "arena_nbytes_colored",
-    "arena_nbytes_fifo", "arena_bytes_saved",
+    "plan", "ok", "findings", "records", "records_pruned", "arenas",
+    "arena_nbytes_colored", "arena_nbytes_fifo", "arena_bytes_saved",
 }
 
 

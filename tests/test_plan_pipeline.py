@@ -8,6 +8,8 @@ Covers :mod:`repro.tfmini.plan` end to end:
   ``Session.run`` oracle (``use_plan=False``), colors strictly below the
   FIFO shape-keyed baseline, and performs zero arena allocations once warm;
 - the whole zoo matrix verifies clean under P101–P108;
+- a steady run executes exactly the records whose values are read (pinned
+  counts per zoo plan; trainer plans have nothing to prune);
 - the metric dicts (``plan_metrics``, ``InferenceServer.executor_stats``)
   carry exactly the documented keys.
 """
@@ -160,11 +162,57 @@ class TestColoringAllocator:
         engine.evaluate_batch([system], [pairs])
         m = plan_metrics(engine.plan)
         assert set(m) == {
-            "records", "arenas", "arena_nbytes_colored", "arena_nbytes_fifo",
-            "arena_bytes_saved",
+            "records", "records_pruned", "arenas", "arena_nbytes_colored",
+            "arena_nbytes_fifo", "arena_bytes_saved",
         }
         assert m["records"] == engine.plan.n_records
+        assert m["records_pruned"] == engine.plan.n_pruned
         assert m["arenas"] == 1
+
+
+def assert_runs_exactly_what_is_read(plan):
+    """Needed == fetched or value-read by a needed record — so no executed
+    record has only shape readers, and nothing that is read is skipped."""
+    value_read = set(plan._fetch_slots)
+    for rec in plan._records:
+        if rec.needed:
+            value_read.update(rec.value_slots())
+    for rec in plan._records:
+        assert rec.needed == (rec.out_slot in value_read), rec.op
+    assert plan.n_records + plan.n_pruned == len(plan._records)
+
+
+class TestNeededRecords:
+    """Structure only: nothing here runs a plan."""
+
+    @pytest.mark.parametrize("species,precision,steady,pruned", [
+        ("copper", "double", 111, 10), ("copper", "mixed", 115, 10),
+        ("water", "double", 323, 31), ("water", "mixed", 331, 31),
+    ])
+    def test_zoo_evaluate_plans(self, species, precision, steady, pruned):
+        plan = BatchedEvaluator(DeepPot(SPECIES[species][0](precision))).plan
+        assert (plan.n_records, plan.n_pruned) == (steady, pruned)
+        assert_runs_exactly_what_is_read(plan)
+
+    @pytest.mark.parametrize("species,records", [("water", 986), ("copper", 352)])
+    def test_trainer_plans_prune_nothing(self, species, records):
+        config_fn, system_fn, oracle_fn = SPECIES[species]
+        model = DeepPot(config_fn("double"))
+        dataset = label_frames([system_fn()], oracle_fn())
+        dataset.apply_stats(model)
+        plan = Trainer(model, dataset, TrainConfig(n_steps=1, log_every=10)).plan
+        assert (plan.n_records, plan.n_pruned) == (records, 0)
+        assert_runs_exactly_what_is_read(plan)
+
+    def test_fig3_shaped_plan(self):
+        """Paper-sized nets (25/50/100 embedding, 240^3 fitting, one type) on
+        a small ``sel``: the tape ``md_copper_fig3`` compiles."""
+        from repro.dp.model import DPConfig
+
+        plan = BatchedEvaluator(DeepPot(DPConfig(
+            type_names=("Cu",), rcut=4.0, rcut_smth=2.0, sel=(12,)))).plan
+        assert (plan.n_records, plan.n_pruned) == (111, 10)
+        assert_runs_exactly_what_is_read(plan)
 
 
 class TestServingStats:

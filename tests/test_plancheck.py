@@ -44,6 +44,21 @@ def chain_plan():
     return plan
 
 
+def shape_read_plan():
+    """x -> a -> b -> c, then ``reshape_like(c, a)``: the view reads ``a``'s
+    shape two records after the last read of ``a``'s value."""
+    x = tf.placeholder("x", dtype=np.float64)
+    a = tf.tanh(x)
+    b = tf.tanh(a)
+    c = tf.tanh(b)
+    out = tf.Node("reshape_like", (c, a))
+    plan = compile_plan([out], [x])
+    feeds = {x: np.linspace(0.0, 1.0, 12).reshape(4, 3)}
+    plan.run(feeds)
+    assert np.array_equal(plan.run(feeds)[0], tf.Session().run(out, feeds))
+    return plan
+
+
 def perturbed(base, n, scale=0.02):
     out = []
     for k in range(n):
@@ -115,6 +130,43 @@ class TestStructuralSoundness:
         report = verify_plan(plan)
         assert [(f.rule, f.record) for f in report.findings] == [("P102", 2)]
 
+    def test_shape_read_after_retirement_is_clean(self):
+        plan = shape_read_plan()
+        view_idx = len(plan._records) - 1
+        value_slot, like_slot = plan._records[view_idx].input_slots
+        # ``a``'s bytes were recycled long before the view reads its shape,
+        # and ``a`` is not in the view's storage group: only the ``view_of``
+        # input is (P104 has nothing to say about ``like``).
+        assert plan.death_index(like_slot) == 1 < view_idx
+        assert plan.storage_root(like_slot) != plan.storage_root(value_slot)
+        assert verify_plan(plan).ok
+
+    def test_p102_value_read_after_retirement(self):
+        plan = shape_read_plan()
+        view_idx = len(plan._records) - 1
+        value_slot, like_slot = plan._records[view_idx].input_slots
+        # The same late read, now at the value position.
+        plan._records[view_idx].input_slots = (like_slot, value_slot)
+        report = verify_plan(plan)
+        assert ("P102", view_idx) in [(f.rule, f.record) for f in report.findings]
+
+    def test_p102_warm_run_retires_too_early(self):
+        plan = chain_plan()
+        slot_a = plan._records[0].out_slot
+        plan._warm_retire[1].remove(slot_a)
+        plan._warm_retire[0].append(slot_a)  # gone before record 1 reads it
+        report = verify_plan(plan)
+        assert [(f.rule, f.record) for f in report.findings] == [("P102", 1)]
+
+    def test_p101_needed_record_reads_a_probe_by_value(self):
+        plan = chain_plan()
+        # Claim record 0 is a shape probe: steady runs would skip it, yet
+        # record 1 reads its value.
+        plan._records[0].needed = False
+        report = verify_plan(plan)
+        assert [(f.rule, f.record) for f in report.findings] == [("P101", 1)]
+        assert "shape probe" in report.findings[0].message
+
     def test_p103_arena_reuse_overlap(self):
         plan = chain_plan()
         arena = next(iter(plan._arenas.values()))
@@ -122,7 +174,7 @@ class TestStructuralSoundness:
         # Give record 1 the same buffer object record 0 owns while record
         # 0's group is still live at record 1 (its death IS record 1).
         assert plan.death_index(plan._records[0].out_slot) == 1
-        arena.buffers[1] = arena.buffers[0]
+        arena.steady[1] = (arena.steady[1][0], arena.steady[0][1])
         report = verify_plan(plan)
         assert ("P103", 1) in [(f.rule, f.record) for f in report.findings]
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.dp.model  # noqa: F401  (registers the DP custom ops)
 import repro.tfmini as tf
-from repro.tfmini.graph import topo_sort
-from repro.tfmini.ops import op_category, scale
+from repro.tfmini.graph import Node, topo_sort
+from repro.tfmini.ops import _REGISTRY, get_op, op_category, op_flops, scale
 
 
 @pytest.fixture
@@ -243,3 +244,92 @@ class TestGraphUtilities:
 
         with pytest.raises(KeyError, match="unknown op"):
             sess.run(Node("no_such_op", (tf.constant(1.0),)))
+
+
+# ---------------------------------------------------------------------------
+# OpDef.shape_only: the declarations cannot lie
+# ---------------------------------------------------------------------------
+#
+# The plan compiler never computes a value that is read only at positions
+# an op declares ``shape_only``, and recycles its bytes early.  A position
+# declared by mistake is silent wrong physics, so every declaration is
+# gated here: poisoning the declared inputs must not change one output bit.
+
+_R = np.random.default_rng(17)
+
+
+def _f(*shape, dtype=np.float64):
+    return _R.normal(size=shape).astype(dtype)
+
+
+# op -> [(inputs, attrs), ...]; every branch of the kernel gets a case.
+SHAPE_ONLY_CASES = {
+    "reduce_to_shape": [([_f(4, 3), _f(3)], {}), ([_f(4, 3), _f(4, 3)], {})],
+    "broadcast_like": [([_f(3), _f(4, 3)], {})],
+    "reshape_like": [([_f(4, 3), _f(2, 6)], {})],
+    "split_part": [
+        ([_f(4, 6), _f(4, 2), _f(4, 4)], {"axis": -1, "part": part})
+        for part in (0, 1)
+    ],
+    "split_part_grad": [
+        ([_f(4, 2), _f(4, 2), _f(4, 4)], {"axis": -1, "part": 0}),
+        ([_f(4, 4), _f(4, 2), _f(4, 4)], {"axis": -1, "part": 1}),
+    ],
+    "slice_axis_grad": [
+        ([_f(2, 3), _f(5, 3)], {"axis": 0, "start": 1, "stop": 3}),
+    ],
+    "slice_grad": [([_f(4, 2), _f(4, 5)], {"start": 1, "stop": 3})],
+    "bcast_reduce_grad": [
+        ([_f(3), _f(4, 3)], {"axis": 0, "mean": False}),
+        ([_f(4), _f(4, 3)], {"axis": 1, "mean": True}),
+        ([_f(), _f(4, 3)], {"axis": None, "mean": True}),
+    ],
+    "cast_like": [([_f(4), _f(2, dtype=np.float32)], {})],
+    "ones_like": [([_f(4, 3)], {}), ([_f(2, dtype=np.float32)], {})],
+    "ii_like": [([_f(5, 3)], {})],
+    "prod_virial": [
+        ([_f(2, 3, 4), _f(2, 3, 4, 3), _f(2, 3, 3),
+          np.arange(6, dtype=np.int64).reshape(2, 3)], {}),
+    ],
+}
+
+
+def _poisoned(x):
+    bad = np.nan if x.dtype.kind == "f" else np.iinfo(x.dtype).min
+    return np.full(x.shape, bad, dtype=x.dtype)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestShapeOnlyDeclarations:
+    def test_every_declaring_op_has_a_case(self):
+        declared = {name for name, op in _REGISTRY.items() if op.shape_only}
+        assert declared == set(SHAPE_ONLY_CASES)
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_ONLY_CASES))
+    def test_declared_inputs_are_never_read_by_value(self, name):
+        opdef = get_op(name)
+        for inputs, attrs in SHAPE_ONLY_CASES[name]:
+            poisoned = [
+                _poisoned(x) if pos in opdef.shape_only else x
+                for pos, x in enumerate(inputs)
+            ]
+            want = np.asarray(opdef.forward(inputs, attrs))
+            got = np.asarray(opdef.forward(poisoned, attrs))
+            assert _same_bits(got, want), (name, attrs)
+            if opdef.forward_out is not None:
+                out = np.full(want.shape, 7, dtype=want.dtype)
+                opdef.forward_out(poisoned, attrs, out)
+                assert _same_bits(out, want), (name, attrs)
+            node = Node(name, tuple(tf.constant(x) for x in inputs), attrs)
+            assert op_flops(node, poisoned, got) == op_flops(node, inputs, want)
+
+    def test_a_value_read_is_caught(self):
+        """The gate bites: ``reduce_to_shape``'s input 0 *is* read."""
+        (x, like), attrs = SHAPE_ONLY_CASES["reduce_to_shape"][0]
+        forward = get_op("reduce_to_shape").forward
+        assert not _same_bits(
+            forward([_poisoned(x), like], attrs), forward([x, like], attrs)
+        )

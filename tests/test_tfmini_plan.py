@@ -10,11 +10,18 @@ The contract under test (see :mod:`repro.tfmini.plan`):
 * a feed shape change re-plans automatically, and previously seen shapes
   keep their warm arenas;
 * profiling through a plan produces the same ``OpStats`` call/FLOP/byte
-  counters as the instrumented ``Session.run`` (Fig-3 parity).
+  counters as the instrumented ``Session.run`` (Fig-3 parity) — in a steady
+  run minus exactly the shape probes, which it does not execute;
+* random small graphs (hypothesis) through ``tf.grad`` and the fusion
+  passes stay bitwise warm and steady while alternating two feed shapes.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.tfmini as tf
 from repro.tfmini import graph
@@ -193,24 +200,28 @@ class TestSyntheticGraphs:
         assert np.array_equal(out1, ref)
         assert out1 is out2  # OUT mode: stable arena buffer
 
-    def test_mark_alias_op_affects_later_plans(self):
-        from repro.tfmini.plan import ALIAS_OPS, mark_alias_op
+    def test_view_of_registration_affects_later_plans(self):
+        # The extension hook for third-party view ops: declared with
+        # ``view_of`` the op stays zero-copy under plans compiled afterwards
+        # (undeclared, it pays the copy fallback, which is alias-safe).
+        def first_half(inputs, attrs):
+            return inputs[0][: len(inputs[0]) // 2]
 
-        register_op("plan_test_first_half", lambda inputs, attrs: inputs[0][: len(inputs[0]) // 2])
-        assert "plan_test_first_half" not in ALIAS_OPS
-        mark_alias_op("plan_test_first_half")
-        try:
-            x = tf.placeholder("x")
-            node = tf.tanh(graph.Node("plan_test_first_half", (x,)))
-            plan = tf.compile_plan(node, [x])
-            feeds = {x: np.linspace(0, 1, 8)}
-            ref = tf.Session().run(node, feeds)
+        x = tf.placeholder("x")
+        node = tf.tanh(graph.Node("plan_test_first_half", (x,)))
+        feeds = {x: np.linspace(0, 1, 8)}
+        ref = np.tanh(feeds[x][:4])
+
+        register_op("plan_test_first_half", first_half)
+        copying = tf.compile_plan(node, [x])
+        register_op("plan_test_first_half", first_half, view_of=0)
+        viewing = tf.compile_plan(node, [x])
+        for plan in (copying, viewing):
             plan.run(feeds)
             assert np.array_equal(plan.run(feeds), ref)
-            # alias records own no arena buffer: only tanh allocated
-            assert plan.alloc_count() == 1
-        finally:
-            ALIAS_OPS.discard("plan_test_first_half")
+        assert copying.alloc_count() == 2  # already compiled: keeps its tape
+        # view records own no arena buffer: only tanh allocated
+        assert viewing.alloc_count() == 1
 
     def test_missing_placeholder_raises_at_compile(self):
         x = tf.placeholder("x")
@@ -263,6 +274,17 @@ class TestSyntheticGraphs:
         assert np.array_equal(b, np.tanh(np.ones(3)))
 
 
+def assert_steady_stats_are_session_minus_probes(plan, steady, ref):
+    """A profiled steady run records what ``Session.run`` records, minus
+    exactly the shape probes (records whose values nothing reads)."""
+    probes = Counter(r.op for r in plan._records if not r.needed)
+    assert sum(probes.values()) == plan.n_pruned > 0
+    assert +Counter(steady.calls) == Counter(ref.calls) - probes
+    for op in set(ref.calls) - set(probes):
+        assert steady.flops[op] == ref.flops[op]
+        assert steady.bytes[op] == ref.bytes[op]
+
+
 class TestProfilingParity:
     def test_opstats_parity_with_session(self):
         fetches, x = _mlp_fetches(True)
@@ -272,14 +294,15 @@ class TestProfilingParity:
 
         plan = tf.compile_plan(fetches, [x])
         s_warm = tf.Session(profile=True)
-        plan.run(feeds, session=s_warm)  # warm (plain kernels)
+        plan.run(feeds, session=s_warm)  # warm: every record, plain kernels
         s_steady = tf.Session(profile=True)
-        plan.run(feeds, session=s_steady)  # steady (arena kernels)
+        plan.run(feeds, session=s_steady)  # steady: needed records only
 
-        for s in (s_warm, s_steady):
-            assert dict(s.stats.calls) == dict(s_ref.stats.calls)
-            assert dict(s.stats.flops) == dict(s_ref.stats.flops)
-            assert dict(s.stats.bytes) == dict(s_ref.stats.bytes)
+        assert dict(s_warm.stats.calls) == dict(s_ref.stats.calls)
+        assert dict(s_warm.stats.flops) == dict(s_ref.stats.flops)
+        assert dict(s_warm.stats.bytes) == dict(s_ref.stats.bytes)
+        assert_steady_stats_are_session_minus_probes(
+            plan, s_steady.stats, s_ref.stats)
 
     def test_unprofiled_plan_records_nothing(self):
         fetches, x = _mlp_fetches(False)
@@ -287,6 +310,74 @@ class TestProfilingParity:
         sess = tf.Session(profile=False)
         plan.run({x: np.ones((2, 6))}, session=sess)
         assert sess.stats.total_seconds() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# random graphs: grad + fusion passes leave shape probes and views behind
+# ---------------------------------------------------------------------------
+
+_STEPS = ("dense", "skip", "tanh", "bias", "reshape", "slice")
+
+
+def _random_graph(steps, seed):
+    """A chain over ``x: (n, 3)`` built from the vocabulary the DP nets use
+    (rank-1 bias ``add``, ``matmul``, self-``concat`` skip, ``tanh``,
+    ``reshape``, ``slice_axis``), differentiated and graph-optimized — the
+    backward graph keeps pre-fusion forward nodes alive as ``like`` inputs."""
+    rng = np.random.default_rng(seed)
+    x = tf.placeholder("x")
+    params = []
+
+    def var(*shape):
+        params.append(tf.variable(rng.normal(size=shape)))
+        return params[-1]
+
+    h, k = x, 3
+    for step in steps:
+        if step == "dense":
+            k_out = int(rng.integers(1, 5))
+            h = tf.tanh(tf.add(tf.matmul(h, var(k, k_out)), var(k_out)))
+            k = k_out
+        elif step == "skip" and k <= 6:
+            y = tf.tanh(tf.matmul(h, var(k, 2 * k)))
+            h = tf.add(tf.concat(h, h, axis=-1), y)
+            k = 2 * k
+        elif step == "tanh":
+            h = tf.tanh(h)
+        elif step == "bias":
+            h = tf.add(h, var(k))
+        elif step == "reshape":
+            h = tf.reshape(tf.reshape(h, (-1,)), (-1, k))
+        elif step == "slice" and k > 1:
+            start = int(rng.integers(0, k - 1))
+            stop = int(rng.integers(start + 1, k + 1))
+            h = tf.slice_axis(h, 1, start, stop)
+            k = stop - start
+    y = tf.reduce_sum(tf.square(h))
+    fetches = [y] + tf.grad(y, [x] + params)
+    return tf.optimize_graph(fetches), x
+
+
+class TestRandomGraphs:
+    @given(
+        steps=st.lists(st.sampled_from(_STEPS), min_size=1, max_size=6),
+        seed=st.integers(0, 10**6),
+        rows=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_warm_and_steady_bitwise_over_two_feed_shapes(self, steps, seed, rows):
+        fetches, x = _random_graph(steps, seed)
+        plan = tf.compile_plan(fetches, [x], verify=True)
+        sess = tf.Session()
+        rng = np.random.default_rng(seed + 1)
+        # warm, warm, then two steady runs each, re-installing the other
+        # signature's probe stand-ins every time
+        for n in rows * 3:
+            feeds = {x: rng.normal(size=(n, 3))}
+            for got, want in zip(plan.run(feeds), sess.run(fetches, feeds)):
+                got, want = np.asarray(got), np.asarray(want)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +471,17 @@ class TestDeepPotPlans:
         planned = BatchedEvaluator(model)
         oracle = BatchedEvaluator(model, use_plan=False)
         planned.evaluate_batch([system], [(pi, pj)])  # warm outside profiling
-        session = model.session
-        counts = {}
+        stats = {}
+        real_session = model.session
         try:
-            session.profile = True
             for key, engine in (("plan", planned), ("sess", oracle)):
-                session.stats.reset()
+                model.session = tf.Session(profile=True)
                 engine.evaluate_batch([system], [(pi, pj)])
-                counts[key] = (
-                    dict(session.stats.calls),
-                    dict(session.stats.flops),
-                    dict(session.stats.bytes),
-                )
+                stats[key] = model.session.stats
         finally:
-            session.profile = False
-            session.stats.reset()
-        assert counts["plan"] == counts["sess"]
-        assert sum(counts["plan"][0].values()) > 0
+            model.session = real_session
+        assert_steady_stats_are_session_minus_probes(
+            planned.plan, stats["plan"], stats["sess"])
 
 
 class TestTrainingStepPlans:
