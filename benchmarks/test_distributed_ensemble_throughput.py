@@ -1,4 +1,4 @@
-"""Distributed-ensemble force evaluation: bucketed batching vs per-rank.
+"""Distributed-ensemble force evaluation: bucketed batching vs per-frame.
 
 The parallel layer's thesis (Sec 5.4 + the amortization lesson of the
 follow-up DPMD papers): R replicas x P ranks produce R x P sub-domain
@@ -10,11 +10,11 @@ Two kinds of assertions (the established bench policy):
 
 * deterministic (always on): a step issues exactly ``bucket_count`` batched
   evaluations — strictly fewer than R x P; every evaluation goes through the
-  locals-first ghost-stacked staging path; the bucket partition is computed
-  once, not per step; and the engine's scratch pool stops allocating after
-  warm-up;
+  locals-first ghost-stacked staging path; and the engine's scratch pool
+  stops allocating after warm-up;
 * wall-clock (paired interleaved trials, gated on REPRO_BENCH_STRICT):
-  the fused ensemble step beats R independent per-rank-path simulations.
+  the fused ensemble step beats R independent simulations over the seam's
+  reference backend (``PerFrameBackend``: one evaluation per rank frame).
   The workload is many small replicas — the regime where fixed cost
   dominates a frame (measured ~0.64 median ratio on the dev host).
 """
@@ -25,6 +25,7 @@ import pytest
 from benchmarks.conftest import bench_paired_trials, bench_strict, print_header
 from repro.analysis.structures import water_box
 from repro.dp import DeepPot, DPConfig
+from repro.dp.backend import PerFrameBackend
 from repro.md import boltzmann_velocities
 from repro.parallel import DistributedEnsembleSimulation, DistributedSimulation
 
@@ -58,7 +59,9 @@ def make_per_rank(model, base):
         s = base.copy()
         boltzmann_velocities(s, 300.0, seed=1 + k)
         solos.append(
-            DistributedSimulation(s, model, force_path="per-rank", **KW)
+            DistributedSimulation(
+                s, model, force_backend=PerFrameBackend(model), **KW
+            )
         )
     return solos
 
@@ -73,7 +76,6 @@ def test_one_evaluation_per_bucket_per_step(model, base):
     per_step = (backend.evaluations - before) / n_steps
     assert per_step == backend.bucket_count
     assert backend.bucket_count < R * P
-    assert backend.rebuckets == 1  # partition cached, not rebuilt per step
     assert backend.engine.general_batches == 0
     assert backend.engine.ghost_stacked_batches == backend.evaluations
     # A per-rank schedule would have issued R*P evaluations per step.

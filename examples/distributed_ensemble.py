@@ -10,7 +10,6 @@ batched graph evaluation per bucket.
 What to look for in the output:
 
 * evaluations per step == bucket count, strictly fewer than R x P;
-* the bucket partition is computed once per reneighboring, not per step;
 * replica 0's trajectory is bitwise identical to an independent
   DistributedSimulation run with the same seed — batching never changes
   physics.
@@ -65,8 +64,7 @@ def main() -> None:
     print(
         f"\n{args.steps} steps: {evals} batched evaluations "
         f"({evals / args.steps:.1f}/step for {R * P} frames/step; "
-        f"bucket count {backend.bucket_count}, "
-        f"{backend.rebuckets} rebucketings)"
+        f"bucket count {backend.bucket_count})"
     )
     engine = backend.engine
     print(

@@ -15,9 +15,10 @@ Submodules mirror the structure of the optimized DeePMD-kit:
   double or mixed precision (Sec 5.2.3);
 * :mod:`repro.dp.batch` — :class:`BatchedEvaluator`: R replica frames stacked
   through one set of batched GEMMs with persistent scratch buffers;
-* :mod:`repro.dp.backend` — :class:`ForceBackend`: the shape-bucketed
-  evaluation seam all MD drivers (serial, ensemble, distributed,
-  distributed-ensemble) feed :class:`ForceFrame` s into;
+* :mod:`repro.dp.backend` — the force seam, ``evaluate(frames)``: all MD
+  drivers (serial, ensemble, distributed, distributed-ensemble) feed
+  :class:`ForceFrame` s into a :class:`ForceBackend` (validated, then
+  shape-bucketed batched evaluation);
 * :mod:`repro.dp.pair` — the ``pair_style deepmd`` adapter into repro.md;
 * :mod:`repro.dp.train` — energy+force loss with double backprop, Adam;
 * :mod:`repro.dp.data` — labeled datasets generated from the oracles;

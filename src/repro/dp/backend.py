@@ -1,59 +1,69 @@
-"""Unified force backend — the one evaluation seam behind every MD driver.
+"""The force seam — the one evaluation interface behind every MD driver.
 
-The paper's scaling story (Sec 5.4, Fig 1a) is domain decomposition feeding
-a batched evaluator: MD parallelism produces many sub-domain frames per
-step, and the fixed per-evaluation cost (graph dispatch, staging, Python
-bookkeeping) must be amortized across them.  Before this layer existed each
-driver owned its own evaluate path — the serial :class:`~repro.md.
-simulation.Simulation` through ``DeepPotPair``, the replica ensemble through
-a private engine, and the distributed driver called ``DeepPot.evaluate``
-once per rank per step, so the R x P frames that replica x rank parallelism
-naturally produces never reached the batching machinery at all.
+The paper has exactly one interface between the MD code and the model:
+LAMMPS hands ``pair_style deepmd`` the atoms and a neighbour list and gets
+forces back (Sec 5.4, Fig 1a).  This module is that interface.  Drivers
+describe work as :class:`ForceFrame` s (a system snapshot + half pair list
++ ghost split) and call ``evaluate(frames) -> [PotentialResult]`` — one
+result per frame, in frame order.  That one method is the whole contract:
+there is nothing to invalidate, configure or warm, so the serial
+:class:`~repro.md.simulation.Simulation` (through ``DeepPotPair``), the
+replica ensemble and the distributed drivers run unchanged over any of the
+three implementations here:
 
-:class:`ForceBackend` is that shared layer.  Drivers describe work as
-:class:`ForceFrame` s (a system snapshot + half pair list + ghost split) and
-call :meth:`ForceBackend.evaluate`; the backend groups the frames into
-shape buckets (:func:`repro.dp.batch.frame_bucket_key`), issues ONE batched
-graph evaluation per bucket through a :class:`~repro.dp.batch.
-BatchedEvaluator`, and returns per-frame results in order — each bitwise
-identical to evaluating its frame alone (the retained per-rank oracle
-path).  The bucket partition is cached between calls and recomputed only
-when the frame population changes shape — drivers call
-:meth:`invalidate_buckets` on reneighbor/migration, and a cheap per-call
-validation (atom counts, ghost splits, box lengths) catches anything the
-driver missed, so a stale partition can never produce wrong physics, only
-a suboptimal grouping.
-
-Swappable seam
---------------
-The backend's contract is deliberately tiny — ``evaluate(frames) ->
-[PotentialResult]`` plus ``invalidate_buckets()`` — so alternative
-implementations can be dropped behind the same drivers.  In particular, an
-:class:`~repro.serving.worker.InferenceServer`-backed implementation that
-submits frames to a shared serving pool (so interactive clients and
-long-running samplers coalesce into one set of batches) only has to speak
-this protocol; the drivers do not change.
+* :class:`ForceBackend` — production.  Refuses frames that cannot be
+  evaluated honestly (:class:`InvalidFrame`), then hands the rest to
+  :meth:`BatchedEvaluator.evaluate_frames
+  <repro.dp.batch.BatchedEvaluator.evaluate_frames>`: one batched graph run
+  per shape bucket, each result bitwise identical to evaluating its frame
+  alone.
+* :class:`PerFrameBackend` — the seam's reference implementation: one
+  ``DeepPot.evaluate`` per frame and nothing else.  It exists so tests and
+  ``benchmarks/`` can inject the unbatched schedule through a driver's
+  ``force_backend=`` argument and assert the production backend against
+  it bitwise; no driver builds one by default.
+* :class:`ServingForceBackend` — the same contract over an inference
+  client, so MD drivers evaluate through a shared serving pool.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.dp.batch import (
-    BatchedEvaluator,
-    frame_bucket_key,
-    frame_light_key,
-    plan_frame_buckets,
-)
+from repro.dp.batch import BatchedEvaluator
 from repro.md.potential import Potential, PotentialResult
+
+
+class InvalidFrame(ValueError):
+    """The frame itself was refused before evaluation: non-finite positions,
+    non-finite or non-positive box lengths, or type ids outside the model's
+    ``[0, n_types)``.  Evaluating it would return finite-looking wrong
+    physics (a NaN atom just falls out of every neighbour comparison), so
+    it fails alone, before it can share a batch with anyone."""
+
+
+def frame_problem(system, n_types: int) -> Optional[str]:
+    """Why ``system`` cannot be evaluated honestly, or ``None`` if it can."""
+    if not np.isfinite(system.positions).all():
+        return "non-finite positions"
+    lengths = system.box.lengths
+    # Plain floats: the chained comparison is False for NaN too, and three
+    # of them cost half of four numpy calls on a 3-vector.
+    if not all(0.0 < length < math.inf for length in lengths.tolist()):
+        return f"box lengths must be finite and positive, got {lengths}"
+    types = system.types
+    if types.size and (types.min() < 0 or types.max() >= n_types):
+        return f"type ids outside [0, {n_types})"
+    return None
 
 
 @dataclass
 class ForceFrame:
-    """One unit of force-evaluation work submitted to a :class:`ForceBackend`.
+    """One unit of force-evaluation work submitted to a force backend.
 
     ``system`` carries the atoms (locals first, then explicit ghosts when
     ``nloc`` < ``n_atoms``); ``pair_i``/``pair_j`` is the half neighbor-pair
@@ -68,14 +78,6 @@ class ForceFrame:
     nloc: Optional[int] = None  # None => every atom is local
     pbc: bool = True
 
-    def light_key(self) -> tuple:
-        """Cheap per-step validation key: everything in the bucket key that
-        can drift between rebuilds (counts and box), minus the type
-        signature (types only change on migration, which drivers signal via
-        :meth:`ForceBackend.invalidate_buckets`).  Shares its structure
-        with :func:`repro.dp.batch.frame_bucket_key` by construction."""
-        return frame_light_key(self.system, self.nloc, self.pbc)
-
 
 class ForceBackend:
     """Shape-bucketed batched force evaluation behind all MD drivers.
@@ -88,81 +90,63 @@ class ForceBackend:
     engine:
         Optional :class:`~repro.dp.batch.BatchedEvaluator` to evaluate
         through; by default the backend builds a dedicated engine so its
-        scratch/plan shapes are not thrashed by unrelated evaluations.
-        The engine's one-engine-one-thread invariant applies to the
-        backend as a whole.
-    op_backend:
-        Environment-operator backend ("optimized" | "baseline"), as in
-        ``DeepPot.evaluate``.
+        scratch/plan shapes are not thrashed by unrelated evaluations
+        (pass ``BatchedEvaluator(model, use_plan=False)`` for the
+        ``Session.run`` oracle).  The engine's one-engine-one-thread
+        invariant applies to the backend as a whole.
 
-    Deterministic counters: ``evaluations`` grows by exactly
-    ``bucket_count`` per :meth:`evaluate` call (one graph run per bucket —
-    the assert the distributed-ensemble tests pin; counted by the backend
-    itself, so sharing an engine with other callers cannot inflate it),
-    and ``rebuckets`` counts partition recomputations (one at first use,
-    then one per reneighbor/migration, not one per step).
+    Deterministic counters: ``bucket_count`` is the number of shape buckets
+    of the latest :meth:`evaluate` (0 before the first) and ``evaluations``
+    grows by exactly that per call — one graph run per bucket, the assert
+    the distributed-ensemble tests pin; it counts this backend's own calls,
+    so sharing an engine with other callers cannot inflate it.
     """
 
-    def __init__(
-        self,
-        model,
-        engine: Optional[BatchedEvaluator] = None,
-        use_plan: bool = True,
-        op_backend: str = "optimized",
-    ):
+    def __init__(self, model, engine: Optional[BatchedEvaluator] = None):
         model = getattr(model, "model", model)  # unwrap DeepPotPair
         self.model = model
-        self.engine = (
-            engine
-            if engine is not None
-            else BatchedEvaluator(model, use_plan=use_plan)
-        )
-        self.op_backend = op_backend
-        self._buckets: Optional[list[list[int]]] = None
-        self._light_keys: Optional[list[tuple]] = None
-        self.rebuckets = 0
+        self.engine = engine if engine is not None else BatchedEvaluator(model)
+        self.bucket_count = 0
         self.evaluations = 0  # batched graph runs this backend issued
-
-    # ------------------------------------------------------------- bucketing
-
-    @property
-    def bucket_count(self) -> int:
-        """Buckets in the cached partition (0 before the first evaluate)."""
-        return 0 if self._buckets is None else len(self._buckets)
-
-    def invalidate_buckets(self) -> None:
-        """Drop the cached partition; the next evaluate rebuckets.
-
-        Drivers call this on reneighbor/migration — the only events that
-        can change a frame's type signature without changing its counts.
-        """
-        self._buckets = None
-        self._light_keys = None
-
-    def _refresh_buckets(self, frames: Sequence[ForceFrame], light) -> None:
-        self._buckets = plan_frame_buckets(
-            [frame_bucket_key(f.system, f.nloc, f.pbc) for f in frames]
-        )
-        self._light_keys = light
-        self.rebuckets += 1
-
-    # ------------------------------------------------------------- evaluate
 
     def evaluate(self, frames: Sequence[ForceFrame]) -> list[PotentialResult]:
         """Evaluate all frames; one batched graph run per shape bucket.
 
         Results are returned in frame order and are bitwise identical to
-        evaluating each frame alone.
+        evaluating each frame alone.  A frame that cannot be evaluated
+        honestly raises :class:`InvalidFrame` naming its index before any
+        frame of the call is staged.
         """
         frames = list(frames)
-        light = [f.light_key() for f in frames]
-        if self._buckets is None or light != self._light_keys:
-            self._refresh_buckets(frames, light)
-        results = self.engine.evaluate_frames(
-            frames, buckets=self._buckets, backend=self.op_backend
-        )
-        self.evaluations += len(self._buckets)
+        n_types = self.model.config.n_types
+        for k, frame in enumerate(frames):
+            problem = frame_problem(frame.system, n_types)
+            if problem is not None:
+                raise InvalidFrame(f"frame {k} of {len(frames)}: {problem}")
+        engine = self.engine
+        before = engine.bucket_evaluations
+        results = engine.evaluate_frames(frames)
+        self.bucket_count = engine.bucket_evaluations - before
+        self.evaluations += self.bucket_count
         return results
+
+
+class PerFrameBackend:
+    """The seam's reference implementation: one ``DeepPot.evaluate`` per
+    frame, nothing batched, bucketed or validated.  Inject it through a
+    driver's ``force_backend=`` to get the schedule the bucketed
+    :class:`ForceBackend` is asserted against."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def evaluate(self, frames: Sequence[ForceFrame]) -> list[PotentialResult]:
+        return [
+            self.model.evaluate(
+                f.system, f.pair_i, f.pair_j, nloc=f.nloc, pbc=f.pbc
+            )
+            for f in frames
+        ]
 
 
 class ServingForceBackend:
@@ -182,11 +166,8 @@ class ServingForceBackend:
     difference from a private :class:`ForceBackend`: batching happens
     globally, across every process attached to the daemon, not per driver.
 
-    Deterministic counters mirror the local backend where they can:
     ``evaluations`` counts gather rounds (batch formation belongs to the
-    server — read ``ServerStats`` for occupancy); ``invalidations`` counts
-    :meth:`invalidate_buckets` calls (bucketing is server-side and per
-    batch, so there is no client-side partition to drop).
+    server — read ``ServerStats`` for occupancy).
 
     ``retries`` > 0 makes the backend resilient to *recoverable* server
     faults: a frame failing with :class:`~repro.serving.queue.
@@ -206,7 +187,6 @@ class ServingForceBackend:
         self.timeout = timeout
         self.retries = int(retries)
         self.evaluations = 0   # gather rounds (one per evaluate() call)
-        self.invalidations = 0
         self.retried_frames = 0
 
     def evaluate(self, frames: Sequence[ForceFrame]) -> list[PotentialResult]:
@@ -252,11 +232,6 @@ class ServingForceBackend:
         self.evaluations += 1
         return results
 
-    def invalidate_buckets(self) -> None:
-        """Reneighbor/migration signal.  Server-side bucketing is per batch
-        (nothing cached across calls), so this only counts the event."""
-        self.invalidations += 1
-
 
 class BackendPotential(Potential):
     """A :class:`~repro.md.potential.Potential` over any force backend —
@@ -274,16 +249,10 @@ class BackendPotential(Potential):
     """
 
     def __init__(self, backend, cutoff: float):
-        self.backend = backend
+        self.force_backend = backend
         self.cutoff = float(cutoff)
 
     def compute(self, system, pair_i, pair_j) -> PotentialResult:
-        return self.backend.evaluate([ForceFrame(system, pair_i, pair_j)])[0]
-
-    def compute_batch(self, systems, pair_lists) -> list[PotentialResult]:
-        return self.backend.evaluate(
-            [
-                ForceFrame(s, pi, pj)
-                for s, (pi, pj) in zip(systems, pair_lists)
-            ]
-        )
+        return self.force_backend.evaluate(
+            [ForceFrame(system, pair_i, pair_j)]
+        )[0]

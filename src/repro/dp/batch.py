@@ -30,8 +30,16 @@ Design notes
   signature) — and issues one batched evaluation per bucket; frames whose
   key is unique coalesce into one residual bucket per ``pbc`` value, so a
   replica-ensemble of decomposed ranks costs a handful of graph runs per
-  step instead of one per rank x replica.  :class:`repro.dp.backend.
-  ForceBackend` caches the partition between neighbor rebuilds.
+  step instead of one per rank x replica.  The partition is recomputed on
+  every call (3 µs for one frame, 85 µs for 64 sub-domain frames): a cache
+  would save under 0.03 % of a step and need an invalidation protocol.
+* One way in.  Every caller holding frames — the force backends, the
+  serving worker — enters through :meth:`BatchedEvaluator.evaluate_frames`;
+  ``evaluate_batch`` is the one stacked run it issues per bucket (and what
+  ``DeepPot.evaluate`` calls for its single frame).  The engine has one
+  operator set, the optimized one: Table 3's baseline operators are
+  reachable only through ``DeepPot.evaluate_serial(backend="baseline")``,
+  the reference path.
 * Bitwise reproducibility.  For R=1 the stacked feeds are byte-identical to
   the serial path's, so energies/forces/virials match the serial engine
   bit-for-bit (asserted in ``tests/test_ensemble.py``).  For R>1 each
@@ -78,7 +86,6 @@ from repro.dp.nlist_fmt import (
     FormattedNeighbors,
     format_neighbors,
 )
-from repro.dp.ops_baseline import environment_baseline
 from repro.dp.ops_optimized import environment_op
 from repro.md.potential import PotentialResult
 from repro.md.system import System
@@ -154,19 +161,6 @@ class ScratchPool:
         self._arrays.clear()
 
 
-def frame_light_key(system, nloc: Optional[int] = None, pbc: bool = True) -> tuple:
-    """The cheap-to-compute part of :func:`frame_bucket_key`: everything
-    that can drift between neighbor rebuilds (counts and box), minus the
-    O(natoms) type signature.  :class:`repro.dp.backend.ForceBackend`
-    recomputes this per call to validate its cached partition."""
-    n = int(system.n_atoms)
-    nloc = n if nloc is None else int(nloc)
-    # The box only constrains stacking under PBC (minimum image uses one
-    # shared box); open-boundary frames never read it.
-    box_sig = system.box.lengths.tobytes() if pbc else b""
-    return (bool(pbc), n, nloc, box_sig)
-
-
 def frame_bucket_key(system, nloc: Optional[int] = None, pbc: bool = True) -> tuple:
     """Shape-bucket key of one evaluation frame.
 
@@ -174,11 +168,14 @@ def frame_bucket_key(system, nloc: Optional[int] = None, pbc: bool = True) -> tu
     signature) and can always share one stacked evaluation: same row count,
     same ghost split, same box (the PBC stacking requirement), and — because
     the type signature matches — a feed-shape signature that stays steady
-    for the bucket's compiled-plan arena across steps.  Structurally the
-    key is :func:`frame_light_key` plus the type signature, which keeps the
-    two validation layers locked together.
+    for the bucket's compiled-plan arena across steps.
     """
-    return frame_light_key(system, nloc, pbc) + (system.types.tobytes(),)
+    n = int(system.n_atoms)
+    nloc = n if nloc is None else int(nloc)
+    # The box only constrains stacking under PBC (minimum image uses one
+    # shared box); open-boundary frames never read it.
+    box_sig = system.box.lengths.tobytes() if pbc else b""
+    return (bool(pbc), n, nloc, box_sig, system.types.tobytes())
 
 
 def plan_frame_buckets(keys: Sequence[tuple]) -> list[list[int]]:
@@ -306,7 +303,6 @@ class BatchedEvaluator:
         self,
         systems: Sequence[System],
         pair_lists: Sequence[tuple[np.ndarray, np.ndarray]],
-        backend: str = "optimized",
         nlocs: Optional[Sequence[int]] = None,
         pbc: bool = True,
     ) -> list[PotentialResult]:
@@ -351,9 +347,7 @@ class BatchedEvaluator:
                 )
             self._active_thread = me
         try:
-            return self._evaluate_batch(
-                systems, pair_lists, backend=backend, nlocs=nlocs, pbc=pbc
-            )
+            return self._evaluate_batch(systems, pair_lists, nlocs, pbc)
         finally:
             with self._guard_lock:
                 if self._active_thread == me:
@@ -363,9 +357,8 @@ class BatchedEvaluator:
         self,
         systems: Sequence[System],
         pair_lists: Sequence[tuple[np.ndarray, np.ndarray]],
-        backend: str = "optimized",
-        nlocs: Optional[Sequence[int]] = None,
-        pbc: bool = True,
+        nlocs: Optional[Sequence[int]],
+        pbc: bool,
     ) -> list[PotentialResult]:
         model = self.model
         cfg = model.config
@@ -427,18 +420,15 @@ class BatchedEvaluator:
         #   standalone order bit-for-bit.
         #
         # The general path stages replica-by-replica and covers the rest:
-        # mixed boxes under PBC, the baseline backend, codec overflow.
-        stackable = (
-            backend == "optimized"
-            and (not cfg.use_compression or total_atoms < _MAX_INDEX)
-            and (
-                not pbc
-                or (
-                    full_local
-                    and all(
-                        np.array_equal(s.box.lengths, systems[0].box.lengths)
-                        for s in systems[1:]
-                    )
+        # mixed boxes under PBC and codec overflow (a stack of >= 10^5
+        # atoms).
+        stackable = (not cfg.use_compression or total_atoms < _MAX_INDEX) and (
+            not pbc
+            or (
+                full_local
+                and all(
+                    np.array_equal(s.box.lengths, systems[0].box.lengths)
+                    for s in systems[1:]
                 )
             )
         )
@@ -534,18 +524,10 @@ class BatchedEvaluator:
                 self._remember_fmt(fmt_key, fmt)
                 self.neighbors_dropped += fmt.n_dropped
                 sl = slice(row, row + nloc)
-                if backend == "optimized":
-                    environment_op(
-                        system, fmt, cfg.rcut_smth, cfg.rcut, pbc=pbc,
-                        out=(em_n[sl], ed_n[sl], rij[sl]),
-                    )
-                elif backend == "baseline":
-                    em_b, ed_b, rij_b = environment_baseline(
-                        system, fmt, cfg.rcut_smth, cfg.rcut, pbc=pbc
-                    )
-                    em_n[sl], ed_n[sl], rij[sl] = em_b, ed_b, rij_b
-                else:
-                    raise ValueError(f"unknown backend {backend!r}")
+                environment_op(
+                    system, fmt, cfg.rcut_smth, cfg.rcut, pbc=pbc,
+                    out=(em_n[sl], ed_n[sl], rij[sl]),
+                )
 
                 # Normalize in place (same elementwise ops as the serial path).
                 slot_t = fmt.slot_types()
@@ -699,55 +681,36 @@ class BatchedEvaluator:
 
     # ------------------------------------------------------------ bucketing
 
-    def evaluate_frames(
-        self,
-        frames: Sequence,
-        buckets: Optional[Sequence[Sequence[int]]] = None,
-        backend: str = "optimized",
-    ) -> list[PotentialResult]:
+    def evaluate_frames(self, frames: Sequence) -> list[PotentialResult]:
         """Shape-bucketed evaluation: one batched graph run per bucket.
 
-        ``frames`` are frame objects exposing ``system``, ``pair_i``,
-        ``pair_j``, ``nloc`` (``None`` = all local) and ``pbc`` — see
-        :class:`repro.dp.backend.ForceFrame`.  ``buckets`` is a partition of
-        frame indices (every frame exactly once, uniform ``pbc`` per
-        bucket); when omitted it is computed from :func:`frame_bucket_key`
-        via :func:`plan_frame_buckets`.  Callers that own a steady frame
-        population (the MD drivers) cache the partition across steps and
-        rebucket only on reneighbor/migration —
-        :class:`repro.dp.backend.ForceBackend` implements that policy.
+        The one way every caller enters the engine.  ``frames`` are frame
+        objects exposing ``system``, ``pair_i``, ``pair_j``, ``nloc``
+        (``None`` = all local) and ``pbc`` — see
+        :class:`repro.dp.backend.ForceFrame`.  They are partitioned by
+        :func:`frame_bucket_key` via :func:`plan_frame_buckets` on every
+        call, so the partition always describes the frames at hand.
 
         Results come back in frame order, each bitwise identical to
-        evaluating its frame alone (the per-rank oracle).
+        evaluating its frame alone (the per-frame oracle).
         """
         frames = list(frames)
-        if buckets is None:
-            buckets = plan_frame_buckets(
-                [frame_bucket_key(f.system, f.nloc, f.pbc) for f in frames]
-            )
+        buckets = plan_frame_buckets(
+            [frame_bucket_key(f.system, f.nloc, f.pbc) for f in frames]
+        )
         results: list[Optional[PotentialResult]] = [None] * len(frames)
         for bucket in buckets:
             sub = [frames[i] for i in bucket]
-            pbc = sub[0].pbc
-            if any(f.pbc != pbc for f in sub):
-                raise ValueError("a bucket must not mix pbc and open frames")
-            nlocs = [
-                f.system.n_atoms if f.nloc is None else int(f.nloc)
-                for f in sub
-            ]
             out = self.evaluate_batch(
                 [f.system for f in sub],
                 [(f.pair_i, f.pair_j) for f in sub],
-                backend=backend,
-                nlocs=nlocs,
-                pbc=pbc,
+                nlocs=[
+                    f.system.n_atoms if f.nloc is None else int(f.nloc)
+                    for f in sub
+                ],
+                pbc=sub[0].pbc,  # the key's first entry: uniform per bucket
             )
             self.bucket_evaluations += 1
             for i, res in zip(bucket, out):
-                if results[i] is not None:
-                    raise ValueError(f"frame {i} appears in two buckets")
                 results[i] = res
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:
-            raise ValueError(f"buckets do not cover frames {missing}")
         return results  # type: ignore[return-value]

@@ -364,7 +364,6 @@ class DeepPot:
         system: System,
         pair_i: np.ndarray,
         pair_j: np.ndarray,
-        backend: str = "optimized",
         nloc: Optional[int] = None,
         pbc: bool = True,
     ) -> PotentialResult:
@@ -385,7 +384,6 @@ class DeepPot:
         return self.batched.evaluate_batch(
             [system],
             [(pair_i, pair_j)],
-            backend=backend,
             nlocs=None if nloc is None else [nloc],
             pbc=pbc,
         )[0]
@@ -394,13 +392,12 @@ class DeepPot:
         self,
         systems: Sequence[System],
         pair_lists,
-        backend: str = "optimized",
         nlocs=None,
         pbc: bool = True,
     ) -> list[PotentialResult]:
         """Batched evaluation of R frames (see :mod:`repro.dp.batch`)."""
         return self.batched.evaluate_batch(
-            systems, pair_lists, backend=backend, nlocs=nlocs, pbc=pbc
+            systems, pair_lists, nlocs=nlocs, pbc=pbc
         )
 
     def evaluate_serial(
@@ -414,7 +411,10 @@ class DeepPot:
     ) -> PotentialResult:
         """The original single-frame path: per-call feeds, in-graph ProdForce/
         ProdVirial, uncompiled ``Session.run`` execution.  Reference oracle
-        for the batched engine's (compiled-plan) R=1 results."""
+        for the batched engine's (compiled-plan) R=1 results, and — with
+        ``backend="baseline"`` — the only route to Table 3's unoptimized
+        Environment operator (:mod:`repro.dp.ops_baseline`): the paper's
+        baseline is a column of a measurement, not a switch on the engine."""
         nloc = system.n_atoms if nloc is None else int(nloc)
         feeds, order = self.prepare_feeds(
             system, pair_i, pair_j, backend=backend, nloc=nloc, pbc=pbc

@@ -6,66 +6,24 @@ spatial bookkeeping; the DP model replaces the EFF force computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
+from repro.dp.backend import BackendPotential, ForceBackend
 from repro.dp.model import DeepPot
-from repro.md.potential import Potential, PotentialResult
-from repro.md.system import System
 
 
-@dataclass
-class DeepPotPair(Potential):
+class DeepPotPair(BackendPotential):
     """Potential interface around a DeepPot model.
 
-    ``compute`` feeds the shared :class:`~repro.dp.backend.ForceBackend`
-    seam as a one-frame workload (an R=1 shape bucket over the model's
-    default engine), so the serial ``Simulation`` driver goes through the
-    exact layer the ensemble and distributed drivers batch into;
-    ``compute_batch`` submits the whole frame stack at once.
+    A :class:`~repro.dp.backend.BackendPotential` over a
+    :class:`~repro.dp.backend.ForceBackend` on the model's default engine:
+    ``compute`` feeds the shared seam as a one-frame workload (an R=1 shape
+    bucket), so the serial ``Simulation`` driver goes through the exact
+    layer the ensemble and distributed drivers batch into, and counters /
+    plan stats observed through ``model.batched`` keep describing this
+    driver.
     """
 
-    model: DeepPot
-    backend: str = "optimized"
-
-    def __post_init__(self):
-        self.cutoff = self.model.config.rcut
-        self._force_backend = None
-
-    @property
-    def force_backend(self):
-        """The pair style's :class:`~repro.dp.backend.ForceBackend` (lazy).
-
-        Built over the model's default engine, so counters/plan stats
-        observed through ``model.batched`` keep describing this driver.
-        """
-        if self._force_backend is None:
-            from repro.dp.backend import ForceBackend
-
-            self._force_backend = ForceBackend(
-                self.model, engine=self.model.batched, op_backend=self.backend
-            )
-        return self._force_backend
-
-    def compute(
-        self, system: System, pair_i: np.ndarray, pair_j: np.ndarray
-    ) -> PotentialResult:
-        from repro.dp.backend import ForceFrame
-
-        return self.force_backend.evaluate(
-            [ForceFrame(system, pair_i, pair_j)]
-        )[0]
-
-    def compute_batch(
-        self, systems, pair_lists
-    ) -> list[PotentialResult]:
-        """Fused evaluation of R frames (bucketed by shape)."""
-        from repro.dp.backend import ForceFrame
-
-        return self.force_backend.evaluate(
-            [
-                ForceFrame(s, pi, pj)
-                for s, (pi, pj) in zip(systems, pair_lists)
-            ]
+    def __init__(self, model: DeepPot):
+        super().__init__(
+            ForceBackend(model, engine=model.batched), model.config.rcut
         )
+        self.model = model

@@ -28,13 +28,11 @@ from repro.md.velocity import boltzmann_velocities
 from repro.md.integrators import VelocityVerlet, Langevin, Berendsen, NoseHoover
 from repro.md.thermo import ThermoState, compute_thermo
 from repro.md.deform import Deform
-from repro.md.barostat import BerendsenBarostat
 from repro.md.minimize import fire_minimize, FireResult
 from repro.md.potential import Potential, PotentialResult
 from repro.md.lj import LennardJones
 from repro.md.simulation import Simulation
 from repro.md.ensemble import EnsembleSimulation
-from repro.md.dump import read_xyz, write_lammps_data, write_xyz
 
 __all__ = [
     "Box",
@@ -50,7 +48,6 @@ __all__ = [
     "ThermoState",
     "compute_thermo",
     "Deform",
-    "BerendsenBarostat",
     "fire_minimize",
     "FireResult",
     "Potential",
@@ -58,7 +55,4 @@ __all__ = [
     "LennardJones",
     "Simulation",
     "EnsembleSimulation",
-    "read_xyz",
-    "write_xyz",
-    "write_lammps_data",
 ]

@@ -536,10 +536,6 @@ def _restore_distributed(sim, meta, arrays):
     sim._rank_virial = arrays["rank_virial"]
     sim._pending_thermo = []
     sim.thermo = _build_thermo_rows(arrays["thermo_rows"])
-    if sim.force_backend is not None:
-        # Constructed-then-restored frames have new identities; drop any
-        # bucket partition the construction-time evaluation cached.
-        sim.force_backend.invalidate_buckets()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.md.neighbor import NeighborList, fitted_neighbor_list
 from repro.md.potential import PotentialResult
 from repro.md.system import System
 from repro.md.thermo import ThermoLog
-from repro.md.velocity import boltzmann_velocities
+from repro.md.velocity import boltzmann_replicas
 
 
 class EnsembleSimulation:
@@ -50,11 +50,9 @@ class EnsembleSimulation:
     neighbors:
         One :class:`NeighborList` per replica; defaults to skin-fitted lists
         (the paper's 2 Å skin, shrunk when the box is small).
-    backend:
-        Environment-operator backend, as in ``DeepPot.evaluate``.
     force_backend:
         Optional injected evaluation seam (anything with
-        ``evaluate(frames)`` / ``invalidate_buckets()`` — e.g. a
+        ``evaluate(frames)`` — e.g. a
         :class:`~repro.dp.backend.ServingForceBackend` submitting to a
         shared serving pool).  When given, ``model`` may be ``None`` if
         ``cutoff`` (or explicit ``neighbors``) is supplied.
@@ -71,7 +69,6 @@ class EnsembleSimulation:
         integrators: Optional[Sequence[Integrator]] = None,
         neighbors: Optional[Sequence[NeighborList]] = None,
         thermo_every: int = 20,
-        backend: str = "optimized",
         force_backend=None,
         cutoff: Optional[float] = None,
     ):
@@ -86,7 +83,6 @@ class EnsembleSimulation:
             raise ValueError("EnsembleSimulation needs at least one replica")
         self.model = model
         self.dt = dt
-        self.backend = backend
         if force_backend is not None:
             # Injected seam (a serving pool, a test double): the ensemble
             # evaluates through it unchanged.  Remote backends have no local
@@ -101,7 +97,7 @@ class EnsembleSimulation:
             # evaluation per step.  A dedicated engine (not model.batched)
             # keeps the R-replica scratch shapes from being thrashed by
             # unrelated R=1 evaluations.
-            self.force_backend = ForceBackend(model, op_backend=backend)
+            self.force_backend = ForceBackend(model)
             self.engine = self.force_backend.engine
         if cutoff is None and model is not None:
             cutoff = model.config.rcut
@@ -146,31 +142,10 @@ class EnsembleSimulation:
         seed: int | Sequence[int] = 0,
         **kwargs,
     ) -> "EnsembleSimulation":
-        """Clone one structure into R replicas with fresh Boltzmann velocities.
-
-        ``temperature`` and ``seed`` may be scalars (seed is then offset per
-        replica so trajectories decorrelate) or per-replica sequences — the
-        mixed-seed/mixed-temperature sampling setup.
-        """
-        # np.ndim == 0 (not np.isscalar, which rejects numpy scalars like a
-        # value pulled out of an array) distinguishes scalar from sequence.
-        temps = (
-            [float(temperature)] * n_replicas
-            if np.ndim(temperature) == 0
-            else [float(t) for t in temperature]
-        )
-        seeds = (
-            [int(seed) + k for k in range(n_replicas)]
-            if np.ndim(seed) == 0
-            else [int(s) for s in seed]
-        )
-        if len(temps) != n_replicas or len(seeds) != n_replicas:
-            raise ValueError("temperature/seed sequences must have one entry per replica")
-        replicas = []
-        for k in range(n_replicas):
-            rep = system.copy()
-            boltzmann_velocities(rep, temps[k], seed=seeds[k])
-            replicas.append(rep)
+        """Clone one structure into R replicas with fresh Boltzmann
+        velocities (see :func:`~repro.md.velocity.boltzmann_replicas` for
+        the scalar / per-replica ``temperature`` and ``seed`` forms)."""
+        replicas = boltzmann_replicas(system, n_replicas, temperature, seed)
         return cls(replicas, model, **kwargs)
 
     # ---------------------------------------------------------------- stepping

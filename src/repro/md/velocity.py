@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.md.system import System
@@ -42,3 +44,37 @@ def boltzmann_velocities(
         current = system.temperature()
         if current > 0:
             system.velocities *= np.sqrt(temperature / current)
+
+
+def boltzmann_replicas(
+    system: System,
+    n_replicas: int,
+    temperature: float | Sequence[float] = 330.0,
+    seed: int | Sequence[int] = 0,
+) -> list[System]:
+    """Clone one structure into R replicas with fresh Boltzmann velocities.
+
+    ``temperature`` and ``seed`` may be scalars (seed is then offset per
+    replica so trajectories decorrelate) or per-replica sequences — the
+    mixed-seed/mixed-temperature sampling setup.
+    """
+    # np.ndim == 0 (not np.isscalar, which rejects numpy scalars like a
+    # value pulled out of an array) distinguishes scalar from sequence.
+    temps = (
+        [float(temperature)] * n_replicas
+        if np.ndim(temperature) == 0
+        else [float(t) for t in temperature]
+    )
+    seeds = (
+        [int(seed) + k for k in range(n_replicas)]
+        if np.ndim(seed) == 0
+        else [int(s) for s in seed]
+    )
+    if len(temps) != n_replicas or len(seeds) != n_replicas:
+        raise ValueError("temperature/seed sequences must have one entry per replica")
+    replicas = []
+    for temp, replica_seed in zip(temps, seeds):
+        rep = system.copy()
+        boltzmann_velocities(rep, temp, seed=replica_seed)
+        replicas.append(rep)
+    return replicas

@@ -6,13 +6,14 @@ One step follows the LAMMPS/DeePMD-kit schedule (Sec 5.4):
 2. reneighbor check — on rebuild, atoms migrate to their new owners and the
    ghost exchange lists are rebuilt; otherwise ghost *positions* are
    forward-communicated along the fixed lists;
-3. DP force evaluation over the ranks' local+ghost frames.  The default
-   path submits every rank's frame to the shared
-   :class:`~repro.dp.backend.ForceBackend`, which groups frames into shape
-   buckets and issues ONE batched graph evaluation per bucket — the paper's
-   Fig 1 (a) picture of domain decomposition feeding a batched evaluator.
-   ``force_path="per-rank"`` retains the original one-evaluation-per-rank
-   loop as the bitwise oracle;
+3. DP force evaluation over the ranks' local+ghost frames: every rank's
+   frame is submitted to the force seam (:mod:`repro.dp.backend`), by
+   default a :class:`~repro.dp.backend.ForceBackend`, which groups frames
+   into shape buckets and issues ONE batched graph evaluation per bucket —
+   the paper's Fig 1 (a) picture of domain decomposition feeding a batched
+   evaluator.  The one-evaluation-per-rank schedule it is asserted against
+   is not a mode of this driver: tests inject
+   ``force_backend=PerFrameBackend(model)``;
 4. reverse communication adds ghost forces back to their owner ranks;
 5. velocity-Verlet second half;
 6. every ``thermo_every`` steps, energy/virial are (I)allreduced — the
@@ -39,6 +40,7 @@ from repro.dp.model import DeepPot
 from repro.md.system import System
 from repro.md.thermo import ThermoState
 from repro.md.neighbor import neighbor_pairs
+from repro.md.velocity import boltzmann_replicas
 from repro.parallel.comm import SimComm
 from repro.parallel.decomp import DomainDecomposition
 from repro.units import MVV_TO_EV
@@ -48,13 +50,13 @@ from repro.units import MVV_TO_EV
 class DistributedSimulation:
     """Domain-decomposed DP molecular dynamics on simulated MPI ranks.
 
-    ``force_path`` selects the evaluation route: ``"bucketed"`` (default)
-    submits all rank frames to a :class:`~repro.dp.backend.ForceBackend`
-    (one batched evaluation per shape bucket, bitwise identical results);
-    ``"per-rank"`` keeps the original one-``DeepPot.evaluate``-per-rank
-    loop — the retained oracle the bucketed path is asserted against.
-    A shared backend may be injected via ``force_backend`` (the
-    distributed-ensemble driver does, so R replicas' frames coalesce);
+    All rank frames of a step go to ``force_backend.evaluate`` — by default
+    a dedicated :class:`~repro.dp.backend.ForceBackend` (one batched
+    evaluation per shape bucket, each result bitwise identical to
+    evaluating its frame alone).  Any ``evaluate(frames)`` implementation
+    may be injected instead: the distributed-ensemble driver shares one
+    backend so R replicas' frames coalesce, and tests pass
+    :class:`~repro.dp.backend.PerFrameBackend` as the oracle.
     ``defer_initial_forces`` skips the setup-time evaluation so an
     enclosing ensemble can batch it across replicas.
     """
@@ -67,16 +69,10 @@ class DistributedSimulation:
     rebuild_every: int = 50
     thermo_every: int = 20
     use_iallreduce: bool = True
-    force_path: str = "bucketed"
     force_backend: Optional[ForceBackend] = None
     defer_initial_forces: bool = False
 
     def __post_init__(self):
-        if self.force_path not in ("bucketed", "per-rank"):
-            raise ValueError(
-                f"force_path must be 'bucketed' or 'per-rank', "
-                f"got {self.force_path!r}"
-            )
         self.comm = SimComm(int(np.prod(self.grid)))
         self.decomp = DomainDecomposition(self.grid, self.comm)
         self.step_count = 0
@@ -85,7 +81,7 @@ class DistributedSimulation:
         self._pending_thermo = []
         self._rank_energy = np.zeros(self.comm.size)
         self._rank_virial = np.zeros((self.comm.size, 3, 3))
-        if self.force_backend is None and self.force_path == "bucketed":
+        if self.force_backend is None:
             # A dedicated engine per driver keeps the rank-frame scratch
             # and plan-arena shapes steady (same policy as the ensemble).
             self.force_backend = ForceBackend(self.model)
@@ -164,25 +160,8 @@ class DistributedSimulation:
 
     def _compute_forces(self) -> None:
         """Force evaluation + reverse ghost-force communication."""
-        if self.force_path == "per-rank":
-            self._compute_forces_per_rank()
-            return
         frames, ranks = self._force_frames()
         results = self.force_backend.evaluate(frames)
-        self._apply_force_results(ranks, results)
-
-    def _compute_forces_per_rank(self) -> None:
-        """The retained oracle: one ``DeepPot.evaluate`` per rank.
-
-        Shares the frame-build and unpack/reverse-exchange logic with the
-        bucketed path — only the evaluation schedule differs, so the two
-        paths cannot drift apart anywhere but the property under test.
-        """
-        frames, ranks = self._force_frames()
-        results = [
-            self.model.evaluate(f.system, f.pair_i, f.pair_j, nloc=f.nloc, pbc=False)
-            for f in frames
-        ]
         self._apply_force_results(ranks, results)
 
     # ------------------------------------------------------------------- run
@@ -209,20 +188,16 @@ class DistributedSimulation:
             dom.positions += dt * dom.velocities
         self.step_count += 1
 
-    def _prepare_neighbors(self) -> bool:
+    def _prepare_neighbors(self) -> None:
         """Phase 2: reneighbor (atom migration + ghost list rebuild) or
-        forward-communicate ghost positions.  Returns True on rebuild —
-        the event that rebuckets the backend."""
+        forward-communicate ghost positions."""
         if self._needs_rebuild():
             snapshot = self.decomp.gather_system(self._template())
             self.decomp.assign_atoms(snapshot)
             self.decomp.build_ghost_lists(self.system.box, self.ghost_cutoff)
             self._snapshot_reference()
-            if self.force_backend is not None:
-                self.force_backend.invalidate_buckets()
-            return True
-        self.decomp.forward_exchange()
-        return False
+        else:
+            self.decomp.forward_exchange()
 
     def _second_half_kick(self) -> None:
         """Phase 5: second half kick."""
@@ -401,29 +376,9 @@ class DistributedEnsembleSimulation:
         **kwargs,
     ) -> "DistributedEnsembleSimulation":
         """Clone one structure into R replicas with fresh Boltzmann
-        velocities (scalar seeds are offset per replica), mirroring
-        :meth:`repro.md.ensemble.EnsembleSimulation.from_system`."""
-        from repro.md.velocity import boltzmann_velocities
-
-        temps = (
-            [float(temperature)] * n_replicas
-            if np.ndim(temperature) == 0
-            else [float(t) for t in temperature]
-        )
-        seeds = (
-            [int(seed) + k for k in range(n_replicas)]
-            if np.ndim(seed) == 0
-            else [int(s) for s in seed]
-        )
-        if len(temps) != n_replicas or len(seeds) != n_replicas:
-            raise ValueError(
-                "temperature/seed sequences must have one entry per replica"
-            )
-        replicas = []
-        for k in range(n_replicas):
-            rep = system.copy()
-            boltzmann_velocities(rep, temps[k], seed=seeds[k])
-            replicas.append(rep)
+        velocities (scalar seeds are offset per replica), exactly as
+        :meth:`repro.md.ensemble.EnsembleSimulation.from_system` does."""
+        replicas = boltzmann_replicas(system, n_replicas, temperature, seed)
         return cls(replicas, model, **kwargs)
 
     # ---------------------------------------------------------------- stepping
@@ -459,7 +414,6 @@ class DistributedEnsembleSimulation:
         for rep in self.replicas:
             rep._first_half_kick()
         for rep in self.replicas:
-            # Rebuilds invalidate the shared backend's bucket cache.
             rep._prepare_neighbors()
         self._evaluate_all()
         for rep in self.replicas:

@@ -40,6 +40,7 @@ Out of process (``repro serve`` wraps the daemon as a CLI)::
             result = c.evaluate(system)         # bitwise == in-process
 """
 
+from repro.dp.backend import InvalidFrame  # re-exported: one class, two callers
 from repro.serving.client import (
     InferenceClient,
     perturbed_frames,
@@ -60,7 +61,6 @@ from repro.serving.net import ServingDaemon, SocketClient
 from repro.serving.protocol import PROTOCOL_VERSION, MsgType, ProtocolError
 from repro.serving.queue import (
     InferenceRequest,
-    InvalidFrame,
     QueueFull,
     QuotaExceeded,
     RequestQueue,

@@ -49,10 +49,10 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.dp.backend import InvalidFrame
 from repro.serving import protocol as proto
 from repro.serving.protocol import MsgType, ProtocolError
 from repro.serving.queue import (
-    InvalidFrame,
     QueueFull,
     QuotaExceeded,
     ServerClosed,

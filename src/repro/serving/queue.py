@@ -62,14 +62,6 @@ class QuotaExceeded(RuntimeError):
     requests while everyone else starves)."""
 
 
-class InvalidFrame(ValueError):
-    """The frame itself was refused at admission: non-finite positions,
-    non-finite or non-positive box lengths, or type ids outside the model's
-    ``[0, n_types)``.  Evaluating it would return finite-looking wrong
-    physics (a NaN atom just falls out of every neighbour comparison), so
-    it fails alone, before it can share a batch with anyone."""
-
-
 class WorkerCrashed(RuntimeError):
     """The worker thread executing this request's batch died mid-batch.
 

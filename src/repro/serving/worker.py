@@ -24,7 +24,7 @@ py`` — hence a bound rather than "everything pending"), and ``max_wait_us``
 is the latency budget: once a request heads its model's queue, later
 arrivals get at most this long to join its batch (zero = take only what is
 already queued).  Batches never mix models: one batch is one
-``evaluate_batch`` call on one model's engine.
+``evaluate_frames`` call on one model's engine.
 
 Each worker is parked on its model's own queue condition, so it only ever
 wakes for its own model's requests, and owns its model's engine
@@ -45,8 +45,9 @@ requests it shared a batch with or how the workers interleaved (the
 engine's per-frame independence guarantee; asserted under genuinely
 concurrent two-model load in ``tests/test_serving.py``).  A frame that
 could not be evaluated honestly — non-finite positions or box, type ids the
-model does not know — is refused at admission with :class:`~repro.serving.
-queue.InvalidFrame` and never reaches a batch.
+model does not know — is refused at admission with :class:`~repro.dp.
+backend.InvalidFrame` (the validator the local force seam applies, see
+:mod:`repro.dp.backend`) and never reaches a batch.
 
 Avoid calling ``model.evaluate`` on a model from another thread *while* the
 server is processing requests for it: the model's default R=1 engine and
@@ -63,10 +64,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.dp.backend import InvalidFrame, frame_problem
+from repro.dp.batch import BatchedEvaluator
 from repro.serving.metrics import ServerStats
 from repro.serving.queue import (
     InferenceRequest,
-    InvalidFrame,
     QueueFull,
     QuotaExceeded,
     RequestQueue,
@@ -80,19 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dp.model import DeepPot
     from repro.md.system import System
     from repro.serving.faults import FaultPlan
-
-
-def _frame_problem(system: "System", n_types: int) -> Optional[str]:
-    """Why ``system`` cannot be evaluated honestly, or ``None`` if it can."""
-    if not np.isfinite(system.positions).all():
-        return "non-finite positions"
-    lengths = system.box.lengths
-    if not (np.isfinite(lengths).all() and (lengths > 0).all()):
-        return f"box lengths must be finite and positive, got {lengths}"
-    types = system.types
-    if types.size and (types.min() < 0 or types.max() >= n_types):
-        return f"type ids outside [0, {n_types})"
-    return None
 
 
 class _Worker:
@@ -132,8 +121,6 @@ class InferenceServer:
         use :meth:`paused`) to pre-load the queue and get a deterministic
         batch count: N pre-queued requests execute in exactly
         ``ceil(N / max_batch)`` batches per model.
-    backend:
-        Environment-operator backend forwarded to ``evaluate_batch``.
     max_per_client:
         Per-client admission quota: at most this many queued requests per
         ``client_id`` (0 = unlimited; submissions without a client id are
@@ -158,13 +145,10 @@ class InferenceServer:
         max_wait_us: float = 1000.0,
         max_queue: int = 64,
         autostart: bool = True,
-        backend: str = "optimized",
         max_per_client: int = 0,
         faults: Optional["FaultPlan"] = None,
         max_respawns: int = 8,
     ):
-        from repro.dp.batch import BatchedEvaluator
-
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait_us < 0:
@@ -174,7 +158,6 @@ class InferenceServer:
         self._engine_cls = BatchedEvaluator
         self._models: dict[str, "DeepPot"] = {}
         self._engines: dict[str, object] = {}
-        self.backend = backend
         self.faults = faults
         self.max_respawns = int(max_respawns)
         self.stats = ServerStats()
@@ -303,7 +286,7 @@ class InferenceServer:
         mode (see :class:`~repro.dp.backend.ForceFrame`).
 
         Raises :class:`KeyError` for an unregistered model,
-        :class:`~repro.serving.queue.InvalidFrame` for a frame that cannot
+        :class:`~repro.dp.backend.InvalidFrame` for a frame that cannot
         be evaluated honestly (counted in ``requests_rejected``; it never
         shares a batch with anyone), :class:`QueueFull` under backpressure,
         :class:`~repro.serving.queue.QuotaExceeded` over quota,
@@ -313,7 +296,7 @@ class InferenceServer:
             raise KeyError(
                 f"model {model!r} not registered (have {self.model_names()})"
             )
-        problem = _frame_problem(system, self._models[model].config.n_types)
+        problem = frame_problem(system, self._models[model].config.n_types)
         if problem is not None:
             self.stats.record_reject()
             raise InvalidFrame(f"frame refused for model {model!r}: {problem}")
@@ -557,18 +540,10 @@ class InferenceServer:
         try:
             if self.faults is not None:
                 self.faults.on_worker_batch(name, name)  # worker id == model
-            if any(r.nloc is not None or not r.pbc for r in live):
-                # Domain-decomposition frames in the batch (explicit ghosts
-                # and/or open boundaries): requests duck-type ForceFrame, so
-                # the shape-bucketed path evaluates the mixed batch with the
-                # same per-frame bitwise guarantee.
-                results = engine.evaluate_frames(live, backend=self.backend)
-            else:
-                results = engine.evaluate_batch(
-                    [r.system for r in live],
-                    [(r.pair_i, r.pair_j) for r in live],
-                    backend=self.backend,
-                )
+            # Requests duck-type ForceFrame (nloc / pbc carry the domain-
+            # decomposition mode), so the engine's one entry point takes
+            # the batch as it is.
+            results = engine.evaluate_frames(live)
         except BaseException as exc:
             from repro.serving.faults import InjectedWorkerCrash
 

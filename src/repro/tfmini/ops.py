@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.tfmini.graph import Node, constant
+from repro.tfmini.graph import Node
 
 # Estimated FLOPs per element for a transcendental tanh evaluation; NVPROF
 # counts real instruction mixes, we use a fixed conventional weight.
@@ -802,146 +802,6 @@ register_op(
 )
 
 
-def exp(a: Node) -> Node:
-    return Node("exp", (a,))
-
-
-register_op(
-    "exp",
-    lambda inputs, attrs: np.exp(inputs[0]),
-    vjp=lambda node, g: [mul(g, node)],
-    flops=lambda node, ins, out: TANH_FLOPS_PER_ELEM * out.size,
-    forward_out=lambda inputs, attrs, out: np.exp(inputs[0], out=out),
-)
-
-
-def log(a: Node) -> Node:
-    return Node("log", (a,))
-
-
-register_op(
-    "log",
-    lambda inputs, attrs: np.log(inputs[0]),
-    vjp=lambda node, g: [Node("div", (g, node.inputs[0]))],
-    flops=lambda node, ins, out: TANH_FLOPS_PER_ELEM * out.size,
-    forward_out=lambda inputs, attrs, out: np.log(inputs[0], out=out),
-)
-
-
-def div(a: Node, b: Node) -> Node:
-    return Node("div", (a, b))
-
-
-def _vjp_div(node, g):
-    a, b = node.inputs
-    ga = Node("div", (g, b))
-    gb = neg(Node("div", (mul(g, node), b)))  # -g * (a/b) / b
-    return [reduce_to_shape(ga, a), reduce_to_shape(gb, b)]
-
-
-register_op(
-    "div",
-    lambda inputs, attrs: inputs[0] / inputs[1],
-    vjp=_vjp_div,
-    flops=lambda node, ins, out: out.size,
-    forward_out=lambda inputs, attrs, out: np.divide(
-        inputs[0], inputs[1], out=out
-    ),
-)
-
-
-def sqrt(a: Node) -> Node:
-    return Node("sqrt", (a,))
-
-
-register_op(
-    "sqrt",
-    lambda inputs, attrs: np.sqrt(inputs[0]),
-    # d sqrt(x) = 1/(2 sqrt(x)) = 0.5 / y
-    vjp=lambda node, g: [mul(g, scale(Node("div", (constant(np.float64(1.0)), node)), 0.5))],
-    flops=lambda node, ins, out: 4 * out.size,
-    forward_out=lambda inputs, attrs, out: np.sqrt(inputs[0], out=out),
-)
-
-
-def sigmoid(a: Node) -> Node:
-    return Node("sigmoid", (a,))
-
-
-def _out_sigmoid(inputs, attrs, out):
-    # Same ufunc sequence as the allocating kernel: -x, exp, 1+, 1/.
-    np.negative(inputs[0], out=out)
-    np.exp(out, out=out)
-    np.add(1.0, out, out=out)
-    np.divide(1.0, out, out=out)
-
-
-register_op(
-    "sigmoid",
-    lambda inputs, attrs: 1.0 / (1.0 + np.exp(-inputs[0])),
-    # d sigma = sigma * (1 - sigma)
-    vjp=lambda node, g: [mul(g, mul(node, Node("one_minus", (node,))))],
-    flops=lambda node, ins, out: TANH_FLOPS_PER_ELEM * out.size,
-    forward_out=_out_sigmoid,
-)
-
-register_op(
-    "one_minus",
-    lambda inputs, attrs: 1.0 - inputs[0],
-    vjp=lambda node, g: [neg(g)],
-    flops=lambda node, ins, out: out.size,
-    forward_out=lambda inputs, attrs, out: np.subtract(1.0, inputs[0], out=out),
-)
-
-
-def relu(a: Node) -> Node:
-    return Node("relu", (a,))
-
-
-register_op(
-    "relu",
-    lambda inputs, attrs: np.maximum(inputs[0], 0.0),
-    vjp=lambda node, g: [mul(g, Node("step_mask", (node.inputs[0],)))],
-    flops=lambda node, ins, out: out.size,
-    forward_out=lambda inputs, attrs, out: np.maximum(inputs[0], 0.0, out=out),
-)
-
-def _out_step_mask(inputs, attrs, out):
-    # casting="unsafe" only covers the bool -> float cast; the values are
-    # exactly 0.0 / 1.0, bitwise equal to the astype in the allocating form.
-    np.greater(inputs[0], 0, out=out, casting="unsafe")
-
-
-register_op(
-    "step_mask",
-    lambda inputs, attrs: (inputs[0] > 0).astype(inputs[0].dtype),
-    vjp=lambda node, g: [None],
-    flops=lambda node, ins, out: out.size,
-    forward_out=_out_step_mask,
-)
-
-
-def pow_scalar(a: Node, exponent: float) -> Node:
-    """Elementwise a**p for a python-scalar exponent."""
-    return Node("pow_scalar", (a,), {"p": float(exponent)})
-
-
-def _vjp_pow_scalar(node, g):
-    p = node.attrs["p"]
-    return [mul(g, scale(pow_scalar(node.inputs[0], p - 1.0), p))]
-
-
-register_op(
-    "pow_scalar",
-    lambda inputs, attrs: inputs[0] ** attrs["p"],
-    vjp=_vjp_pow_scalar,
-    flops=lambda node, ins, out: 4 * out.size,
-    forward_out=lambda inputs, attrs, out: np.power(
-        inputs[0], attrs["p"], out=out
-    ),
-)
-
-
 # Fused TANH (Sec 5.3.3): one kernel produces both tanh(x) and 1 - tanh(x)^2,
 # trading memory for a second elementwise pass.  The executor caches the
 # tuple; `item` nodes select components.
@@ -1273,20 +1133,11 @@ _INFER_RULES = {
     "add": _inf_binary,
     "sub": _inf_binary,
     "mul": _inf_binary,
-    "div": _inf_binary,
     "tanh_grad": _inf_binary,
     "neg": _inf_unary,
     "square": _inf_unary,
     "scale": _inf_unary,
     "tanh": _inf_unary,
-    "exp": _inf_unary,
-    "log": _inf_unary,
-    "sqrt": _inf_unary,
-    "sigmoid": _inf_unary,
-    "one_minus": _inf_unary,
-    "relu": _inf_unary,
-    "step_mask": _inf_unary,
-    "pow_scalar": _inf_unary,
     "matmul": _inf_matmul,
     "gemm": _inf_gemm,
     "bmm": _inf_bmm,

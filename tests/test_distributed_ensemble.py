@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.structures import water_box
 from repro.dp import DeepPot, DPConfig, DeepPotPair
+from repro.dp.backend import PerFrameBackend
 from repro.md import NeighborList, Simulation, boltzmann_velocities
 from repro.md.neighbor import neighbor_pairs
 from repro.parallel import (
@@ -105,20 +106,9 @@ class TestDistributedEnsemble:
         per_step = (backend.evaluations - before) / 3
         assert per_step == backend.bucket_count
         assert backend.bucket_count < R * P
-        # No rebuild happened, so the partition was computed exactly once.
-        assert backend.rebuckets == 1
         # Every step's evaluation went through the stacked staging path.
         assert backend.engine.general_batches == 0
         assert backend.engine.ghost_stacked_batches > 0
-
-    def test_rebuild_rebuckets_once_not_per_step(self, tiny_model, water_sys):
-        ens = DistributedEnsembleSimulation.from_system(
-            water_sys, tiny_model, n_replicas=2, temperature=300.0, seed=5,
-            grid=(2, 1, 1), dt=0.0005, skin=1.0, rebuild_every=3,
-        )
-        ens.run(7)  # rebuilds at steps 3 and 6
-        assert ens.force_backend.rebuckets <= 1 + 2
-        assert ens.step_count == 7
 
     def test_thermo_structure_and_blocking_reduction(self, tiny_model, water_sys):
         ens = DistributedEnsembleSimulation.from_system(
@@ -208,7 +198,8 @@ class TestDecompositionEdgeCases:
         kw = dict(grid=(2, 2, 1), dt=0.0005, skin=1.0, rebuild_every=2)
         a = DistributedSimulation(hot.copy(), tiny_model, **kw)
         b = DistributedSimulation(
-            hot.copy(), tiny_model, force_path="per-rank", **kw
+            hot.copy(), tiny_model, force_backend=PerFrameBackend(tiny_model),
+            **kw
         )
         a.run(10)
         b.run(10)

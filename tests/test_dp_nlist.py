@@ -387,6 +387,15 @@ def test_engine_accumulates_dropped_neighbors_on_both_staging_branches():
     engine.evaluate_batch(frames, pairs)
     assert (engine.stacked_batches, engine.general_batches) == (1, 0)
     assert engine.neighbors_dropped == sum(per_frame)
-    engine.evaluate_batch(frames, pairs, backend="baseline")
+    # Two boxes in one PBC batch cannot stack: the general branch.
+    other = frames[1].copy()
+    other.box.lengths[:] = other.box.lengths * 1.01
+    other.positions *= 1.01
+    other_pairs = neighbor_pairs(other, cfg.rcut)
+    other_dropped = format_neighbors(other, *other_pairs, cfg.rcut, cfg.sel).n_dropped
+    assert other_dropped > 0
+    engine.evaluate_batch([frames[0], other], [pairs[0], other_pairs])
     assert (engine.stacked_batches, engine.general_batches) == (1, 1)
-    assert engine.neighbors_dropped == 2 * sum(per_frame)
+    assert engine.neighbors_dropped == (
+        sum(per_frame) + per_frame[0] + other_dropped
+    )

@@ -105,8 +105,8 @@ class TestSymmetryProperties:
         time, never physics."""
         sysr = random_system(seed, n, 11.0)
         pi, pj = neighbor_pairs(sysr, _RCUT)
-        opt = _MODEL.evaluate(sysr, pi, pj, backend="optimized")
-        base = _MODEL.evaluate(sysr, pi, pj, backend="baseline")
+        opt = _MODEL.evaluate(sysr, pi, pj)
+        base = _MODEL.evaluate_serial(sysr, pi, pj, backend="baseline")
         assert base.energy == pytest.approx(opt.energy, rel=1e-13)
         np.testing.assert_allclose(base.forces, opt.forces, atol=1e-12)
         np.testing.assert_allclose(base.virial, opt.virial, atol=1e-12)

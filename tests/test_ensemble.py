@@ -56,13 +56,6 @@ class TestBatchedEquivalence:
         assert np.array_equal(bat.virial, ser.virial)
         assert np.array_equal(bat.atom_energies, ser.atom_energies)
 
-    def test_r1_baseline_backend_bitwise(self, model, base_system):
-        pi, pj = neighbor_pairs(base_system, model.config.rcut)
-        ser = model.evaluate_serial(base_system, pi, pj, backend="baseline")
-        bat = model.evaluate(base_system, pi, pj, backend="baseline")
-        assert bat.energy == ser.energy
-        assert np.array_equal(bat.forces, ser.forces)
-
     def test_r1_ghost_mode_bitwise(self, model, base_system):
         pi, pj = neighbor_pairs(base_system, model.config.rcut)
         nloc = base_system.n_atoms // 2

@@ -1,10 +1,14 @@
-"""The unified force backend: shape bucketing, locals-first ghost stacking,
-identity staging, and plan feed-slot staging.
+"""The force seam: shape bucketing, locals-first ghost stacking, identity
+staging, plan feed-slot staging, frame validation, and the pinned surface.
 
 The layer's one contract, asserted bitwise throughout: a frame's result
 never depends on which other frames it was bucketed/stacked with — the
-per-frame ``DeepPot.evaluate`` path is the retained oracle.
+per-frame ``DeepPot.evaluate`` path (``PerFrameBackend`` behind a driver)
+is the retained oracle.
 """
+
+import inspect
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,10 +23,17 @@ from repro.dp import (
     frame_bucket_key,
     plan_frame_buckets,
 )
+from repro.dp.backend import (
+    InvalidFrame,
+    PerFrameBackend,
+    ServingForceBackend,
+)
 from repro.dp.batch import BatchedEvaluator
+from repro.md import EnsembleSimulation, Simulation
 from repro.md.neighbor import neighbor_pairs
 from repro.md.velocity import boltzmann_velocities
 from repro.parallel import DistributedSimulation, SimComm, DomainDecomposition
+from repro.serving import InferenceServer
 
 
 @pytest.fixture(scope="module")
@@ -182,62 +193,57 @@ class TestEvaluateFrames:
         engine = BatchedEvaluator(model)
         keys = [frame_bucket_key(f.system, f.nloc, f.pbc) for f in frames]
         buckets = plan_frame_buckets(keys)
-        engine.evaluate_frames(frames, buckets=buckets)
+        engine.evaluate_frames(frames)
         assert engine.batch_evaluations == len(buckets)
         assert engine.bucket_evaluations == len(buckets)
         assert len(buckets) < len(frames)
 
-    def test_mixed_pbc_bucket_rejected(self, model, water_sys):
+    def test_pbc_and_open_frames_never_share_a_run(self, model, water_sys):
+        """The partition is the engine's own: a caller cannot hand it a
+        bucket that mixes minimum-image and open-boundary frames."""
         f_pbc = full_local_frame(water_sys, model.config.rcut)
         f_open = rank_frames(water_sys.copy(), model, (2, 1, 1))[0]
         engine = BatchedEvaluator(model)
-        with pytest.raises(ValueError, match="pbc"):
-            engine.evaluate_frames([f_pbc, f_open], buckets=[[0, 1]])
-
-    def test_incomplete_partition_rejected(self, model, water_sys):
-        frames = [full_local_frame(water_sys, model.config.rcut)] * 2
-        engine = BatchedEvaluator(model)
-        with pytest.raises(ValueError, match="cover"):
-            engine.evaluate_frames(frames, buckets=[[0]])
-        with pytest.raises(ValueError, match="two buckets"):
-            engine.evaluate_frames(frames, buckets=[[0, 1], [1]])
+        out = engine.evaluate_frames([f_pbc, f_open])
+        assert engine.bucket_evaluations == 2
+        for f, got in zip((f_pbc, f_open), out):
+            ref = model.evaluate(f.system, f.pair_i, f.pair_j, nloc=f.nloc, pbc=f.pbc)
+            assert_result_bitwise(got, ref)
 
 
-class TestForceBackendCaching:
-    def test_buckets_cached_across_steady_calls(self, model, water_sys):
+class TestForceBackendCounters:
+    def test_partition_describes_the_frames_at_hand(self, model, water_sys):
+        """No partition outlives its call: 2-rank frames, then 4-rank frames,
+        then a squeezed box through ONE backend — what "never a stale
+        partition" used to need a cache protocol for."""
         backend = ForceBackend(model)
-        frames = rank_frames(water_sys.copy(), model, (2, 1, 1))
-        for _ in range(4):
-            backend.evaluate(frames)
-        assert backend.rebuckets == 1
-        assert backend.bucket_count >= 1
-
-    def test_invalidate_forces_rebucket(self, model, water_sys):
-        backend = ForceBackend(model)
-        frames = rank_frames(water_sys.copy(), model, (2, 1, 1))
-        backend.evaluate(frames)
-        backend.invalidate_buckets()
-        backend.evaluate(frames)
-        assert backend.rebuckets == 2
-
-    def test_shape_drift_auto_rebuckets(self, model, water_sys):
-        """A frame population whose counts change must not reuse a stale
-        partition even if the driver forgot to invalidate."""
-        backend = ForceBackend(model)
-        backend.evaluate(rank_frames(water_sys.copy(), model, (2, 1, 1)))
-        backend.evaluate(rank_frames(water_sys.copy(), model, (2, 2, 1)))
-        assert backend.rebuckets == 2
-
-    def test_box_change_auto_rebuckets(self, model, water_sys):
-        backend = ForceBackend(model)
+        assert (backend.bucket_count, backend.evaluations) == (0, 0)
         frame = full_local_frame(water_sys.copy(), model.config.rcut)
-        backend.evaluate([frame])
         squeezed = frame.system.copy()
         squeezed.box.lengths[:] = squeezed.box.lengths * 0.999
         squeezed.positions *= 0.999
-        pi, pj = neighbor_pairs(squeezed, model.config.rcut)
-        backend.evaluate([ForceFrame(squeezed, pi, pj)])
-        assert backend.rebuckets == 2
+        populations = [
+            rank_frames(water_sys.copy(), model, (2, 1, 1)),
+            rank_frames(water_sys.copy(), model, (2, 2, 1)),
+            [frame, full_local_frame(squeezed, model.config.rcut)],
+        ]
+        total = 0
+        for frames in populations + populations[:1]:
+            expected = len(plan_frame_buckets(
+                [frame_bucket_key(f.system, f.nloc, f.pbc) for f in frames]
+            ))
+            results = backend.evaluate(frames)
+            total += expected
+            assert backend.bucket_count == expected
+            assert backend.evaluations == total
+            for f, got in zip(frames, results):
+                ref = model.evaluate_serial(
+                    f.system, f.pair_i, f.pair_j, nloc=f.nloc, pbc=f.pbc
+                )
+                assert_result_bitwise(got, ref)
+        # The two boxes of the third population shared one general-branch
+        # run; everything else stacked.
+        assert backend.engine.general_batches == 1
 
     def test_evaluations_counts_backend_buckets_only(self, model, water_sys):
         """One increment per bucket per evaluate — and immune to unrelated
@@ -251,6 +257,15 @@ class TestForceBackendCaching:
         pi, pj = neighbor_pairs(water_sys, model.config.rcut)
         model.evaluate(water_sys, pi, pj)
         assert backend.evaluations - before == backend.bucket_count
+
+    def test_session_oracle_engine_is_injected_not_a_kwarg(self, model, water_sys):
+        backend = ForceBackend(model, engine=BatchedEvaluator(model, use_plan=False))
+        frame = full_local_frame(water_sys, model.config.rcut)
+        got = backend.evaluate([frame])[0]
+        assert backend.engine._plan is None  # never compiled
+        assert_result_bitwise(
+            got, model.evaluate_serial(frame.system, frame.pair_i, frame.pair_j)
+        )
 
 
 class TestIdentityStagingAndFeedSlots:
@@ -362,36 +377,202 @@ class TestIdentityStagingAndFeedSlots:
 class TestDriversShareTheSeam:
     def test_pair_style_routes_through_backend(self, model, water_sys):
         pair = DeepPotPair(model)
+        assert pair.model is model and pair.cutoff == model.config.rcut
+        assert pair.force_backend.engine is model.batched
         pi, pj = neighbor_pairs(water_sys, model.config.rcut)
         before = pair.force_backend.engine.bucket_evaluations
         res = pair.compute(water_sys, pi, pj)
         assert pair.force_backend.engine.bucket_evaluations == before + 1
+        assert pair.force_backend.bucket_count == 1
         assert_result_bitwise(res, model.evaluate_serial(water_sys, pi, pj))
 
-    def test_pair_compute_batch_buckets_mixed_boxes(self, model, water_sys):
-        pair = DeepPotPair(model)
+    def test_backend_buckets_mixed_boxes(self, model, water_sys):
+        """Two PBC frames with different boxes: one residual bucket, the
+        general staging branch, each result bitwise its frame alone."""
+        backend = DeepPotPair(model).force_backend
         small = water_box((3, 3, 3), seed=3)
-        frames = [water_sys, small]
-        pls = [neighbor_pairs(s, model.config.rcut) for s in frames]
-        out = pair.compute_batch(frames, pls)
-        for s, (pi, pj), got in zip(frames, pls, out):
-            assert_result_bitwise(got, model.evaluate_serial(s, pi, pj))
+        frames = [full_local_frame(s, model.config.rcut) for s in (water_sys, small)]
+        general = backend.engine.general_batches
+        out = backend.evaluate(frames)
+        assert backend.bucket_count == 1
+        assert backend.engine.general_batches == general + 1
+        for f, got in zip(frames, out):
+            assert_result_bitwise(
+                got, model.evaluate_serial(f.system, f.pair_i, f.pair_j)
+            )
 
     def test_distributed_bucketed_matches_per_rank_oracle(self, model, water_sys):
+        """The production backend vs the seam's reference implementation,
+        bitwise over 8 steps with rebuilds (and migrations) in between."""
         boltzmann_velocities(water_sys, 250.0, seed=2)
-        kw = dict(grid=(2, 2, 1), dt=0.0005, skin=1.0, rebuild_every=4)
+        kw = dict(grid=(2, 2, 1), dt=0.0005, skin=1.0, rebuild_every=4,
+                  thermo_every=2)
         a = DistributedSimulation(water_sys.copy(), model, **kw)
         b = DistributedSimulation(
-            water_sys.copy(), model, force_path="per-rank", **kw
+            water_sys.copy(), model, force_backend=PerFrameBackend(model), **kw
         )
+        assert isinstance(a.force_backend, ForceBackend)
         a.run(8)
         b.run(8)
+        assert a._last_rebuild == b._last_rebuild == 8  # rebuilt at 4 and 8
         ga, gb = a.current_system(), b.current_system()
         assert np.array_equal(ga.positions, gb.positions)
         assert np.array_equal(ga.velocities, gb.velocities)
         assert np.array_equal(a.forces_now(), b.forces_now())
-        assert [t for t in a.thermo] == [t for t in b.thermo]
+        assert len(a.thermo) == 5 and a.thermo == b.thermo
+        assert a.force_backend.evaluations == 9 * a.force_backend.bucket_count
 
-    def test_bad_force_path_rejected(self, model, water_sys):
-        with pytest.raises(ValueError, match="force_path"):
-            DistributedSimulation(water_sys.copy(), model, force_path="magic")
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestInvalidFrames:
+    """ROADMAP 4(a), the MD half: a frame that cannot be evaluated honestly
+    is a typed error at the seam, never finite-looking wrong physics."""
+
+    def _nan(s):
+        s.positions[0, 1] = np.nan
+
+    def _inf(s):
+        s.positions[0, 1] = np.inf
+
+    def _flat_box(s):
+        s.box.lengths[2] = 0.0
+
+    def _negative_type(s):
+        # -1 is the id that stays silent upstream: ``masses[-1]`` is legal
+        # numpy, so System and the integrators accept it.
+        s.types[0] = -1
+
+    # kind -> (poison a System-like in place, what the error says)
+    BAD = {
+        "nan position": (_nan, "non-finite positions"),
+        "inf position": (_inf, "non-finite positions"),
+        "non-positive box": (_flat_box, "box lengths"),
+        "out-of-range type": (_negative_type, r"type ids outside \[0, 2\)"),
+    }
+
+    def test_silent_wrong_physics_reproduction(self, model):
+        """The parent's behaviour, kept as the reason for the check: with a
+        NaN coordinate the engine returns all-finite forces for a frame in
+        which the atom has silently lost its neighbours."""
+        system = water_box((3, 3, 3), seed=0)
+        pi, pj = neighbor_pairs(system, model.config.rcut)
+        clean = model.evaluate(system, pi, pj)
+        system.positions[5, 1] = np.nan
+        wrong = model.evaluate(system, pi, pj)  # below the seam: no check
+        assert np.isfinite(wrong.forces).all() and np.isfinite(wrong.energy)
+        assert wrong.energy != clean.energy
+        with pytest.raises(InvalidFrame, match="frame 0 of 1: non-finite"):
+            DeepPotPair(model).compute(system, pi, pj)
+
+    def test_invalid_frame_is_the_serving_class(self):
+        import repro.serving
+
+        assert repro.serving.InvalidFrame is InvalidFrame
+        assert issubclass(InvalidFrame, ValueError)
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_simulation_refuses(self, model, water_sys, kind):
+        poison, message = self.BAD[kind]
+        sim = Simulation(water_sys, DeepPotPair(model), dt=0.0005)
+        sim.run(1)
+        backend = sim.potential.force_backend
+        evals = backend.evaluations
+        poison(sim.system)
+        with pytest.raises(InvalidFrame, match="frame 0 of 1: " + message):
+            sim._evaluate()  # the seam call of a step, neighbour list as built
+        assert backend.evaluations == evals
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    def test_ensemble_names_the_replica_and_evaluates_nobody(self, model, kind):
+        poison, message = self.BAD[kind]
+        ens = EnsembleSimulation.from_system(
+            water_box((3, 3, 3), seed=0), model, n_replicas=3, seed=4,
+            dt=0.0005,
+        )
+        ens.run(1)
+        backend, engine = ens.force_backend, ens.engine
+        evals, frames = backend.evaluations, engine.frames_evaluated
+        poison(ens.systems[1])
+        with pytest.raises(InvalidFrame, match="frame 1 of 3: " + message):
+            ens._evaluate()
+        # Nothing was staged: the two healthy batch-mates did not run.
+        assert (backend.evaluations, engine.frames_evaluated) == (evals, frames)
+
+    @pytest.mark.parametrize("kind", sorted(set(BAD) - {"non-positive box"}))
+    def test_distributed_refuses(self, model, water_sys, kind):
+        """(A non-positive box never gets this far here: every rank frame
+        copies the box, and ``Box`` refuses it.)"""
+        poison, message = self.BAD[kind]
+        sim = DistributedSimulation(water_sys, model, grid=(2, 1, 1), skin=1.0)
+        evals = sim.force_backend.evaluations
+        poison(sim.decomp.domains[1])  # a domain duck-types positions/types
+        with pytest.raises(InvalidFrame, match="frame 1 of 2: " + message):
+            sim._compute_forces()
+        assert sim.force_backend.evaluations == evals
+
+    def test_a_nan_reaches_the_seam_through_run(self, model, water_sys):
+        """Through the public loop of all three drivers: the NaN survives
+        the kick and the rebuild check (every comparison with it is False)
+        and stops at the seam instead of becoming a trajectory."""
+        drivers = [
+            Simulation(water_sys.copy(), DeepPotPair(model), dt=0.0005),
+            EnsembleSimulation.from_system(
+                water_box((3, 3, 3), seed=0), model, n_replicas=2, dt=0.0005
+            ),
+        ]
+        for sim in drivers:
+            sim.run(1)
+        drivers[0].system.positions[5, 1] = np.nan
+        drivers[1].systems[1].positions[5, 1] = np.nan
+        dist = DistributedSimulation(water_sys.copy(), model, grid=(2, 1, 1), skin=1.0)
+        dist.decomp.domains[0].positions[0, 0] = np.nan
+        for sim, where in zip(drivers + [dist], ("0 of 1", "1 of 2", "0 of 2")):
+            with pytest.raises(InvalidFrame, match=f"frame {where}: non-finite"):
+                sim.run(1)
+
+
+class TestPinnedSurface:
+    """One way into the engine: the exact parameter lists, so a knob cannot
+    come back unnoticed (this test fails at the parent commit)."""
+
+    @staticmethod
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    def test_signatures(self):
+        p = self.params
+        assert p(DeepPot.evaluate) == [
+            "self", "system", "pair_i", "pair_j", "nloc", "pbc"]
+        assert p(DeepPot.evaluate_batch) == [
+            "self", "systems", "pair_lists", "nlocs", "pbc"]
+        assert p(BatchedEvaluator.evaluate_batch) == [
+            "self", "systems", "pair_lists", "nlocs", "pbc"]
+        assert p(BatchedEvaluator.evaluate_frames) == ["self", "frames"]
+        assert p(ForceBackend.__init__) == ["self", "model", "engine"]
+        assert p(PerFrameBackend.__init__) == ["self", "model"]
+        assert p(DeepPotPair) == ["model"]
+        assert p(EnsembleSimulation.__init__) == [
+            "self", "systems", "model", "dt", "integrators", "neighbors",
+            "thermo_every", "force_backend", "cutoff"]
+        assert p(InferenceServer.__init__) == [
+            "self", "models", "max_batch", "max_wait_us", "max_queue",
+            "autostart", "max_per_client", "faults", "max_respawns"]
+        assert [f.name for f in fields(DistributedSimulation)] == [
+            "system", "model", "grid", "dt", "skin", "rebuild_every",
+            "thermo_every", "use_iallreduce", "force_backend",
+            "defer_initial_forces"]
+
+    def test_the_string_survives_only_on_the_reference_path(self):
+        for fn in (DeepPot.prepare_feeds, DeepPot.evaluate_serial):
+            assert "backend" in self.params(fn)
+
+    @pytest.mark.parametrize(
+        "seam", [ForceBackend, ServingForceBackend, PerFrameBackend]
+    )
+    def test_the_seam_is_one_method(self, seam):
+        assert callable(seam.evaluate)
+        assert self.params(seam.evaluate) == ["self", "frames"]
+        assert not hasattr(seam, "invalidate_buckets")
+        public = {n for n, v in vars(seam).items()
+                  if callable(v) and not n.startswith("_")}
+        assert public == {"evaluate"}

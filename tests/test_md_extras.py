@@ -1,5 +1,5 @@
-"""Tests for the extended MD features: FIRE minimizer, Nosé-Hoover, the
-Berendsen barostat, trajectory I/O, and dynamics analysis."""
+"""Tests for the extended MD features: FIRE minimizer, Nosé-Hoover, and
+dynamics analysis."""
 
 import numpy as np
 import pytest
@@ -12,16 +12,12 @@ from repro.analysis.dynamics import (
 )
 from repro.analysis.structures import _FCC_BASIS, fcc_lattice, water_box
 from repro.md import (
-    BerendsenBarostat,
     NoseHoover,
     Simulation,
     System,
     boltzmann_velocities,
     fire_minimize,
     fitted_neighbor_list,
-    read_xyz,
-    write_lammps_data,
-    write_xyz,
 )
 from repro.md.box import Box
 from repro.md.lj import LennardJones
@@ -105,77 +101,6 @@ class TestNoseHoover:
         sim = Simulation(sys, short_argon(), dt=0.002, integrator=nh)
         sim.run(300)
         assert abs(nh.xi) < 50.0  # bounded, no runaway
-
-
-class TestBarostat:
-    def test_compresses_under_positive_target_error(self):
-        """A hot ideal-gas-like system at high pressure expands the box."""
-        sys = lj_fcc(temperature=300.0, seed=5)
-        pot = short_argon()
-        res = pot.compute_dense(sys)
-        barostat = BerendsenBarostat(pressure=1.0, tau=0.5)
-        v0 = sys.box.volume
-        for _ in range(10):
-            res = pot.compute_dense(sys)
-            barostat.apply(sys, res.virial, dt=0.002)
-        assert sys.box.volume > v0  # P >> 1 bar -> expand toward target
-
-    def test_scale_clamped(self):
-        sys = lj_fcc(temperature=2000.0, seed=6)
-        pot = short_argon()
-        res = pot.compute_dense(sys)
-        barostat = BerendsenBarostat(pressure=1.0, tau=1e-6, max_scale=0.01)
-        mu = barostat.apply(sys, res.virial, dt=0.002)
-        assert 0.99 <= mu <= 1.01
-
-    def test_equilibrium_stays_put(self):
-        sys = lj_fcc()
-        pot = short_argon()
-        res = pot.compute_dense(sys)
-        from repro.md.thermo import compute_pressure
-
-        p_now = compute_pressure(sys, res.virial)
-        barostat = BerendsenBarostat(pressure=p_now, tau=0.5)
-        v0 = sys.box.volume
-        barostat.apply(sys, res.virial, dt=0.002)
-        assert sys.box.volume == pytest.approx(v0, rel=1e-9)
-
-
-class TestDumpIO:
-    def test_xyz_roundtrip(self, tmp_path):
-        sys = water_box((2, 2, 2), seed=0)
-        path = str(tmp_path / "frame.xyz")
-        write_xyz(sys, path, comment="test")
-        frames = read_xyz(path)
-        assert len(frames) == 1
-        got = frames[0]
-        np.testing.assert_allclose(got.positions, sys.positions, atol=1e-9)
-        np.testing.assert_array_equal(got.types, sys.types)
-        np.testing.assert_allclose(got.box.lengths, sys.box.lengths)
-
-    def test_xyz_multi_frame_append(self, tmp_path):
-        sys = water_box((2, 2, 2), seed=0)
-        path = str(tmp_path / "traj.xyz")
-        write_xyz(sys, path)
-        sys2 = sys.copy()
-        sys2.positions += 0.1
-        sys2.wrap()
-        write_xyz(sys2, path, append=True)
-        frames = read_xyz(path)
-        assert len(frames) == 2
-        assert not np.allclose(frames[0].positions, frames[1].positions)
-
-    def test_lammps_data_contents(self, tmp_path):
-        sys = fcc_lattice((2, 2, 2))
-        boltzmann_velocities(sys, 100.0, seed=1)
-        path = str(tmp_path / "cu.data")
-        write_lammps_data(sys, path)
-        text = open(path).read()
-        assert f"{sys.n_atoms} atoms" in text
-        assert "1 atom types" in text
-        assert "Masses" in text
-        assert "Velocities" in text
-        assert "Atoms # atomic" in text
 
 
 class TestDynamics:

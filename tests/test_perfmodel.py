@@ -236,3 +236,16 @@ class TestScalingShapes:
         cu = next(r for r in rows if r["system"] == "Cu")
         conquest_tts = 4.0e-3
         assert conquest_tts / cu["tts_model"] > 1000
+
+
+class TestLatencyAblation:
+    def test_latency_reduction_lifts_strong_scaling(self):
+        """Sec 8.2: 'reducing the latency of GPU and network ... required to
+        achieve better strong scaling' — quantified by the cost model."""
+        from repro.perfmodel.scaling import latency_sensitivity
+
+        rows = latency_sensitivity()
+        pflops = [r["pflops"] for r in rows]
+        assert pflops == sorted(pflops)  # lower latency -> higher PFLOPS
+        # a 10x latency cut more than doubles full-machine water PFLOPS
+        assert pflops[-1] / pflops[0] > 1.8

@@ -317,7 +317,7 @@ class TestShutdown:
         from repro.serving import perturbed_frames, run_closed_loop_clients
 
         class BoomEngine:
-            def evaluate_batch(self, systems, pair_lists, backend="optimized"):
+            def evaluate_frames(self, frames):
                 raise RuntimeError("boom")
 
         server = InferenceServer({"water": model}, max_batch=4)
@@ -330,7 +330,7 @@ class TestShutdown:
 
     def test_failed_batch_poisons_only_its_futures(self, model, base):
         class BoomEngine:
-            def evaluate_batch(self, systems, pair_lists, backend="optimized"):
+            def evaluate_frames(self, frames):
                 raise RuntimeError("boom")
 
         frames = perturbed(base, 2)
