@@ -51,8 +51,8 @@ def _measure(model, system, n_evals=5):
     # allocation-bound op it hit.
     best = None
     for _ in range(n_evals):
-        # The serial path keeps energy reduction and ProdVirial inside the
-        # profiled graph — the op set the paper's Fig 3 breaks down.  (The
+        # The serial path keeps energy reduction, ProdForce and ProdVirial
+        # inside the profiled graph — the op set the paper's Fig 3 breaks down.  (The
         # batched engine computes those outside the graph, which would
         # silently shrink the CUSTOM share being measured here.)
         model.session = tf.Session(profile=True)

@@ -2,7 +2,10 @@
 
 Paper (12,288-atom water, V100):
     MATMUL+SUM  -> GEMM        1.3x
-    CONCAT+SUM  -> GEMM (I,I)  1.7x
+    CONCAT+SUM  -> GEMM (I,I)  1.7x   (on a CPU the (I,I) GEMM loses to the
+                                       broadcast add it equals bit for bit;
+                                       the pass emits the add, the GEMM form
+                                       is timed here as the paper's contrast)
     TANH+TANHGrad -> fused     1.6x
     combined extra loop speedup 1.21x
 
@@ -75,16 +78,28 @@ class TestConcatSum:
         TIMES["cc_unfused"] = _median(benchmark, FNS["cc_unfused"])
 
     def test_gemm_ii(self, benchmark, tensors):
+        """The paper's Sec 5.3.2 form, hand-built: one GEMM with (I, I)."""
+        x, w, b, t = tensors
+        xn, tn = tf.constant(x), tf.constant(t[:, :100])
+        ii = tf.constant(np.concatenate([np.eye(50), np.eye(50)], axis=1))
+        y = tf.gemm(xn, ii, tn)
+        sess = tf.Session()
+        FNS["cc_gemm"] = lambda: sess.run(y)
+        TIMES["cc_gemm"] = _median(benchmark, FNS["cc_gemm"])
+
+    def test_broadcast_add(self, benchmark, tensors):
+        """What ``fuse_concat_sum`` emits: the same bits as one add."""
         x, w, b, t = tensors
         xn, tn = tf.constant(x), tf.constant(t[:, :100])
         y = tf.optimize_graph(
             tf.add(tf.concat(xn, xn, axis=1), tn), passes=("concat_sum",)
         )
         ops = [n.op for n in topo_sort([y])]
-        assert "gemm" in ops and "concat" not in ops
+        assert "concat_sum" in ops and "concat" not in ops and "gemm" not in ops
         sess = tf.Session()
-        FNS["cc_gemm"] = lambda: sess.run(y)
-        TIMES["cc_gemm"] = _median(benchmark, FNS["cc_gemm"])
+        np.testing.assert_array_equal(sess.run(y), FNS["cc_gemm"]())
+        FNS["cc_fused"] = lambda: sess.run(y)
+        TIMES["cc_fused"] = _median(benchmark, FNS["cc_fused"])
 
 
 class TestTanhFusion:
@@ -118,7 +133,7 @@ def test_zz_report(benchmark, tensors):
     # register as a benchmark so --benchmark-only still runs the report
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     required = {
-        "mm_unfused", "mm_gemm", "cc_unfused", "cc_gemm",
+        "mm_unfused", "mm_gemm", "cc_unfused", "cc_gemm", "cc_fused",
         "tanh_unfused", "tanh_fused",
     }
     assert required <= TIMES.keys()
@@ -128,18 +143,22 @@ def test_zz_report(benchmark, tensors):
     # the report falls back to the already-collected medians.
     if bench_strict():
         mm = bench_paired_ratio(FNS["mm_unfused"], FNS["mm_gemm"], trials=7)
-        cc = bench_paired_ratio(FNS["cc_unfused"], FNS["cc_gemm"], trials=7)
+        cc_gemm = bench_paired_ratio(FNS["cc_unfused"], FNS["cc_gemm"], trials=7)
+        cc = bench_paired_ratio(FNS["cc_unfused"], FNS["cc_fused"], trials=7)
         th = bench_paired_ratio(FNS["tanh_unfused"], FNS["tanh_fused"], trials=7)
     else:
         mm = TIMES["mm_unfused"] / TIMES["mm_gemm"]
-        cc = TIMES["cc_unfused"] / TIMES["cc_gemm"]
+        cc_gemm = TIMES["cc_unfused"] / TIMES["cc_gemm"]
+        cc = TIMES["cc_unfused"] / TIMES["cc_fused"]
         th = TIMES["tanh_unfused"] / TIMES["tanh_fused"]
     print_header("Sec 5.3 / 7.1.2 — graph fusion speedups (this repo | paper)")
     print(f"{'rewrite':<26} {'unfused':>10} {'fused':>10} {'speedup':>9} {'paper':>6}")
     print(f"{'MATMUL+SUM -> GEMM':<26} {TIMES['mm_unfused']*1e3:>8.2f}ms "
           f"{TIMES['mm_gemm']*1e3:>8.2f}ms {mm:>8.2f}x {'1.3x':>6}")
     print(f"{'CONCAT+SUM -> GEMM(I,I)':<26} {TIMES['cc_unfused']*1e3:>8.2f}ms "
-          f"{TIMES['cc_gemm']*1e3:>8.2f}ms {cc:>8.2f}x {'1.7x':>6}")
+          f"{TIMES['cc_gemm']*1e3:>8.2f}ms {cc_gemm:>8.2f}x {'1.7x':>6}")
+    print(f"{'CONCAT+SUM -> one add':<26} {TIMES['cc_unfused']*1e3:>8.2f}ms "
+          f"{TIMES['cc_fused']*1e3:>8.2f}ms {cc:>8.2f}x {'':>6}")
     print(f"{'TANH+TANHGrad fusion':<26} {TIMES['tanh_unfused']*1e3:>8.2f}ms "
           f"{TIMES['tanh_fused']*1e3:>8.2f}ms {th:>8.2f}x {'1.6x':>6}")
     # Wall-clock ratio assertions: each fusion is at worst neutral, overall

@@ -360,19 +360,24 @@ def _buffer_intervals(buf) -> list:
     return out
 
 
-def plan_metrics(plan) -> dict:
+def plan_metrics(plan, evaluations: int = 0) -> dict:
     """Deterministic per-plan metrics for ``repro plan-report``.
 
     ``records`` is what a steady run executes, ``records_pruned`` the
     shape probes it skips.  Arena numbers cover every warmed feed-shape
     signature; a plan that has never run reports zero arena bytes (the
-    record counts are always present).
+    record counts are always present).  ``blocks_per_evaluation`` is the
+    plan's runs over the ``evaluations`` its owner issued — the row blocks
+    the batched engine cut each evaluation into (1: not blocked), every
+    block running in the one arena of its evaluation shape.
     """
     colored = plan.arena_nbytes()
     fifo = plan.fifo_arena_nbytes()
+    blocks = plan.stats.runs // evaluations if evaluations else 1
     return {
         "records": plan.n_records,
         "records_pruned": plan.n_pruned,
+        "blocks_per_evaluation": blocks,
         "arenas": len(plan.arenas),
         "arena_nbytes_colored": colored,
         "arena_nbytes_fifo": fifo,
@@ -569,32 +574,38 @@ def spec_from_last_run(plan) -> dict:
 
 
 def dp_feed_spec(model) -> dict:
-    """Symbolic feed signature of a :class:`repro.dp.model.DeepPot` graph.
+    """Symbolic feed signature of the batched engine's plan
+    (:attr:`repro.dp.batch.BatchedEvaluator.plan`): the per-type
+    environment rows of a :class:`repro.dp.model.DeepPot`, nothing else.
 
-    Row counts are per-type symbols ``n_t{t}``; the environment-derivative
-    tensors cover all fed rows, so their leading extent is the *sum* of the
-    per-type symbols.  ``natoms`` (the scatter row count of ``prod_force``,
-    which covers ghost rows in decomposed frames) is an independent value
-    symbol.
+    Row counts are per-type symbols ``n_t{t}`` — one block's rows when the
+    engine runs an evaluation in several blocks.
     """
-    cfg = model.config
-    nnei = int(cfg.nnei)
-    spec: dict = {}
-    rows = 0
-    for t, ph in enumerate(model.ph_env):
-        spec[ph] = FeedSpec((Dim.symbol(f"n_t{t}"), nnei, 4), np.float64)
-        rows = rows + Dim.symbol(f"n_t{t}")
+    nnei = int(model.config.nnei)
+    return {
+        ph: FeedSpec((Dim.symbol(f"n_t{t}"), nnei, 4), np.float64)
+        for t, ph in enumerate(model.ph_env)
+    }
+
+
+def train_feed_spec(trainer) -> dict:
+    """Symbolic feed signature of a :class:`repro.dp.train.Trainer` graph.
+
+    Beside the environment rows it feeds the geometry of the in-graph
+    ``prod_force`` / ``prod_virial``: those tensors cover all fed rows, so
+    their leading extent is the *sum* of the per-type symbols, and
+    ``natoms`` (the scatter row count of ``prod_force``, which covers
+    ghost rows in decomposed frames) is an independent value symbol.
+    """
+    model = trainer.model
+    nnei = int(model.config.nnei)
+    spec = dp_feed_spec(model)
+    rows = sum(fs.shape[0] for fs in spec.values())
     spec[model.ph_em_deriv] = FeedSpec((rows, nnei, 4, 3), np.float64)
     spec[model.ph_rij] = FeedSpec((rows, nnei, 3), np.float64)
     spec[model.ph_nlist] = FeedSpec((rows, nnei), np.int64)
     spec[model.ph_atom_idx] = FeedSpec((rows,), np.int64)
     spec[model.ph_natoms] = FeedSpec((1,), np.int64, value="natoms")
-    return spec
-
-
-def train_feed_spec(trainer) -> dict:
-    """Symbolic feed signature of a :class:`repro.dp.train.Trainer` graph."""
-    spec = dp_feed_spec(trainer.model)
     spec[trainer.ph_e_label] = FeedSpec((), np.float64)
     spec[trainer.ph_f_label] = FeedSpec((Dim.symbol("natoms"), 3), np.float64)
     spec[trainer.ph_inv_natoms] = FeedSpec((), np.float64)
@@ -624,18 +635,23 @@ def check_all_plans(
     for CI.  Evaluate plans additionally get a warm run and a runtime-
     agreement pass (inferred shapes vs the arrays the tape produced).
 
+    The last entry is one *blocked* engine plan: paper-width nets (the
+    ``md_copper_fig3`` configuration) on 256 atoms, an evaluation the
+    engine runs in several row blocks — the verifier sees the arena of one
+    block and the values its last block left.
+
     Returns one entry per verified plan:
     ``{"plan": "water/double/evaluate", "report": PlanReport, "records": n}``.
 
     ``report=True`` adds a ``"metrics"`` entry per plan
-    (:func:`plan_metrics`: record count, colored-vs-FIFO arena bytes) and
-    warms the train/serving plans too (one step / one evaluation), so
-    arena footprints are measured, not zero.
+    (:func:`plan_metrics`: record count, blocks per evaluation,
+    colored-vs-FIFO arena bytes) and warms the train/serving plans too (one
+    step / one evaluation), so arena footprints are measured, not zero.
     """
     from repro.analysis.structures import fcc_lattice, water_box
     from repro.dp.batch import BatchedEvaluator
     from repro.dp.data import label_frames
-    from repro.dp.model import DeepPot
+    from repro.dp.model import DeepPot, DPConfig
     from repro.dp.train import TrainConfig, Trainer
     from repro.md.neighbor import neighbor_pairs
     from repro.oracles import FlexibleWater, SuttonChenEAM
@@ -650,14 +666,15 @@ def check_all_plans(
     }
     results: list[dict] = []
 
-    def add(label: str, plan, spec, check_values: bool = False) -> None:
+    def add(label: str, plan, spec, check_values: bool = False,
+            evaluations: int = 0) -> None:
         entry = {
             "plan": label,
             "report": verify_plan(plan, spec=spec, check_values=check_values),
             "records": plan.n_records,
         }
         if report:
-            entry["metrics"] = plan_metrics(plan)
+            entry["metrics"] = plan_metrics(plan, evaluations)
         results.append(entry)
 
     for name, (config_fn, system_fn, oracle_fn) in species.items():
@@ -668,7 +685,8 @@ def check_all_plans(
             pi, pj = neighbor_pairs(system, model.config.rcut)
             engine.evaluate_batch([system], [(pi, pj)])  # warm the arena
             add(f"{name}/{precision}/evaluate", engine.plan,
-                dp_feed_spec(model), check_values=True)
+                dp_feed_spec(model), check_values=True,
+                evaluations=engine.batch_evaluations)
 
             if include_train and precision == "double":
                 dataset = label_frames([system.copy()], oracle_fn())
@@ -686,11 +704,22 @@ def check_all_plans(
 
                 server = InferenceServer({name: model}, autostart=False)
                 try:
+                    engine = server._engines[name]
                     if report:
-                        server._engines[name].evaluate_batch(
-                            [system], [(pi, pj)])  # warm the serving arena
-                    add(f"{name}/{precision}/serving",
-                        server._engines[name].plan, dp_feed_spec(model))
+                        # warm the serving arena
+                        engine.evaluate_batch([system], [(pi, pj)])
+                    add(f"{name}/{precision}/serving", engine.plan,
+                        dp_feed_spec(model),
+                        evaluations=engine.batch_evaluations)
                 finally:
                     server.stop()
+
+    model = DeepPot(DPConfig(
+        type_names=("Cu",), rcut=7.0, rcut_smth=2.0, sel=(220,)))
+    system = fcc_lattice((4, 4, 4))
+    engine = BatchedEvaluator(model)
+    engine.evaluate_batch([system], [neighbor_pairs(system, model.config.rcut)])
+    add("copper-fig3/double/evaluate-blocked", engine.plan,
+        dp_feed_spec(model), check_values=True,
+        evaluations=engine.batch_evaluations)
     return results

@@ -27,8 +27,9 @@ check-plans — compile every zoo model's evaluate/train/serving plans and
               rules P101-P108); ``--report FILE`` also writes the
               per-plan metrics JSON
 plan-report — per-plan compiler metrics across the zoo matrix: record
-              count and arena bytes before/after interference coloring
-              (JSON to stdout or ``--out FILE``)
+              count, row blocks per evaluation and arena bytes (of one
+              block) before/after interference coloring (JSON to stdout
+              or ``--out FILE``)
 """
 
 from __future__ import annotations
@@ -652,7 +653,14 @@ def cmd_check_plans(args) -> int:
         for e in results:
             rep = e["report"]
             status = "OK" if rep.ok else f"FAIL ({len(rep.findings)} finding(s))"
-            print(f"{e['plan']:<26} {e['records']:>4} records  {status}")
+            line = f"{e['plan']:<36} {e['records']:>4} records  {status}"
+            if "metrics" in e:
+                # Every block of an evaluation runs in the one arena of
+                # its shape, so the arena bytes are one block's.
+                m = e["metrics"]
+                line += (f"  {m['blocks_per_evaluation']} block(s)/evaluation, "
+                         f"arena {m['arena_nbytes_colored']} B")
+            print(line)
             for f in rep.findings:
                 print(f"    {f}")
             for n in rep.notes:
@@ -682,8 +690,9 @@ def cmd_plan_report(args) -> int:
         saved = e["arena_bytes_saved"]
         pct = 100.0 * saved / e["arena_nbytes_fifo"] if e["arena_nbytes_fifo"] else 0.0
         print(
-            f"  {e['plan']:<26} {e['records']:>4} records "
+            f"  {e['plan']:<36} {e['records']:>4} records "
             f"(+{e['records_pruned']:>2} pruned)  "
+            f"{e['blocks_per_evaluation']:>2} block(s)/evaluation  "
             f"arena {e['arena_nbytes_colored']:>10} B "
             f"(fifo {e['arena_nbytes_fifo']:>10} B, -{pct:.1f}%)"
         )
@@ -779,12 +788,14 @@ def main(argv=None) -> int:
     checkp.add_argument(
         "--report", metavar="FILE", default=None,
         help="also write per-plan compiler metrics (records run and "
-             "pruned, colored-vs-FIFO arena bytes) as JSON to FILE",
+             "pruned, blocks per evaluation, colored-vs-FIFO arena bytes) "
+             "as JSON to FILE",
     )
     planrep = sub.add_parser(
         "plan-report",
-        help="per-plan compiler metrics across the zoo matrix "
-             "(records run and pruned, arena bytes before/after coloring)",
+        help="per-plan compiler metrics across the zoo matrix (records run "
+             "and pruned, blocks per evaluation, arena bytes before/after "
+             "coloring)",
     )
     planrep.add_argument(
         "--out", metavar="FILE", default=None,

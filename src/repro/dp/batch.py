@@ -56,13 +56,25 @@ Design notes
   live in a :class:`ScratchPool` keyed by name and are reused while shapes
   are steady — the steady-state MD loop performs no new large allocations
   (asserted via ``ScratchPool.alloc_count`` in the tests).
-* Compiled graph execution.  The DP graph itself runs through a compiled
+* Compiled graph execution.  The networks run through a compiled
   execution plan (:mod:`repro.tfmini.plan`): the forward+backward DAG is
   topo-sorted once per engine, and every evaluation is a flat slot-indexed
   tape walk into a persistent, liveness-recycled buffer arena — no per-run
   graph traversal, dict dispatch, or per-op output allocation.  Results stay
   bitwise identical to ``Session.run`` (the retained oracle; pass
   ``use_plan=False`` to execute through it for differential testing).
+* The tape is per atom, so it streams.  The plan is fed the per-type
+  environment rows and fetches dE/dR~ and the atomic energies — nothing on
+  it couples two atoms.  An evaluation whose embedding output ``G`` exceeds
+  :data:`BLOCK_BYTES` therefore runs the tape over equal-height row blocks
+  (:meth:`BatchedEvaluator.block_heights`) through ONE arena the size of a
+  block, not of the evaluation; a zoo-sized evaluation is one block.
+  ProdForce — the one operator that does couple atoms — is applied once to
+  the whole stack outside the tape (:func:`~repro.dp.ops_optimized.
+  scatter_forces`), where the virial already was, from the one
+  ``slot = Σ_c nd·ed`` both share.  The ``use_plan=False`` engine and
+  ``DeepPot.evaluate_serial`` keep the unblocked graph with its in-graph
+  ProdForce and are the oracles.
 * One engine, one thread.  The scratch pool, cached neighbor layouts, and
   the plan's buffer arenas are all mutable run state, so an engine must
   never be *executing* on two threads at once — one engine per driver
@@ -86,12 +98,46 @@ from repro.dp.nlist_fmt import (
     FormattedNeighbors,
     format_neighbors,
 )
-from repro.dp.ops_optimized import environment_op
+from repro.dp.ops_optimized import environment_op, scatter_forces
 from repro.md.potential import PotentialResult
 from repro.md.system import System
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.dp.model import DeepPot
+
+
+# Target bytes of the embedding output ``G`` one block of the plan holds:
+# an evaluation whose ``G`` is larger runs its tape over several row blocks
+# (see ``BatchedEvaluator.block_heights``).  Not a knob — one value, chosen
+# on ``md_copper_fig3`` (``G`` = 45.06 MB; README "Blocked plan" has the
+# sweep) and large enough that every zoo-sized evaluation (1.8-6.0 MB) is
+# one block.
+BLOCK_BYTES = 8_000_000
+
+# OpenBLAS multiplies with a small-matrix kernel when M*N*K <= 10^6, and
+# that kernel's rows differ in the last bit from the large kernel's (here
+# ``(m, 25) @ (25, 50)`` for m <= 783, ``(m, 1600) @ (1600, 240)`` for
+# m <= 2).  A block must never push a GEMM across that line.
+_BLAS_SMALL_MNK = 10**6
+
+
+def min_block_rows(config) -> int:
+    """Fewest rows of one type a block may hold (unless it holds them all).
+
+    With this many centre atoms every GEMM of the block — ``rows * sel_b``
+    embedding rows through each ``K -> N`` layer, ``rows`` descriptors
+    through each fitting layer, and their backward twins — has
+    ``M*N*K > 10^6`` and runs in the BLAS kernel whose rows do not depend
+    on ``M``, which is what keeps a blocked evaluation bitwise equal to the
+    unblocked one.  ``K = 1`` and ``N = 1`` layers are not BLAS GEMMs here
+    (outer product; tfmini's row-wise matvec).
+    """
+    emb = (1,) + tuple(config.embedding_layers)
+    sel = min(s for s in config.sel if s > 0)
+    fit = (emb[-1] * config.axis_neuron,) + tuple(config.fitting_layers)
+    work = [sel * k * n for k, n in zip(emb, emb[1:]) if k > 1]
+    work += [k * n for k, n in zip(fit, fit[1:])]
+    return _BLAS_SMALL_MNK // min(work, default=_BLAS_SMALL_MNK) + 1
 
 
 class _StackedFrame:
@@ -263,21 +309,77 @@ class BatchedEvaluator:
     def plan(self):
         """The engine's compiled execution plan (lazily compiled).
 
-        Feed order is the engine's staging order; fetches are the batched
-        path's graph outputs.  The plan is per-engine — like the scratch
-        pool, each driver keeps its own arena so shapes stay steady.
+        Fed by the per-type environment rows only and fetching, per type,
+        dE/dR~ and the atomic energies — every quantity on the tape is per
+        atom, so :meth:`_run_blocks` may run it on any row block.  The plan
+        is per-engine — like the scratch pool, each driver keeps its own
+        arena so shapes stay steady.
         """
         if self._plan is None:
             from repro.tfmini.plan import compile_plan
 
             m = self.model
             self._plan = compile_plan(
-                [m._f_forces, m._f_net_deriv] + list(m._f_e_atoms),
-                list(m.ph_env)
-                + [m.ph_em_deriv, m.ph_rij, m.ph_nlist, m.ph_atom_idx, m.ph_natoms],
-                copy_fetches=False,  # results are unpacked before the next run
+                list(m._f_net_derivs) + list(m._f_e_atoms),
+                list(m.ph_env),
+                copy_fetches=False,  # each block's rows are consumed at once
             )
         return self._plan
+
+    def block_heights(self, rows_per_type: Sequence[int]) -> tuple[int, list[int]]:
+        """``(n_blocks, rows of each type per block)`` for one evaluation.
+
+        The target count is the evaluation's embedding output ``G`` —
+        ``(rows, nnei, M1)`` in the network dtype, the widest activation on
+        the tape — over :data:`BLOCK_BYTES`, rounded up.  Every block holds
+        the same ``h_t = ceil(n_t / target)`` rows of type ``t`` (so one feed
+        signature, one arena, whatever the remainders are); the last
+        blocks start early enough to end at row ``n_t`` and recompute at
+        most ``n_blocks - 1`` rows per type.  A type is never cut below
+        :func:`min_block_rows` rows: it is run whole in every block instead.
+        """
+        cfg = self.model.config
+        g_bytes = (
+            sum(rows_per_type) * cfg.nnei * cfg.embedding_layers[-1]
+            * np.dtype(cfg.compute_dtype).itemsize
+        )
+        target = max(1, -(-g_bytes // BLOCK_BYTES))
+        floor = min_block_rows(cfg)
+        heights = [min(n, max(-(-n // target), floor)) for n in rows_per_type]
+        n_blocks = max(
+            [1] + [-(-n // h) for n, h in zip(rows_per_type, heights) if h]
+        )
+        return n_blocks, heights
+
+    def _run_blocks(self, em_t, ed_sorted, bounds, slot) -> np.ndarray:
+        """Run the plan over row blocks of the type-sorted environment rows.
+
+        ``em_t[t]`` holds type ``t``'s rows, rows ``bounds[t]:bounds[t + 1]``
+        of the sorted order ``ed_sorted`` is in.  Each block's dE/dR~ is
+        contracted with its ``ed_sorted`` rows straight into ``slot`` (dE/dd
+        per neighbor slot — all the force and virial assembly reads of it);
+        returns the atomic energies in sorted order (persistent scratch).
+        Rows are independent on the tape and in the contraction, so the
+        blocking cannot change a bit.
+        """
+        n_types = len(em_t)
+        rows = [em.shape[0] for em in em_t]
+        n_blocks, heights = self.block_heights(rows)
+        e_sorted = self.scratch.get("e_sorted", (sum(rows),))
+        for b in range(n_blocks):
+            starts = [min(b * h, n - h) for h, n in zip(heights, rows)]
+            out = self.plan.run_list(
+                [em[s : s + h] for em, s, h in zip(em_t, starts, heights)],
+                session=self.model.session,
+            )
+            for t, (s, h) in enumerate(zip(starts, heights)):
+                lo = bounds[t] + s
+                np.einsum(
+                    "ijc,ijck->ijk", out[t], ed_sorted[lo : lo + h],
+                    out=slot[lo : lo + h],
+                )
+                e_sorted[lo : lo + h] = out[n_types + t]
+        return e_sorted
 
     def _remember_fmt(self, key: tuple, fmt: FormattedNeighbors) -> None:
         """Retain a neighbor layout for ``out=`` reuse, FIFO-bounded."""
@@ -546,88 +648,84 @@ class BatchedEvaluator:
                 rep_of_row[sl] = r
                 row += nloc
 
-        # --- one type-sorted feed set for the whole stack ------------------
+        # --- one type-sorted row set for the whole stack -------------------
         # Identity fast path: when the stacked rows are already type-sorted
         # (every single-type model — copper — and any pre-sorted frame), the
-        # sort is the identity permutation, so the per-feed gather copies are
-        # skipped entirely and the staging buffers are fed as-is (per-type
-        # blocks are contiguous row slices).  Otherwise the gathers land
-        # directly in the plan's persistent feed slots (``feed_buffer``) —
-        # one pool serves staging and execution, no second scratch copy —
-        # or in engine scratch on the ``use_plan=False`` oracle path.
+        # sort is the identity permutation, so the gather copies are skipped
+        # entirely and the staging buffers are used as-is (per-type blocks
+        # are contiguous row slices).  Otherwise the per-type environment
+        # rows — the plan's feeds — are gathered directly into the plan's
+        # persistent feed slots (``feed_buffer``; engine scratch on the
+        # ``use_plan=False`` oracle path), and the geometry tensors the
+        # force/virial assembly reads into engine scratch.
         if total_loc == 0 or bool(np.all(types_cat[:-1] <= types_cat[1:])):
             self.stage_identity += 1
             sorted_types = types_cat
             sorted_rep = rep_of_row
             gidx_sorted = gidx
             bounds = np.searchsorted(types_cat, np.arange(cfg.n_types + 1))
-            feed_vals = [
-                em_n[bounds[t] : bounds[t + 1]] for t in range(cfg.n_types)
-            ]
+            em_t = [em_n[bounds[t] : bounds[t + 1]] for t in range(cfg.n_types)]
             ed_sorted, rij_sorted, nlist_sorted = ed_n, rij, nlist_g
         else:
             self.stage_gathers += 1
-            dest = self.plan.feed_buffer if self.use_plan else scratch.get
             order = np.argsort(types_cat, kind="stable")
             sorted_types = types_cat[order]
             sorted_rep = rep_of_row[order]
-            gidx_sorted = dest("atom_idx", (total_loc,), np.int64)
+            bounds = np.searchsorted(sorted_types, np.arange(cfg.n_types + 1))
+            gidx_sorted = scratch.get("atom_idx", (total_loc,), np.int64)
             np.take(gidx, order, out=gidx_sorted)
-            ed_sorted = dest("ed_sorted", ed_n.shape)
+            ed_sorted = scratch.get("ed_sorted", ed_n.shape)
             np.take(ed_n, order, axis=0, out=ed_sorted)
-            rij_sorted = dest("rij_sorted", rij.shape)
+            rij_sorted = scratch.get("rij_sorted", rij.shape)
             np.take(rij, order, axis=0, out=rij_sorted)
-            nlist_sorted = dest("nlist_sorted", nlist_g.shape, np.int64)
+            nlist_sorted = scratch.get("nlist_sorted", nlist_g.shape, np.int64)
             np.take(nlist_g, order, axis=0, out=nlist_sorted)
-            feed_vals = []
+            dest = self.plan.feed_buffer if self.use_plan else scratch.get
+            em_t = []
             for t in range(cfg.n_types):
-                idx_t = order[sorted_types == t]
-                em_t = dest(f"em_t{t}", (idx_t.size, nnei, 4))
-                np.take(em_n, idx_t, axis=0, out=em_t)
-                feed_vals.append(em_t)
+                idx_t = order[bounds[t] : bounds[t + 1]]
+                em = dest(f"em_t{t}", (idx_t.size, nnei, 4))
+                np.take(em_n, idx_t, axis=0, out=em)
+                em_t.append(em)
 
-        # Feed values in the plan's positional order: per-type environment
-        # rows, then the shared geometry tensors.  The tiny natoms feed is
-        # staged into a persistent plan slot too (it joins the plan's arena
-        # signature by value, so reuse is exact).
+        # --- the tape: dE/dR~ and atomic energies, per atom ----------------
+        # ``slot`` is dE/dd per neighbor slot, computed once for the whole
+        # stack: the force scatter and every per-replica virial below read
+        # it (the contraction ProdForce and ProdVirial each perform in the
+        # graph).
+        slot = scratch.get("slot", (total_loc, nnei, 3))
         if self.use_plan:
-            natoms_feed = self.plan.feed_buffer("natoms", (1,), np.int64)
-            natoms_feed[0] = total_atoms
+            e_sorted = self._run_blocks(em_t, ed_sorted, bounds, slot)
+            forces_all = scatter_forces(
+                slot, nlist_sorted, gidx_sorted, np.empty((total_atoms, 3))
+            )
         else:
-            natoms_feed = np.array([total_atoms], dtype=np.int64)
-        feed_vals += [
-            ed_sorted,
-            rij_sorted,
-            nlist_sorted,
-            gidx_sorted,
-            natoms_feed,
-        ]
-
-        if self.use_plan:
-            out = self.plan.run_list(feed_vals, session=model.session)
-        else:
-            # Reference oracle path: identical fetches/feeds via Session.run.
+            # Reference oracle: ONE unblocked Session.run of the whole
+            # stack with the in-graph ProdForce, as evaluate_serial does.
             feed_nodes = list(model.ph_env) + [
                 model.ph_em_deriv,
-                model.ph_rij,
                 model.ph_nlist,
                 model.ph_atom_idx,
                 model.ph_natoms,
             ]
+            feed_vals = em_t + [
+                ed_sorted,
+                nlist_sorted,
+                gidx_sorted,
+                np.array([total_atoms], dtype=np.int64),
+            ]
             fetches = [model._f_forces, model._f_net_deriv] + list(model._f_e_atoms)
             out = model.session.run(fetches, dict(zip(feed_nodes, feed_vals)))
-        forces_all, net_deriv = out[0], out[1]
-        e_atoms_t = [np.atleast_1d(e) for e in out[2:]]
+            forces_all = out[0]
+            np.einsum("ijc,ijck->ijk", out[1], ed_sorted, out=slot)
+            e_sorted = np.concatenate(out[2:])
+        e_atoms_t = [
+            e_sorted[bounds[t] : bounds[t + 1]] for t in range(cfg.n_types)
+        ]
         self.batch_evaluations += 1
         self.frames_evaluated += R
 
         # --- un-stack into per-replica results -----------------------------
-        # dE/dd per slot (shared by all per-replica virials; identical to the
-        # contraction ProdVirial performs on the serial path).
-        slot = scratch.get("slot", (total_loc, nnei, 3))
-        np.einsum("ijc,ijck->ijk", net_deriv, ed_sorted, out=slot)
-
-        e_sorted = np.concatenate(e_atoms_t) if e_atoms_t else np.zeros(0)
         rep_per_type = [sorted_rep[sorted_types == t] for t in range(cfg.n_types)]
 
         results: list[PotentialResult] = []
@@ -652,9 +750,7 @@ class BatchedEvaluator:
             if R == 1:
                 atom_e[gidx_sorted] = e_sorted
                 virial = -np.einsum("ija,ijb->ab", rij_sorted, slot)
-                # The graph output is a plan-arena buffer (overwritten by the
-                # next evaluation); results hand the caller an owned copy.
-                forces = forces_all.copy()
+                forces = forces_all  # fresh every evaluation: the caller's
             else:
                 rows_r = sorted_rep == r
                 atom_e[gidx_sorted[rows_r] - own_base[r]] = e_sorted[rows_r]

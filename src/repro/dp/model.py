@@ -225,15 +225,16 @@ class DeepPot:
         )
         self.node_net_deriv = nd
 
-        # node_net_deriv is fetched directly by the batched engine (which
-        # segments forces/virials per replica outside the graph); including it
-        # here keeps one rewritten DAG shared by both execution paths.
+        # The batched engine fetches the per-type dE/dR~ blocks and the
+        # per-type atomic energies (and assembles forces and virials per
+        # replica outside the graph); listing them here keeps one rewritten
+        # DAG shared by every execution path.
         fetches = [
             self.node_energy,
             self.node_forces,
             self.node_virial,
             self.node_net_deriv,
-        ] + list(self.node_e_atoms)
+        ] + list(self.node_e_atoms) + list(net_derivs)
         if cfg.optimize_graph:
             fetches = tf.optimize_graph(fetches)
         (
@@ -241,7 +242,9 @@ class DeepPot:
             self._f_forces,
             self._f_virial,
             self._f_net_deriv,
-        ), self._f_e_atoms = (fetches[:4], fetches[4:])
+        ) = fetches[:4]
+        self._f_e_atoms = fetches[4 : 4 + cfg.n_types]
+        self._f_net_derivs = fetches[4 + cfg.n_types :]
 
     # ------------------------------------------------------------------ stats
 

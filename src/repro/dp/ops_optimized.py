@@ -56,6 +56,28 @@ def environment_op(
     return out[0], out[1], rij
 
 
+def scatter_forces(
+    slot: np.ndarray, nlist: np.ndarray, atom_idx: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Scatter the per-slot derivative ``slot = Σ_c nd·ed`` (dE/dd_ij, shape
+    ``(rows, nnei, 3)``) into the force array ``out``, which is overwritten.
+
+    For slot (i, jj) with neighbor j:  F_i += slot[i,jj]  and  F_j -= the
+    same (since dR~/dr_i = -dR~/dr_j); ``atom_idx`` maps each row back to
+    its atom.  The one accumulation order of every force in the repo — the
+    graph's ``prod_force`` kernels and the batched engine, which assembles
+    forces outside its plan from the ``slot`` it shares with the virial —
+    so ``evaluate_serial`` and the engine agree bit for bit.
+    """
+    out.fill(0.0)
+    # center-atom accumulation
+    np.add.at(out, atom_idx, slot.sum(axis=1))
+    # neighbor scatter
+    mask = nlist != PAD
+    np.add.at(out, nlist[mask], -slot[mask])
+    return out
+
+
 def prod_force_op(
     net_deriv: np.ndarray,
     em_deriv: np.ndarray,
@@ -66,19 +88,10 @@ def prod_force_op(
     """Assemble forces from dE/dR~ (Sec 5.2.2's ProdForce).
 
     ``net_deriv`` rows are in the model's (type-sorted) atom order;
-    ``atom_idx`` maps each row back to its original atom index.  For slot
-    (i, jj) with neighbor j:  F_i += Σ_c nd[i,jj,c]·ed[i,jj,c,:]  and
-    F_j -= the same (since dR~/dr_i = -dR~/dr_j).
+    ``atom_idx`` maps each row back to its original atom index.
     """
-    forces = np.zeros((natoms, 3))
-    # Σ_c nd * ed  -> per-slot 3-vector: dE/d r_j  (before sign)
     slot = np.einsum("ijc,ijck->ijk", net_deriv, em_deriv)
-    # center-atom accumulation
-    np.add.at(forces, atom_idx, slot.sum(axis=1))
-    # neighbor scatter
-    mask = nlist != PAD
-    np.add.at(forces, nlist[mask], -slot[mask])
-    return forces
+    return scatter_forces(slot, nlist, atom_idx, np.empty((natoms, 3)))
 
 
 def prod_virial_op(
@@ -128,15 +141,9 @@ def _fwd_prod_force_grad(inputs, attrs):
 
 
 def _out_prod_force(inputs, attrs, out):
-    # Same einsum + np.add.at accumulation order as the allocating kernel,
-    # just scattering into a zeroed caller-owned buffer.
     net_deriv, em_deriv, nlist, atom_idx, _natoms_vec = inputs
-    nlist = nlist.astype(np.int64)
-    out.fill(0.0)
     slot = np.einsum("ijc,ijck->ijk", net_deriv, em_deriv)
-    np.add.at(out, atom_idx.astype(np.int64), slot.sum(axis=1))
-    mask = nlist != PAD
-    np.add.at(out, nlist[mask], -slot[mask])
+    scatter_forces(slot, nlist.astype(np.int64), atom_idx.astype(np.int64), out)
 
 
 def _out_prod_force_grad(inputs, attrs, out):

@@ -17,7 +17,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Everything ``plan-report`` / ``check-plans --report`` writes per plan.
 PLAN_REPORT_KEYS = {
-    "plan", "ok", "findings", "records", "records_pruned", "arenas",
+    "plan", "ok", "findings", "records", "records_pruned",
+    "blocks_per_evaluation", "arenas",
     "arena_nbytes_colored", "arena_nbytes_fifo", "arena_bytes_saved",
 }
 
@@ -73,8 +74,11 @@ class TestCli:
         assert main(["plan-report", "--out", str(out_file)]) == 0
         out = capsys.readouterr().out
         assert "water/double/evaluate" in out
+        assert "6 block(s)/evaluation" in out
         entries = json.loads(out_file.read_text())
-        assert len(entries) == 10
+        assert len(entries) == 11
+        assert entries[-1]["plan"] == "copper-fig3/double/evaluate-blocked"
+        assert entries[-1]["blocks_per_evaluation"] == 6
         for e in entries:
             assert set(e) == PLAN_REPORT_KEYS
             assert e["ok"]
@@ -86,7 +90,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "OK" in out or "ok" in out
         entries = json.loads(out_file.read_text())
-        assert len(entries) == 10
+        assert len(entries) == 11
         assert all(e["ok"] for e in entries)
         assert all(set(e) == PLAN_REPORT_KEYS for e in entries)
 

@@ -269,8 +269,9 @@ class TestForceBackendCounters:
 
 
 class TestIdentityStagingAndFeedSlots:
-    """Satellite: feed staging lands in the plan's persistent feed slots;
-    type-sorted stacks skip the gather copies entirely (counter-asserted)."""
+    """The plan's feeds (per-type environment rows) are staged in its
+    persistent feed slots; type-sorted stacks skip the gather copies
+    entirely (counter-asserted)."""
 
     def test_single_type_takes_identity_path(self, copper_model):
         system = fcc_lattice((3, 3, 3))
@@ -280,10 +281,12 @@ class TestIdentityStagingAndFeedSlots:
             engine.evaluate_batch([system], [(pi, pj)])
         assert engine.stage_identity == 3
         assert engine.stage_gathers == 0
-        # No gather destinations were ever needed: the plan's feed store
-        # holds only the tiny natoms slot — the per-step gather copy of
-        # em/ed/rij/nlist is gone.
-        assert engine.plan.stats.feed_allocs == 1
+        # No gather destination was ever needed — the per-step gather copy
+        # of em/ed/rij/nlist is gone: the plan's feed store is empty and
+        # scratch holds no sorted twin of a staging buffer.
+        assert engine.plan.stats.feed_allocs == 0
+        names = {key[0] for key in engine.scratch._arrays}
+        assert not names & {"ed_sorted", "rij_sorted", "nlist_sorted", "atom_idx"}
 
     def test_identity_path_bitwise_vs_session_oracle(self, copper_model):
         system = fcc_lattice((3, 3, 3))
@@ -301,14 +304,16 @@ class TestIdentityStagingAndFeedSlots:
         allocs0 = plan.stats.feed_allocs
         for _ in range(3):
             engine.evaluate_batch([water_sys], [(pi, pj)])
-        # Steady state: every gathered feed (n_types em blocks + em_deriv +
-        # nlist + atom_idx + natoms; rij only feeds the out-of-graph
-        # virial) is staged in place, and no new feed buffers appear.
-        n_counted = model.config.n_types + 4
+        # Steady state: every plan feed (one em block per type) is staged
+        # in place and no new feed buffers appear; the gathered geometry
+        # tensors feed the out-of-plan force/virial assembly from scratch.
         assert plan.stats.runs - runs0 == 3
-        assert plan.stats.in_place_feeds - inplace0 == 3 * n_counted
-        assert plan.stats.feed_allocs == allocs0
-        assert engine.stage_gathers == 4
+        assert plan.stats.in_place_feeds - inplace0 == 3 * model.config.n_types
+        assert plan.stats.feed_allocs == allocs0 == model.config.n_types
+        scratch_allocs = engine.scratch.alloc_count
+        engine.evaluate_batch([water_sys], [(pi, pj)])
+        assert engine.scratch.alloc_count == scratch_allocs
+        assert engine.stage_gathers == 5
 
     def test_oracle_path_uses_scratch_not_plan(self, model, water_sys):
         engine = BatchedEvaluator(model, use_plan=False)

@@ -143,10 +143,13 @@ class TestBitwiseOracle:
 class TestColoringAllocator:
     def test_zoo_colored_strictly_below_fifo(self):
         """The acceptance bar: coloring beats the FIFO recycler on every
-        zoo plan (water/copper x double/mixed x evaluate/train/serving),
-        measured on warmed arenas, with every plan verifying clean."""
+        zoo plan (water/copper x double/mixed x evaluate/train/serving)
+        and on the blocked paper-width engine plan, measured on warmed
+        arenas, with every plan verifying clean."""
         results = check_all_plans(report=True)
-        assert len(results) == 10
+        assert len(results) == 11
+        assert [e["metrics"]["blocks_per_evaluation"] for e in results] == \
+            [1] * 10 + [6]
         for entry in results:
             assert entry["report"].ok, (
                 entry["plan"] + "\n" + entry["report"].summary())
@@ -162,7 +165,8 @@ class TestColoringAllocator:
         engine.evaluate_batch([system], [pairs])
         m = plan_metrics(engine.plan)
         assert set(m) == {
-            "records", "records_pruned", "arenas", "arena_nbytes_colored",
+            "records", "records_pruned", "blocks_per_evaluation", "arenas",
+            "arena_nbytes_colored",
             "arena_nbytes_fifo", "arena_bytes_saved",
         }
         assert m["records"] == engine.plan.n_records
@@ -186,8 +190,8 @@ class TestNeededRecords:
     """Structure only: nothing here runs a plan."""
 
     @pytest.mark.parametrize("species,precision,steady,pruned", [
-        ("copper", "double", 111, 10), ("copper", "mixed", 115, 10),
-        ("water", "double", 323, 31), ("water", "mixed", 331, 31),
+        ("copper", "double", 108, 10), ("copper", "mixed", 112, 10),
+        ("water", "double", 313, 31), ("water", "mixed", 321, 31),
     ])
     def test_zoo_evaluate_plans(self, species, precision, steady, pruned):
         plan = BatchedEvaluator(DeepPot(SPECIES[species][0](precision))).plan
@@ -211,7 +215,7 @@ class TestNeededRecords:
 
         plan = BatchedEvaluator(DeepPot(DPConfig(
             type_names=("Cu",), rcut=4.0, rcut_smth=2.0, sel=(12,)))).plan
-        assert (plan.n_records, plan.n_pruned) == (111, 10)
+        assert (plan.n_records, plan.n_pruned) == (108, 10)
         assert_runs_exactly_what_is_read(plan)
 
 

@@ -323,7 +323,8 @@ class TestZooCoverage:
 
     def test_check_all_plans_clean(self):
         results = check_all_plans()
-        assert len(results) == 10  # 2 species x {2 eval, 2 serving, 1 train}
+        # 2 species x {2 eval, 2 serving, 1 train} + the blocked fig3 plan
+        assert len(results) == 11
         for entry in results:
             assert entry["report"].ok, (
                 entry["plan"] + "\n" + entry["report"].summary()

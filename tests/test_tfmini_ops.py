@@ -286,7 +286,6 @@ SHAPE_ONLY_CASES = {
     ],
     "cast_like": [([_f(4), _f(2, dtype=np.float32)], {})],
     "ones_like": [([_f(4, 3)], {}), ([_f(2, dtype=np.float32)], {})],
-    "ii_like": [([_f(5, 3)], {})],
     "prod_virial": [
         ([_f(2, 3, 4), _f(2, 3, 4, 3), _f(2, 3, 3),
           np.arange(6, dtype=np.int64).reshape(2, 3)], {}),

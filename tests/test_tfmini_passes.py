@@ -67,8 +67,8 @@ class TestConcatSumFusion:
         y = tf.add(tf.concat(x, x, axis=1), t)
         opt = tf.optimize_graph(y, passes=("concat_sum",))
         assert "concat" not in ops_in(opt)
-        assert "gemm" in ops_in(opt)
-        np.testing.assert_allclose(tf.Session().run(opt), tf.Session().run(y))
+        assert "concat_sum" in ops_in(opt) and "gemm" not in ops_in(opt)
+        np.testing.assert_array_equal(tf.Session().run(opt), tf.Session().run(y))
 
     def test_distinct_concat_inputs_not_fused(self, rng):
         a = tf.constant(rng.normal(size=(6, 4)))
@@ -79,7 +79,8 @@ class TestConcatSumFusion:
         assert "concat" in ops_in(opt)
 
     def test_ii_matrix_semantics(self, rng):
-        # x @ (I, I) must equal concat(x, x) exactly.
+        # The fused record must equal concat(x, x) exactly, and the paper's
+        # x @ (I, I) + t form of it bit for bit.
         x_val = rng.normal(size=(3, 5))
         x = tf.constant(x_val)
         t = tf.constant(np.zeros((3, 10)))
@@ -88,6 +89,15 @@ class TestConcatSumFusion:
         np.testing.assert_array_equal(
             tf.Session().run(opt), np.concatenate([x_val, x_val], axis=1)
         )
+        ii = tf.constant(np.concatenate([np.eye(5), np.eye(5)], axis=1))
+        for t_val in (rng.normal(size=(3, 10)), rng.normal(size=10)):
+            t = tf.constant(t_val)
+            fused = tf.optimize_graph(
+                tf.add(tf.concat(x, x, axis=1), t), passes=("concat_sum",)
+            )
+            np.testing.assert_array_equal(
+                tf.Session().run(fused), tf.Session().run(tf.gemm(x, ii, t))
+            )
 
 
 class TestTanhFusion:
