@@ -369,15 +369,26 @@ def plan_metrics(plan, evaluations: int = 0) -> dict:
     record counts are always present).  ``blocks_per_evaluation`` is the
     plan's runs over the ``evaluations`` its owner issued — the row blocks
     the batched engine cut each evaluation into (1: not blocked), every
-    block running in the one arena of its evaluation shape.
+    block running in the one arena of its evaluation shape.  ``rows_run``
+    of ``rows_padded`` is what the last run's compacted embedding chains
+    (``expand_rows`` records: the engine's plan has them, a trainer's has
+    none) ran on: the neighbour slots listed, of those there are.
     """
     colored = plan.arena_nbytes()
     fifo = plan.fifo_arena_nbytes()
     blocks = plan.stats.runs // evaluations if evaluations else 1
+    rows_run = rows_padded = 0
+    for rec in plan._records:
+        out = plan._values[rec.out_slot]
+        if rec.op == "expand_rows" and out is not None:
+            rows_run += plan._values[rec.input_slots[0]].shape[0]
+            rows_padded += out.shape[0]
     return {
         "records": plan.n_records,
         "records_pruned": plan.n_pruned,
         "blocks_per_evaluation": blocks,
+        "rows_run": rows_run,
+        "rows_padded": rows_padded,
         "arenas": len(plan.arenas),
         "arena_nbytes_colored": colored,
         "arena_nbytes_fifo": fifo,
@@ -573,19 +584,30 @@ def spec_from_last_run(plan) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def dp_feed_spec(model) -> dict:
-    """Symbolic feed signature of the batched engine's plan
-    (:attr:`repro.dp.batch.BatchedEvaluator.plan`): the per-type
-    environment rows of a :class:`repro.dp.model.DeepPot`, nothing else.
-
-    Row counts are per-type symbols ``n_t{t}`` — one block's rows when the
-    engine runs an evaluation in several blocks.
-    """
+def _env_feed_spec(model) -> dict:
+    """The per-type environment rows every DP graph is fed: ``n_t{t}`` rows
+    of type ``t`` — one block's when the engine runs an evaluation in
+    several blocks."""
     nnei = int(model.config.nnei)
     return {
         ph: FeedSpec((Dim.symbol(f"n_t{t}"), nnei, 4), np.float64)
         for t, ph in enumerate(model.ph_env)
     }
+
+
+def dp_feed_spec(model) -> dict:
+    """Symbolic feed signature of the batched engine's plan
+    (:attr:`repro.dp.batch.BatchedEvaluator.plan`): the per-type
+    environment rows of a :class:`repro.dp.model.DeepPot` and, per (centre
+    type, neighbour type) section, the ``rows_t{t}_b{b}`` listing of the
+    ``m_t{t}_b{b}`` neighbour slots its embedding net is run on.
+    """
+    spec = _env_feed_spec(model)
+    for ph in model.ph_rows:
+        spec[ph] = FeedSpec(
+            (Dim.symbol(ph.name.replace("rows", "m", 1)),), np.int64
+        )
+    return spec
 
 
 def train_feed_spec(trainer) -> dict:
@@ -599,7 +621,7 @@ def train_feed_spec(trainer) -> dict:
     """
     model = trainer.model
     nnei = int(model.config.nnei)
-    spec = dp_feed_spec(model)
+    spec = _env_feed_spec(model)
     rows = sum(fs.shape[0] for fs in spec.values())
     spec[model.ph_em_deriv] = FeedSpec((rows, nnei, 4, 3), np.float64)
     spec[model.ph_rij] = FeedSpec((rows, nnei, 3), np.float64)

@@ -659,6 +659,7 @@ def cmd_check_plans(args) -> int:
                 # its shape, so the arena bytes are one block's.
                 m = e["metrics"]
                 line += (f"  {m['blocks_per_evaluation']} block(s)/evaluation, "
+                         f"rows {m['rows_run']}/{m['rows_padded']}, "
                          f"arena {m['arena_nbytes_colored']} B")
             print(line)
             for f in rep.findings:
@@ -693,6 +694,7 @@ def cmd_plan_report(args) -> int:
             f"  {e['plan']:<36} {e['records']:>4} records "
             f"(+{e['records_pruned']:>2} pruned)  "
             f"{e['blocks_per_evaluation']:>2} block(s)/evaluation  "
+            f"rows {e['rows_run']:>5}/{e['rows_padded']:<5}  "
             f"arena {e['arena_nbytes_colored']:>10} B "
             f"(fifo {e['arena_nbytes_fifo']:>10} B, -{pct:.1f}%)"
         )

@@ -69,6 +69,10 @@ Design notes
   :data:`BLOCK_BYTES` therefore runs the tape over equal-height row blocks
   (:meth:`BatchedEvaluator.block_heights`) through ONE arena the size of a
   block, not of the evaluation; a zoo-sized evaluation is one block.
+  Per block, each embedding net runs on the real neighbour slots only (plus
+  padded ones up to a bucketed capacity; the model's *compacted* graph —
+  see :meth:`BatchedEvaluator._run_blocks` and :func:`section_capacity`),
+  and everything after it sees the padded matrix it would have produced.
   ProdForce — the one operator that does couple atoms — is applied once to
   the whole stack outside the tape (:func:`~repro.dp.ops_optimized.
   scatter_forces`), where the virial already was, from the one
@@ -88,6 +92,7 @@ Design notes
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -121,6 +126,12 @@ BLOCK_BYTES = 8_000_000
 _BLAS_SMALL_MNK = 10**6
 
 
+def _embedding_gemm_work(config) -> list[int]:
+    """``K * N`` of each embedding layer that is a BLAS GEMM (``K > 1``)."""
+    emb = (1,) + tuple(config.embedding_layers)
+    return [k * n for k, n in zip(emb, emb[1:]) if k > 1]
+
+
 def min_block_rows(config) -> int:
     """Fewest rows of one type a block may hold (unless it holds them all).
 
@@ -130,14 +141,38 @@ def min_block_rows(config) -> int:
     ``M*N*K > 10^6`` and runs in the BLAS kernel whose rows do not depend
     on ``M``, which is what keeps a blocked evaluation bitwise equal to the
     unblocked one.  ``K = 1`` and ``N = 1`` layers are not BLAS GEMMs here
-    (outer product; tfmini's row-wise matvec).
+    (outer product; tfmini's row-wise matvec).  The same line floors the
+    compacted capacity of a section (:func:`section_capacity`): compaction
+    shrinks ``M`` of the embedding GEMMs, never across it.
     """
-    emb = (1,) + tuple(config.embedding_layers)
     sel = min(s for s in config.sel if s > 0)
-    fit = (emb[-1] * config.axis_neuron,) + tuple(config.fitting_layers)
-    work = [sel * k * n for k, n in zip(emb, emb[1:]) if k > 1]
+    fit = (config.embedding_layers[-1] * config.axis_neuron,) + tuple(
+        config.fitting_layers
+    )
+    work = [sel * kn for kn in _embedding_gemm_work(config)]
     work += [k * n for k, n in zip(fit, fit[1:])]
     return _BLAS_SMALL_MNK // min(work, default=_BLAS_SMALL_MNK) + 1
+
+
+def section_capacity(config, padded: int, real: int) -> int:
+    """Rows the embedding net of one section runs on, of its ``padded``
+    neighbour slots per block, ``real`` of them (at most, over the blocks
+    of the evaluation) holding a neighbour.
+
+    ``real + 1`` slots — the extra one is the padded slot whose row fills
+    the unlisted ones — rounded up to eighths of ``padded`` so that a
+    drifting neighbour count rarely means a new feed signature, and never
+    below the BLAS small-matrix line (see :func:`min_block_rows`); a
+    section that cannot get under ``padded`` that way runs whole.  Eighths,
+    not finer: at sixteenths zoo copper-256 (fill 0.9) would gather 15/16
+    of its rows to save 6 % of the chain, and lose.
+    """
+    granule = max(padded // 8, 1)
+    want = granule * -(-(real + 1) // granule)
+    line = _BLAS_SMALL_MNK // min(
+        _embedding_gemm_work(config), default=_BLAS_SMALL_MNK
+    ) + 1
+    return min(padded, max(want, line))
 
 
 class _StackedFrame:
@@ -304,15 +339,24 @@ class BatchedEvaluator:
         self.stage_gathers = 0
         # evaluate_frames: bucketed evaluations issued (one per bucket).
         self.bucket_evaluations = 0
+        # Per evaluation shape (the block heights): the highest compacted
+        # capacity of each section so far and the feed signature of the
+        # arena built for it (see ``_run_blocks``); bounded like ``_fmts``.
+        # ``capacity_growths`` counts the arenas released for a larger one.
+        self._capacities: dict[tuple, tuple[tuple, tuple]] = {}
+        self.capacity_growths = 0
 
     @property
     def plan(self):
         """The engine's compiled execution plan (lazily compiled).
 
-        Fed by the per-type environment rows only and fetching, per type,
-        dE/dR~ and the atomic energies — every quantity on the tape is per
-        atom, so :meth:`_run_blocks` may run it on any row block.  The plan
-        is per-engine — like the scratch pool, each driver keeps its own
+        Fed by the per-type environment rows and, per (centre type,
+        neighbour type) section, the listing of the neighbour slots its
+        embedding net is run on (the model's *compacted* graph — see
+        :meth:`_run_blocks`); fetches, per type, dE/dR~ and the atomic
+        energies — every quantity on the tape is per atom, so
+        :meth:`_run_blocks` may run it on any row block.  The plan is
+        per-engine — like the scratch pool, each driver keeps its own
         arena so shapes stay steady.
         """
         if self._plan is None:
@@ -320,8 +364,8 @@ class BatchedEvaluator:
 
             m = self.model
             self._plan = compile_plan(
-                list(m._f_net_derivs) + list(m._f_e_atoms),
-                list(m.ph_env),
+                list(m._f_net_derivs_compact) + list(m._f_e_atoms_compact),
+                list(m.ph_env) + list(m.ph_rows),
                 copy_fetches=False,  # each block's rows are consumed at once
             )
         return self._plan
@@ -351,35 +395,95 @@ class BatchedEvaluator:
         )
         return n_blocks, heights
 
-    def _run_blocks(self, em_t, ed_sorted, bounds, slot) -> np.ndarray:
+    def _run_blocks(self, em_t, ed_sorted, nlist_sorted, bounds, slot) -> np.ndarray:
         """Run the plan over row blocks of the type-sorted environment rows.
 
         ``em_t[t]`` holds type ``t``'s rows, rows ``bounds[t]:bounds[t + 1]``
-        of the sorted order ``ed_sorted`` is in.  Each block's dE/dR~ is
-        contracted with its ``ed_sorted`` rows straight into ``slot`` (dE/dd
-        per neighbor slot — all the force and virial assembly reads of it);
-        returns the atomic energies in sorted order (persistent scratch).
-        Rows are independent on the tape and in the contraction, so the
-        blocking cannot change a bit.
+        of the sorted order ``ed_sorted`` and ``nlist_sorted`` are in.  Each
+        block's dE/dR~ is contracted with its ``ed_sorted`` rows straight
+        into ``slot`` (dE/dd per neighbor slot — all the force and virial
+        assembly reads of it); returns the atomic energies in sorted order
+        (persistent scratch).  Rows are independent on the tape and in the
+        contraction, so the blocking cannot change a bit.
+
+        Nor can the listings.  Per block and section the embedding net runs
+        on ``capacity`` of the ``h * sel_b`` slots: the real ones
+        (``nlist_sorted != PAD``), then padded ones up to the capacity —
+        at least one, whose row fills every unlisted slot (all padded slots
+        of a section share one ``s = -davg / dstd``, hence one row of
+        ``G``).  Any capacity above the real count gives the same bits, so
+        each evaluation shape keeps the highest :func:`section_capacity` it
+        has needed — one feed signature, one arena — and when that grows,
+        the arena it replaces is released.
         """
+        cfg = self.model.config
         n_types = len(em_t)
         rows = [em.shape[0] for em in em_t]
         n_blocks, heights = self.block_heights(rows)
+        starts = [
+            [min(b * h, n - h) for h, n in zip(heights, rows)]
+            for b in range(n_blocks)
+        ]
+        real = nlist_sorted != PAD
+        cols = [0, *accumulate(cfg.sel)]  # slot columns of each neighbour type
+
+        def section(b, t, nb):
+            lo = bounds[t] + starts[b][t]
+            return real[lo : lo + heights[t], cols[nb] : cols[nb + 1]]
+
+        sections = [(t, nb) for t in range(n_types) for nb in range(n_types)]
+        caps = tuple(
+            section_capacity(
+                cfg,
+                heights[t] * cfg.sel[nb],
+                max(int(np.count_nonzero(section(b, t, nb))) for b in range(n_blocks)),
+            )
+            for t, nb in sections
+        )
+        shape = tuple(heights)
+        held, signature = self._capacities.get(shape, (caps, None))
+        if any(c > h for c, h in zip(caps, held)):
+            self.plan.release_arena(signature)
+            self.capacity_growths += 1
+        caps = tuple(map(max, caps, held))
+
         e_sorted = self.scratch.get("e_sorted", (sum(rows),))
         for b in range(n_blocks):
-            starts = [min(b * h, n - h) for h, n in zip(heights, rows)]
+            listings = []
+            for (t, nb), cap in zip(sections, caps):
+                if cap == heights[t] * cfg.sel[nb]:
+                    listings.append(self._arange(cap))
+                    continue
+                # Real slots in ascending order, then padded ones.
+                order = np.argsort(~section(b, t, nb).reshape(-1), kind="stable")
+                listing = self.scratch.get(f"rows_t{t}_b{nb}", (cap,), np.int64)
+                listing[:] = order[:cap]
+                listings.append(listing)
             out = self.plan.run_list(
-                [em[s : s + h] for em, s, h in zip(em_t, starts, heights)],
+                [em[s : s + h] for em, s, h in zip(em_t, starts[b], heights)]
+                + listings,
                 session=self.model.session,
             )
-            for t, (s, h) in enumerate(zip(starts, heights)):
+            for t, (s, h) in enumerate(zip(starts[b], heights)):
                 lo = bounds[t] + s
                 np.einsum(
                     "ijc,ijck->ijk", out[t], ed_sorted[lo : lo + h],
                     out=slot[lo : lo + h],
                 )
                 e_sorted[lo : lo + h] = out[n_types + t]
+
+        self._capacities[shape] = (caps, self.plan.signature)
+        while len(self._capacities) > self.max_fmt_layouts:
+            self._capacities.pop(next(iter(self._capacities)))
         return e_sorted
+
+    def _arange(self, n: int) -> np.ndarray:
+        """The cached listing of every row of an ``n``-slot section."""
+        allocs = self.scratch.alloc_count
+        listing = self.scratch.get("arange", (n,), np.int64)
+        if self.scratch.alloc_count != allocs:
+            listing[:] = np.arange(n)
+        return listing
 
     def _remember_fmt(self, key: tuple, fmt: FormattedNeighbors) -> None:
         """Retain a neighbor layout for ``out=`` reuse, FIFO-bounded."""
@@ -390,12 +494,13 @@ class BatchedEvaluator:
 
     def release_buffers(self) -> None:
         """Drop all persistent storage: scratch pool, cached neighbor
-        layouts, and the compiled plan's buffer arenas (the compiled tape
-        survives).  The next evaluation re-warms; results are unaffected.
-        Useful before allocation-sensitive measurements or when a shape
-        regime is finished."""
+        layouts, compacted capacities, and the compiled plan's buffer arenas
+        (the compiled tape survives).  The next evaluation re-warms; results
+        are unaffected.  Useful before allocation-sensitive measurements or
+        when a shape regime is finished."""
         self.scratch.clear()
         self._fmts.clear()
+        self._capacities.clear()
         if self._plan is not None:
             self._plan.release_arenas()
 
@@ -695,7 +800,9 @@ class BatchedEvaluator:
         # graph).
         slot = scratch.get("slot", (total_loc, nnei, 3))
         if self.use_plan:
-            e_sorted = self._run_blocks(em_t, ed_sorted, bounds, slot)
+            e_sorted = self._run_blocks(
+                em_t, ed_sorted, nlist_sorted, bounds, slot
+            )
             forces_all = scatter_forces(
                 slot, nlist_sorted, gidx_sorted, np.empty((total_atoms, 3))
             )

@@ -38,8 +38,9 @@ from repro.dp.ops_optimized import environment_op
 from repro.md.potential import PotentialResult
 from repro.md.system import System
 from repro.tfmini.graph import Node, Variable
+from repro.tfmini.ops import expand_rows
 from repro.tfmini.ops import scale as tf_scale
-from repro.tfmini.ops import slice_axis
+from repro.tfmini.ops import slice_axis, take_rows
 
 
 @dataclass
@@ -154,58 +155,91 @@ class DeepPot:
 
     # ------------------------------------------------------------------ graph
 
-    def _build_graph(self) -> None:
+    def _atom_energies(self, t: int, r_t: Node, rows: Optional[Sequence[Node]]) -> Node:
+        """Graph body of centre type ``t``: environment rows -> atomic energies.
+
+        ``rows`` is ``None`` for the padded graph: the embedding net of each
+        neighbour type runs on every one of its ``sel`` slots.  Otherwise
+        ``rows[b]`` lists, per section (``t``, neighbour type ``b``), the
+        slots the net is run on (``take_rows``) and ``expand_rows`` fills the
+        rest of ``G`` with the row of the last listed slot — a padded one,
+        whose ``s`` every unlisted slot shares — so everything from the
+        ``R~^T G`` contraction on sees the same padded matrix either way.
+        """
         cfg = self.config
         dtype = cfg.compute_dtype
         nnei = cfg.nnei
         m1 = cfg.embedding_layers[-1]
         m2 = cfg.axis_neuron
+        r_net = tf.cast(r_t, dtype) if dtype != np.float64 else r_t
 
-        self.ph_env: list[Node] = []
-        e_atom_nodes: list[Node] = []
-        for t in range(cfg.n_types):
-            r_t = tf.placeholder(f"env_t{t}", dtype=np.float64)
-            self.ph_env.append(r_t)
-            r_net = tf.cast(r_t, dtype) if dtype != np.float64 else r_t
-
-            # s(r) column -> per-neighbor-type embedding blocks
-            s_col = slice_axis(r_net, 2, 0, 1)  # (n_t, nnei, 1)
-            g_blocks: list[Node] = []
-            for b in range(cfg.n_types):
-                start = int(np.sum(cfg.sel[:b]))
-                stop = start + cfg.sel[b]
-                s_b = slice_axis(s_col, 1, start, stop)
-                s_2d = tf.reshape(s_b, (-1, 1))
-                emb_idx = b if cfg.type_one_side else t * cfg.n_types + b
-                g_2d = apply_embedding(
-                    self.embedding_params[emb_idx], s_2d, cfg.embedding_layers
+        # s(r) column -> per-neighbor-type embedding blocks
+        s_col = slice_axis(r_net, 2, 0, 1)  # (n_t, nnei, 1)
+        g_blocks: list[Node] = []
+        for b in range(cfg.n_types):
+            start = int(np.sum(cfg.sel[:b]))
+            stop = start + cfg.sel[b]
+            s_b = slice_axis(s_col, 1, start, stop)
+            s_2d = tf.reshape(s_b, (-1, 1))
+            emb_idx = b if cfg.type_one_side else t * cfg.n_types + b
+            params = self.embedding_params[emb_idx]
+            if rows is None:
+                g_2d = apply_embedding(params, s_2d, cfg.embedding_layers)
+            else:
+                g_2d = expand_rows(
+                    apply_embedding(
+                        params, take_rows(s_2d, rows[b]), cfg.embedding_layers
+                    ),
+                    rows[b],
+                    like=s_2d,
                 )
-                g_blocks.append(tf.reshape(g_2d, (-1, cfg.sel[b], m1)))
-            g = g_blocks[0]
-            for blk in g_blocks[1:]:
-                g = tf.concat(g, blk, axis=1)  # (n_t, nnei, m1)
+            g_blocks.append(tf.reshape(g_2d, (-1, cfg.sel[b], m1)))
+        g = g_blocks[0]
+        for blk in g_blocks[1:]:
+            g = tf.concat(g, blk, axis=1)  # (n_t, nnei, m1)
 
-            # D = (R~^T G)^T (R~^T G)[:, :m2] / nnei^2
-            t_mat = tf_scale(
-                tf.bmm(tf.transpose(r_net, (0, 2, 1)), g), 1.0 / nnei
-            )  # (n_t, 4, m1)
-            t2 = slice_axis(t_mat, 2, 0, m2)  # (n_t, 4, m2)
-            d_mat = tf.bmm(tf.transpose(t_mat, (0, 2, 1)), t2)  # (n_t, m1, m2)
-            d_flat = tf.reshape(d_mat, (-1, m1 * m2))
+        # D = (R~^T G)^T (R~^T G)[:, :m2] / nnei^2
+        t_mat = tf_scale(
+            tf.bmm(tf.transpose(r_net, (0, 2, 1)), g), 1.0 / nnei
+        )  # (n_t, 4, m1)
+        t2 = slice_axis(t_mat, 2, 0, m2)  # (n_t, 4, m2)
+        d_mat = tf.bmm(tf.transpose(t_mat, (0, 2, 1)), t2)  # (n_t, m1, m2)
+        d_flat = tf.reshape(d_mat, (-1, m1 * m2))
 
-            fit_out = apply_fitting(self.fitting_params[t], d_flat, cfg.fitting_layers)
-            e_atom = tf.cast(fit_out, np.float64) if dtype != np.float64 else fit_out
-            e_atom_nodes.append(tf.reshape(e_atom, (-1,)))
+        fit_out = apply_fitting(self.fitting_params[t], d_flat, cfg.fitting_layers)
+        e_atom = tf.cast(fit_out, np.float64) if dtype != np.float64 else fit_out
+        return tf.reshape(e_atom, (-1,))
 
+    def _build_graph(self) -> None:
+        cfg = self.config
+        types = range(cfg.n_types)
+
+        self.ph_env: list[Node] = [
+            tf.placeholder(f"env_t{t}", dtype=np.float64) for t in types
+        ]
+        # Row listings of the compacted graph, one per (centre type,
+        # neighbour type) section, flat as [t * n_types + b].
+        self.ph_rows: list[Node] = [
+            tf.placeholder(f"rows_t{t}_b{b}", dtype=np.int64)
+            for t in types for b in types
+        ]
+
+        def energy_and_derivs(rows_of):
+            e_atoms = [
+                self._atom_energies(t, self.ph_env[t], rows_of(t)) for t in types
+            ]
+            e_totals = [tf.reduce_sum(e) for e in e_atoms]
+            energy = e_totals[0]
+            for e in e_totals[1:]:
+                energy = tf.add(energy, e)
+            # backprop to the environment matrix: dE/dR~
+            return e_atoms, energy, tf.grad(energy, self.ph_env)
+
+        # The padded graph: what evaluate_serial, the ``use_plan=False``
+        # engine and the Trainer run — the oracle.
+        e_atom_nodes, energy, net_derivs = energy_and_derivs(lambda t: None)
         self.node_e_atoms: list[Node] = e_atom_nodes
-        e_totals = [tf.reduce_sum(e) for e in e_atom_nodes]
-        energy = e_totals[0]
-        for e in e_totals[1:]:
-            energy = tf.add(energy, e)
         self.node_energy = energy
-
-        # --- backprop to the environment matrix: dE/dR~ -----------------------
-        net_derivs = tf.grad(energy, self.ph_env)
         nd = net_derivs[0]
         for other in net_derivs[1:]:
             nd = tf.concat(nd, other, axis=0)  # rows in type-sorted order
@@ -225,16 +259,23 @@ class DeepPot:
         )
         self.node_net_deriv = nd
 
-        # The batched engine fetches the per-type dE/dR~ blocks and the
-        # per-type atomic energies (and assembles forces and virials per
-        # replica outside the graph); listing them here keeps one rewritten
-        # DAG shared by every execution path.
+        # The compacted graph: the same body with every embedding net run
+        # on its listed slots only.  The batched engine's plan fetches its
+        # per-type dE/dR~ blocks and atomic energies (and assembles forces
+        # and virials per replica outside the graph).
+        n = cfg.n_types
+        e_atoms_c, _energy_c, net_derivs_c = energy_and_derivs(
+            lambda t: self.ph_rows[t * n : (t + 1) * n]
+        )
+
+        # One rewrite over every fetch keeps one DAG (and one set of leaves)
+        # shared by every execution path.
         fetches = [
             self.node_energy,
             self.node_forces,
             self.node_virial,
             self.node_net_deriv,
-        ] + list(self.node_e_atoms) + list(net_derivs)
+        ] + list(self.node_e_atoms) + list(e_atoms_c) + list(net_derivs_c)
         if cfg.optimize_graph:
             fetches = tf.optimize_graph(fetches)
         (
@@ -243,8 +284,9 @@ class DeepPot:
             self._f_virial,
             self._f_net_deriv,
         ) = fetches[:4]
-        self._f_e_atoms = fetches[4 : 4 + cfg.n_types]
-        self._f_net_derivs = fetches[4 + cfg.n_types :]
+        self._f_e_atoms = fetches[4 : 4 + n]
+        self._f_e_atoms_compact = fetches[4 + n : 4 + 2 * n]
+        self._f_net_derivs_compact = fetches[4 + 2 * n :]
 
     # ------------------------------------------------------------------ stats
 

@@ -631,6 +631,31 @@ class ExecutionPlan:
             self.feed_nbytes += buf.nbytes
         return buf
 
+    @property
+    def signature(self) -> Optional[tuple]:
+        """Feed-shape signature of the arena the last run used (``None``
+        before the first run and after a release)."""
+        return None if self._installed is None else self._installed.signature
+
+    def release_arena(self, signature: tuple) -> None:
+        """Drop the warm arena of one feed-shape signature, if held.
+
+        For an owner that knows a signature will not come back — the
+        batched engine replacing an arena by a larger one — so that the
+        memory is returned before the replacement is built rather than
+        when ``max_arenas`` is reached.
+        """
+        arena = self._arenas.pop(signature, None)
+        if arena is not None and arena is self._installed:
+            self._installed = None
+            self._reset_slots()
+
+    def _reset_slots(self) -> None:
+        """Forget every run value (arena views included); constants stay."""
+        self._values = [None] * self._n_slots
+        for slot, value in self._const_slots:
+            self._values[slot] = value
+
     def release_arenas(self) -> None:
         """Drop every buffer arena and feed staging buffer (the compiled
         tape is kept).
@@ -647,9 +672,7 @@ class ExecutionPlan:
         self._feed_ids.clear()
         self.feed_nbytes = 0
         self._installed = None
-        self._values = [None] * self._n_slots
-        for slot, value in self._const_slots:
-            self._values[slot] = value
+        self._reset_slots()
 
     # ------------------------------------------------------------------ run
 

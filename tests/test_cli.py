@@ -18,7 +18,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # Everything ``plan-report`` / ``check-plans --report`` writes per plan.
 PLAN_REPORT_KEYS = {
     "plan", "ok", "findings", "records", "records_pruned",
-    "blocks_per_evaluation", "arenas",
+    "blocks_per_evaluation", "rows_run", "rows_padded", "arenas",
     "arena_nbytes_colored", "arena_nbytes_fifo", "arena_bytes_saved",
 }
 
@@ -79,6 +79,15 @@ class TestCli:
         assert len(entries) == 11
         assert entries[-1]["plan"] == "copper-fig3/double/evaluate-blocked"
         assert entries[-1]["blocks_per_evaluation"] == 6
+        # One block of the perfect 256-atom lattice: 43 atoms x 134 real
+        # neighbours + 1 in 43 x 220 slots, in eighths.
+        assert "rows  5910/9460" in out
+        assert (entries[-1]["rows_run"], entries[-1]["rows_padded"]) == (
+            5 * (43 * 220 // 8), 43 * 220)
+        # Zoo-width sections are below the BLAS line and run whole; a
+        # trainer's graph is the padded one.
+        assert all(e["rows_run"] == e["rows_padded"] for e in entries[:-1])
+        assert all(e["rows_padded"] == 0 for e in entries if "/train" in e["plan"])
         for e in entries:
             assert set(e) == PLAN_REPORT_KEYS
             assert e["ok"]

@@ -1,15 +1,19 @@
-"""The Environment kernel is bit-stable.
+"""The Environment kernel and the force scatter are bit-stable.
 
 ``env_rows`` is written component by component for speed; what it computes
 per element — operands, order, rounding — is the broadcast formulation it
 replaced, kept here as the reference.  Trajectories depend on that: the
 engine's results are compared bitwise against ``DeepPot.evaluate_serial``.
+``scatter_forces`` likewise: one ``np.bincount`` per component, against the
+two ``np.add.at`` passes it replaced.
 """
 
 import numpy as np
 import pytest
 
 from repro.dp.env_mat import env_rows
+from repro.dp.nlist_fmt import PAD
+from repro.dp.ops_optimized import scatter_forces
 from repro.dp.pair import DeepPotPair
 from repro.md.neighbor import fitted_neighbor_list
 from repro.md.potential import Potential
@@ -126,6 +130,43 @@ class TestEnvRowsBitStable:
         want = broadcast_reference(disp, R_SMTH, R_CUT)
         assert_same_bits(rows, want[0])
         assert_same_bits(deriv, want[1])
+
+
+def add_at_reference(slot, nlist, atom_idx, out):
+    """``scatter_forces`` as it stood before the ``np.bincount`` form."""
+    out.fill(0.0)
+    np.add.at(out, atom_idx, slot.sum(axis=1))
+    mask = nlist != PAD
+    np.add.at(out, nlist[mask], -slot[mask])
+    return out
+
+
+class TestScatterForcesBitStable:
+    @pytest.mark.parametrize("rows,nnei,natoms,fill", [
+        (256, 220, 256, 0.6),   # PAD-heavy: md_copper_fig3
+        (64, 36, 64, 1.0),      # PAD-free
+        (50, 48, 122, 0.8),     # ghosts: ``out`` longer than the rows
+        (0, 36, 10, 0.5),       # no local rows at all
+        (7, 5, 7, 0.0),         # nothing but padding
+    ])
+    def test_same_bytes_as_the_add_at_form(self, rows, nnei, natoms, fill):
+        rng = np.random.default_rng(rows + nnei)
+        nlist = rng.integers(0, natoms, size=(rows, nnei))
+        nlist[rng.random((rows, nnei)) >= fill] = PAD
+        slot = rng.normal(size=(rows, nnei, 3))
+        slot[nlist == PAD] = 0.0  # what em_deriv makes of a padded slot ...
+        slot[::3, ::4, 1] = -0.0  # ... of either sign
+        atom_idx = rng.permutation(natoms)[:rows]  # rows are type-sorted
+        got = scatter_forces(slot, nlist, atom_idx, np.full((natoms, 3), np.nan))
+        want = add_at_reference(slot, nlist, atom_idx, np.empty((natoms, 3)))
+        assert_same_bits(got, want)
+
+
+    def test_an_index_past_the_last_atom_still_raises(self):
+        slot = np.ones((2, 3, 3))
+        nlist = np.array([[1, PAD, PAD], [0, 2, PAD]])
+        with pytest.raises(IndexError, match="index 2 out of range for 2 atoms"):
+            scatter_forces(slot, nlist, np.arange(2), np.empty((2, 3)))
 
 
 class SerialOracle(Potential):

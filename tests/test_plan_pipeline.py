@@ -165,13 +165,15 @@ class TestColoringAllocator:
         engine.evaluate_batch([system], [pairs])
         m = plan_metrics(engine.plan)
         assert set(m) == {
-            "records", "records_pruned", "blocks_per_evaluation", "arenas",
-            "arena_nbytes_colored",
+            "records", "records_pruned", "blocks_per_evaluation",
+            "rows_run", "rows_padded", "arenas", "arena_nbytes_colored",
             "arena_nbytes_fifo", "arena_bytes_saved",
         }
         assert m["records"] == engine.plan.n_records
         assert m["records_pruned"] == engine.plan.n_pruned
         assert m["arenas"] == 1
+        # 81 centres x (12 + 24) slots, every section run whole.
+        assert m["rows_run"] == m["rows_padded"] == 81 * 36
 
 
 def assert_runs_exactly_what_is_read(plan):
@@ -190,8 +192,10 @@ class TestNeededRecords:
     """Structure only: nothing here runs a plan."""
 
     @pytest.mark.parametrize("species,precision,steady,pruned", [
-        ("copper", "double", 108, 10), ("copper", "mixed", 112, 10),
-        ("water", "double", 313, 31), ("water", "mixed", 321, 31),
+        # 4 per (centre, neighbour) section are the compaction's: the gather
+        # of s, the write-back of G, and their backward twins.
+        ("copper", "double", 112, 10), ("copper", "mixed", 116, 10),
+        ("water", "double", 329, 31), ("water", "mixed", 337, 31),
     ])
     def test_zoo_evaluate_plans(self, species, precision, steady, pruned):
         plan = BatchedEvaluator(DeepPot(SPECIES[species][0](precision))).plan
@@ -215,7 +219,7 @@ class TestNeededRecords:
 
         plan = BatchedEvaluator(DeepPot(DPConfig(
             type_names=("Cu",), rcut=4.0, rcut_smth=2.0, sel=(12,)))).plan
-        assert (plan.n_records, plan.n_pruned) == (108, 10)
+        assert (plan.n_records, plan.n_pruned) == (112, 10)
         assert_runs_exactly_what_is_read(plan)
 
 

@@ -284,6 +284,15 @@ SHAPE_ONLY_CASES = {
         ([_f(4), _f(4, 3)], {"axis": 1, "mean": True}),
         ([_f(), _f(4, 3)], {"axis": None, "mean": True}),
     ],
+    # partial listing (the last listed row fills the rest) and full listing
+    "expand_rows": [
+        ([_f(3, 2), np.array([4, 0, 2]), _f(5, 1)], {}),
+        ([_f(5, 2), np.arange(5), _f(5, 1)], {}),
+    ],
+    "scatter_rows": [
+        ([_f(3, 2), np.array([4, 0, 2]), _f(5, 2)], {}),
+        ([_f(5, 2), np.arange(5), _f(5, 2)], {}),
+    ],
     "cast_like": [([_f(4), _f(2, dtype=np.float32)], {})],
     "ones_like": [([_f(4, 3)], {}), ([_f(2, dtype=np.float32)], {})],
     "prod_virial": [

@@ -274,13 +274,16 @@ class TestSyntheticGraphs:
         assert np.array_equal(b, np.tanh(np.ones(3)))
 
 
-def assert_steady_stats_are_session_minus_probes(plan, steady, ref, outside=()):
+def assert_steady_stats_are_session_minus_probes(plan, steady, ref, outside=(),
+                                                 inside=()):
     """A profiled steady run records what ``Session.run`` records, minus
     exactly the shape probes (records whose values nothing reads) and the
-    ``outside`` ops the reference graph runs but the plan's fetches omit."""
+    ``outside`` ops the reference graph runs but the plan's fetches omit,
+    plus the ``inside`` ops only the plan's graph holds."""
     probes = Counter(r.op for r in plan._records if not r.needed)
     assert sum(probes.values()) == plan.n_pruned > 0
-    assert +Counter(steady.calls) == Counter(ref.calls) - probes - Counter(outside)
+    assert +Counter(steady.calls) == (
+        Counter(ref.calls) - probes - Counter(outside) + Counter(inside))
     for op in set(ref.calls) - set(probes) - set(outside):
         assert steady.flops[op] == ref.flops[op]
         assert steady.bytes[op] == ref.bytes[op]
@@ -483,10 +486,14 @@ class TestDeepPotPlans:
             model.session = real_session
         # The oracle engine keeps ProdForce (and the concat of the per-type
         # dE/dR~ blocks it reads) in its graph; the planned engine
-        # assembles forces outside the tape.
+        # assembles forces outside the tape, and its graph is the compacted
+        # one: per section (2 x 2) a gather of s and of dE/dG, the write-back
+        # of G and of dE/ds.  Zoo-width sections run whole, so every op the
+        # two graphs share does the same FLOPs on the same bytes.
         assert_steady_stats_are_session_minus_probes(
             planned.plan, stats["plan"], stats["sess"],
-            outside=["prod_force", "concat"])
+            outside=["prod_force", "concat"],
+            inside={"take_rows": 8, "expand_rows": 4, "scatter_rows": 4})
 
 
 class TestTrainingStepPlans:
