@@ -9,7 +9,7 @@ Subpackages
     substitute, including the paper's Sec 5.3 graph-fusion passes.
 ``repro.md``
     LAMMPS-like MD substrate: neighbor lists, integrators, thermostats,
-    minimizer, deformation, thermo.
+    deformation, thermo.
 ``repro.oracles``
     "Ab initio" stand-in potentials (EAM copper, flexible water) that
     label training data in place of DFT.

@@ -4,10 +4,6 @@ Commands
 --------
 info        — package/system inventory and model-zoo status
 scaling     — regenerate the Summit scaling tables (Tables 1/4, Figs 5/6)
-validate    — quick self-check: DP forces vs finite differences,
-              distributed-vs-serial agreement, a distributed-ensemble
-              bitwise smoke, a 2-client serving round trip, and a static
-              plan verification (seconds, not the full suite)
 serve       — run the inference service as a socket daemon (the
               repro.serving.net front-end; SIGTERM drains gracefully and
               the exit code asserts request conservation)
@@ -87,126 +83,6 @@ def cmd_scaling(_args) -> int:
 
     print_all()
     return 0
-
-
-def cmd_validate(_args) -> int:
-    import numpy as np
-
-    from repro.analysis.structures import water_box
-    from repro.dp.model import DeepPot, DPConfig
-    from repro.md import boltzmann_velocities
-    from repro.md.neighbor import neighbor_pairs
-    from repro.parallel import DistributedEnsembleSimulation, DistributedSimulation
-
-    print("1/6 building a tiny DP model and a 81-atom water cell...")
-    model = DeepPot(DPConfig.tiny())
-    sys = water_box((3, 3, 3), seed=0)
-    pi, pj = neighbor_pairs(sys, model.config.rcut)
-    res = model.evaluate(sys, pi, pj)
-
-    print("2/6 checking forces against finite differences...")
-    eps, worst = 1e-5, 0.0
-    for atom, comp in ((0, 0), (10, 1), (40, 2)):
-        p0 = sys.positions[atom, comp]
-        sys.positions[atom, comp] = p0 + eps
-        a, b = neighbor_pairs(sys, model.config.rcut)
-        e_plus = model.evaluate(sys, a, b).energy
-        sys.positions[atom, comp] = p0 - eps
-        a, b = neighbor_pairs(sys, model.config.rcut)
-        e_minus = model.evaluate(sys, a, b).energy
-        sys.positions[atom, comp] = p0
-        num = -(e_plus - e_minus) / (2 * eps)
-        worst = max(worst, abs(num - res.forces[atom, comp]))
-    print(f"    max |F_analytic - F_fd| = {worst:.2e} eV/Å")
-    ok_fd = worst < 1e-7
-
-    print("3/6 checking distributed == serial...")
-    big = water_box((4, 4, 4), seed=1)
-    boltzmann_velocities(big, 300.0, seed=2)
-    a, b = neighbor_pairs(big, model.config.rcut)
-    serial_forces = model.evaluate(big, a, b).forces
-    dist = DistributedSimulation(big.copy(), model, grid=(2, 1, 1), dt=5e-4, skin=1.0)
-    diff = float(np.abs(dist.forces_now() - serial_forces).max())
-    print(f"    max |F_dist - F_serial| = {diff:.2e} eV/Å")
-    ok_dist = diff < 1e-10
-
-    print("4/6 checking distributed ensemble == independent runs (bitwise)...")
-    R, grid = 2, (2, 1, 1)
-    ens = DistributedEnsembleSimulation.from_system(
-        big, model, n_replicas=R, temperature=300.0, seed=5,
-        grid=grid, dt=5e-4, skin=1.0, rebuild_every=4,
-    )
-    before = ens.force_backend.evaluations
-    n_steps = 4
-    ens.run(n_steps)
-    evals = ens.force_backend.evaluations - before
-    ok_ens = True
-    for k in range(R):
-        solo_sys = big.copy()
-        boltzmann_velocities(solo_sys, 300.0, seed=5 + k)
-        solo = DistributedSimulation(
-            solo_sys, model, grid=grid, dt=5e-4, skin=1.0, rebuild_every=4,
-        )
-        solo.run(n_steps)
-        ok_ens = ok_ens and np.array_equal(
-            ens.replicas[k].current_system().positions,
-            solo.current_system().positions,
-        ) and np.array_equal(ens.replicas[k].forces_now(), solo.forces_now())
-    frames_per_step = R * int(np.prod(grid))
-    ok_ens = ok_ens and evals < n_steps * frames_per_step
-    print(
-        f"    {R}x{grid} replicas: {evals} batched evaluations for "
-        f"{n_steps} steps x {frames_per_step} frames "
-        f"({'bitwise identical to' if ok_ens else 'MISMATCH vs'} "
-        f"independent runs)"
-    )
-
-    print("5/6 checking serving == direct (2-client micro-batch smoke)...")
-    from repro.serving import (
-        InferenceServer,
-        perturbed_frames,
-        run_closed_loop_clients,
-        served_matches_direct,
-    )
-
-    frames = perturbed_frames(sys, 4, seed0=40, scale=0.01)
-    server = InferenceServer({"tiny": model}, max_batch=4, max_wait_us=2000)
-    try:
-        served = run_closed_loop_clients(
-            server, "tiny", {0: frames[:2], 1: frames[2:]}, timeout=60
-        )
-        ok_serve = sum(len(r) for r in served.values()) == 4 and all(
-            served_matches_direct(model, frame, result)
-            for results in served.values()
-            for frame, result in results
-        )
-    except RuntimeError as exc:
-        print(f"    serving round trip failed: {exc}")
-        ok_serve = False
-    finally:
-        server.stop()
-    snap = server.stats.snapshot()
-    print(f"    {snap['requests_completed']} requests in {snap['batches']} "
-          f"batches (occupancy {snap['occupancy']:.1f}); served results "
-          f"{'bitwise identical to' if ok_serve else 'MISMATCH vs'} "
-          f"direct evaluate")
-
-    print("6/6 statically verifying the compiled evaluate plan "
-          "(liveness/alias/shape/dtype)...")
-    from repro.analysis.plancheck import dp_feed_spec
-    from repro.dp.batch import BatchedEvaluator
-
-    engine = BatchedEvaluator(model)
-    engine.evaluate_batch([sys], [(pi, pj)])  # warm one arena
-    report = engine.plan.verify(spec=dp_feed_spec(model), check_values=True)
-    print(f"    {report.summary()}")
-    ok_plan = report.ok
-
-    if ok_fd and ok_dist and ok_ens and ok_serve and ok_plan:
-        print("\nvalidation PASSED")
-        return 0
-    print("\nvalidation FAILED")
-    return 1
 
 
 def _bench_tiny_model():
@@ -706,7 +582,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="package inventory and zoo status")
     sub.add_parser("scaling", help="regenerate the Summit scaling tables")
-    sub.add_parser("validate", help="quick end-to-end self check")
     daemon = sub.add_parser(
         "serve",
         help="run the inference service as a socket daemon "
@@ -808,7 +683,6 @@ def main(argv=None) -> int:
     return {
         "info": cmd_info,
         "scaling": cmd_scaling,
-        "validate": cmd_validate,
         "serve": cmd_serve,
         "md": cmd_md,
         "resume": cmd_resume,

@@ -29,13 +29,12 @@ three implementations here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.dp.batch import BatchedEvaluator
-from repro.md.potential import Potential, PotentialResult
+from repro.md.potential import ForceFrame, Potential, PotentialResult
 
 
 class InvalidFrame(ValueError):
@@ -59,24 +58,6 @@ def frame_problem(system, n_types: int) -> Optional[str]:
     if types.size and (types.min() < 0 or types.max() >= n_types):
         return f"type ids outside [0, {n_types})"
     return None
-
-
-@dataclass
-class ForceFrame:
-    """One unit of force-evaluation work submitted to a force backend.
-
-    ``system`` carries the atoms (locals first, then explicit ghosts when
-    ``nloc`` < ``n_atoms``); ``pair_i``/``pair_j`` is the half neighbor-pair
-    list; ``pbc`` selects minimum-image (True) or raw displacements (False —
-    the domain-decomposition mode, whose periodic images are explicit
-    ghosts).
-    """
-
-    system: object  # System (or duck-typed: positions/types/box/n_atoms)
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    nloc: Optional[int] = None  # None => every atom is local
-    pbc: bool = True
 
 
 class ForceBackend:

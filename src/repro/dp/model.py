@@ -384,26 +384,6 @@ class DeepPot:
             self._batched = BatchedEvaluator(self)
         return self._batched
 
-    def plan_stats(self) -> dict:
-        """Executor counters of the default engine's compiled plan.
-
-        ``topo_sorts`` stays at 1 for the engine's lifetime and
-        ``arena_allocs`` stops growing once every batch shape has been seen
-        — the two fixed costs the plan layer eliminates (see
-        :mod:`repro.tfmini.plan`).
-        """
-        if self._batched is None or self._batched._plan is None:
-            return {"compiled": False}
-        plan = self._batched.plan
-        return {
-            "compiled": True,
-            "topo_sorts": plan.stats.topo_sorts,
-            "runs": plan.stats.runs,
-            "arena_builds": plan.stats.arena_builds,
-            "arena_allocs": plan.alloc_count(),
-            "arena_nbytes": plan.arena_nbytes(),
-        }
-
     def evaluate(
         self,
         system: System,
@@ -432,18 +412,6 @@ class DeepPot:
             nlocs=None if nloc is None else [nloc],
             pbc=pbc,
         )[0]
-
-    def evaluate_batch(
-        self,
-        systems: Sequence[System],
-        pair_lists,
-        nlocs=None,
-        pbc: bool = True,
-    ) -> list[PotentialResult]:
-        """Batched evaluation of R frames (see :mod:`repro.dp.batch`)."""
-        return self.batched.evaluate_batch(
-            systems, pair_lists, nlocs=nlocs, pbc=pbc
-        )
 
     def evaluate_serial(
         self,

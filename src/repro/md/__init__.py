@@ -28,7 +28,6 @@ from repro.md.velocity import boltzmann_velocities
 from repro.md.integrators import VelocityVerlet, Langevin, Berendsen, NoseHoover
 from repro.md.thermo import ThermoState, compute_thermo
 from repro.md.deform import Deform
-from repro.md.minimize import fire_minimize, FireResult
 from repro.md.potential import Potential, PotentialResult
 from repro.md.lj import LennardJones
 from repro.md.simulation import Simulation
@@ -48,8 +47,6 @@ __all__ = [
     "ThermoState",
     "compute_thermo",
     "Deform",
-    "fire_minimize",
-    "FireResult",
     "Potential",
     "PotentialResult",
     "LennardJones",

@@ -5,18 +5,23 @@ velocities, box lengths, thermostat internals (Langevin RNG state,
 Nosé-Hoover ``xi``), neighbor-list bookkeeping (pair lists, reference
 positions, rebuild step), the last force evaluation, thermo rows, and the
 step/evaluation counters — so a resumed trajectory is **bitwise identical**
-to the uninterrupted run (``tests/test_checkpoint.py`` pins this for
-:class:`~repro.md.simulation.Simulation`, :class:`~repro.md.ensemble.
-EnsembleSimulation` and :class:`~repro.parallel.driver.
-DistributedSimulation`).
+to the uninterrupted run (``tests/test_checkpoint.py`` pins this for all
+four drivers: :class:`~repro.md.simulation.Simulation`,
+:class:`~repro.parallel.driver.DistributedSimulation`, and the lockstep
+:class:`~repro.md.ensemble.EnsembleSimulation` /
+:class:`~repro.parallel.driver.DistributedEnsembleSimulation`, whose state
+is their replicas' states, nested).
 
 File format (own minimal framing — ``np.savez`` embeds zip timestamps, so
-its bytes are not reproducible, and the serving wire protocol lives above
-this layer)::
+its bytes are not reproducible)::
 
     REPROCKPT1\\n
     <blake2b-128 hex of payload>\\n
     payload = u32 meta_len | meta JSON (utf-8) | raw array blob
+
+The payload is the tagged-array container defined here
+(:func:`pack_tagged` / :func:`unpack_tagged`); the serving wire protocol
+(:mod:`repro.serving.protocol`) frames the same container.
 
 The JSON meta carries structure (kind, counters, integrator state — RNG
 states are exact integers, which JSON round-trips losslessly); every float
@@ -45,7 +50,6 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -53,7 +57,9 @@ from repro.md.potential import PotentialResult
 from repro.md.thermo import ThermoState
 
 MAGIC = b"REPROCKPT1\n"
-FORMAT = 1
+#: 2: a lockstep driver's state is its replicas' states, nested; the
+#: distributed driver records whether forces were evaluated.
+FORMAT = 2
 
 _U32 = struct.Struct("!I")
 
@@ -71,56 +77,84 @@ class CheckpointInterrupt(BaseException):
 
 
 # ---------------------------------------------------------------------------
-# payload pack / unpack
+# the tagged-array container (checkpoint payloads and serving wire frames)
 # ---------------------------------------------------------------------------
 
 
-def _pack(meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
-    """u32 meta_len | meta JSON | concatenated raw array bytes."""
+class TaggedArrayError(ValueError):
+    """Bytes that do not decode as a tagged-array container."""
+
+
+def pack_arrays(arrays: dict[str, np.ndarray]) -> tuple[list, bytes]:
+    """Tag ``arrays`` for the header and concatenate their raw bytes.
+
+    Returns ``(specs, blob)`` where ``specs`` is the JSON-ready list of
+    ``[name, dtype_str, shape]`` triples in blob order.  Arrays are
+    serialized C-contiguous; ``frombuffer`` on the far side reproduces them
+    bitwise (dtype-preserving, no text round trip).
+    """
     specs: list = []
     parts: list[bytes] = []
-    for name, value in arrays.items():
-        arr = np.asarray(value)
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
         if not arr.flags["C_CONTIGUOUS"]:
+            # NB: ascontiguousarray promotes 0-d to 1-d, so only call it
+            # when needed (0-d arrays are always contiguous).
             arr = np.ascontiguousarray(arr)
         specs.append([name, arr.dtype.str, list(arr.shape)])
         parts.append(arr.tobytes())
-    head = dict(meta)
-    head["arrays"] = specs
-    head_bytes = json.dumps(head, separators=(",", ":")).encode("utf-8")
-    return _U32.pack(len(head_bytes)) + head_bytes + b"".join(parts)
+    return specs, b"".join(parts)
 
 
-def _unpack(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    if len(payload) < 4:
-        raise CheckpointError(f"truncated payload ({len(payload)} bytes)")
-    (head_len,) = _U32.unpack_from(payload, 0)
-    head_end = 4 + head_len
-    if head_end > len(payload):
-        raise CheckpointError("meta header overruns the payload")
-    try:
-        meta = json.loads(payload[4:head_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"bad meta header: {exc}") from None
-    arrays: dict[str, np.ndarray] = {}
-    offset = head_end
-    for name, dtype_str, shape in meta.pop("arrays", []):
+def unpack_arrays(specs: list, blob: bytes, offset: int = 0) -> dict[str, np.ndarray]:
+    """Inverse of :func:`pack_arrays` over ``blob[offset:]`` (arrays are
+    writable copies); the specs must account for every byte."""
+    out: dict[str, np.ndarray] = {}
+    for name, dtype_str, shape in specs:
         dtype = np.dtype(dtype_str)
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise CheckpointError(f"array {name!r} overruns the payload")
-        arrays[name] = (
-            np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+        if offset + nbytes > len(blob):
+            raise TaggedArrayError(
+                f"array {name!r} overruns the payload "
+                f"({offset + nbytes} > {len(blob)} bytes)"
+            )
+        out[name] = (
+            np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
             .reshape(shape)
             .copy()
         )
         offset += nbytes
-    if offset != len(payload):
-        raise CheckpointError(
-            f"{len(payload) - offset} trailing bytes after the last array"
+    if offset != len(blob):
+        raise TaggedArrayError(
+            f"{len(blob) - offset} trailing bytes after the last array"
         )
-    return meta, arrays
+    return out
+
+
+def pack_tagged(header: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """``u32 header_len | JSON header | raw array bytes``: ``header`` plus
+    an ``"arrays"`` key carrying the specs, then the blob."""
+    specs, blob = pack_arrays(arrays)
+    head = dict(header)
+    head["arrays"] = specs
+    head_bytes = json.dumps(head, separators=(",", ":")).encode("utf-8")
+    return b"".join((_U32.pack(len(head_bytes)), head_bytes, blob))
+
+
+def unpack_tagged(payload: bytes, offset: int = 0) -> tuple[dict, dict[str, np.ndarray]]:
+    """``(header, arrays)`` from the container at ``payload[offset:]``."""
+    if len(payload) < offset + 4:
+        raise TaggedArrayError(f"truncated payload ({len(payload)} bytes)")
+    (head_len,) = _U32.unpack_from(payload, offset)
+    head_end = offset + 4 + head_len
+    if head_end > len(payload):
+        raise TaggedArrayError("header overruns the payload")
+    try:
+        header = json.loads(payload[offset + 4 : head_end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TaggedArrayError(f"bad header: {exc}") from None
+    return header, unpack_arrays(header.pop("arrays", []), payload, head_end)
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +180,10 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def save_checkpoint(sim, path) -> Path:
-    """Serialize ``sim`` (Simulation / EnsembleSimulation /
-    DistributedSimulation) to ``path`` atomically; returns the path."""
+    """Serialize ``sim`` (any of the four drivers) to ``path`` atomically;
+    returns the path."""
     meta, arrays = checkpoint_state(sim)
-    payload = _pack(meta, arrays)
+    payload = pack_tagged(meta, arrays)
     digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -174,7 +208,10 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             f"{path}: checksum mismatch ({actual} != {expected}) — "
             f"the file is corrupt or was torn mid-write"
         )
-    meta, arrays = _unpack(payload)
+    try:
+        meta, arrays = unpack_tagged(payload)
+    except TaggedArrayError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     if meta.get("format") != FORMAT:
         raise CheckpointError(
             f"{path}: format {meta.get('format')} != {FORMAT}"
@@ -289,6 +326,9 @@ def _check_system(sim_types: np.ndarray, ck_types: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
+LOCKSTEP_KINDS = ("EnsembleSimulation", "DistributedEnsembleSimulation")
+
+
 def checkpoint_state(sim) -> tuple[dict, dict[str, np.ndarray]]:
     """``(meta, arrays)`` for any supported driver.
 
@@ -299,7 +339,7 @@ def checkpoint_state(sim) -> tuple[dict, dict[str, np.ndarray]]:
     kind = type(sim).__name__
     if kind == "Simulation":
         return _simulation_state(sim)
-    if kind == "EnsembleSimulation":
+    if kind in LOCKSTEP_KINDS:
         return _ensemble_state(sim)
     if kind == "DistributedSimulation":
         return _distributed_state(sim)
@@ -315,7 +355,7 @@ def restore_state(sim, meta: dict, arrays: dict) -> None:
         )
     if kind == "Simulation":
         _restore_simulation(sim, meta, arrays)
-    elif kind == "EnsembleSimulation":
+    elif kind in LOCKSTEP_KINDS:
         _restore_ensemble(sim, meta, arrays)
     elif kind == "DistributedSimulation":
         _restore_distributed(sim, meta, arrays)
@@ -388,34 +428,24 @@ def _restore_simulation(sim, meta, arrays):
         sim.deform._initial_length = float(arrays["deform_initial_length"])
 
 
-# -- replica ensemble -------------------------------------------------------
+# -- lockstep drivers: the replicas' states, nested ---------------------------
 
 
 def _ensemble_state(sim):
     arrays: dict[str, np.ndarray] = {}
-    neighbors = []
-    for k, (system, nl) in enumerate(zip(sim.systems, sim.neighbors)):
-        p = f"r{k}_"
-        arrays[p + "positions"] = system.positions
-        arrays[p + "velocities"] = system.velocities
-        arrays[p + "box"] = system.box.lengths
-        arrays[p + "types"] = system.types
-        arrays[p + "thermo_rows"] = _thermo_rows_array(sim.thermo[k].rows)
-        neighbors.append(_neighbor_state(nl, p + "nl_", arrays))
-        if sim._results is not None:
-            _result_arrays(sim._results[k], p + "res_", arrays)
+    replicas = []
+    for k, rep in enumerate(sim.replicas):
+        rep_meta, rep_arrays = checkpoint_state(rep)
+        replicas.append(rep_meta)
+        arrays.update((f"r{k}_{name}", a) for name, a in rep_arrays.items())
     meta = {
         "format": FORMAT,
-        "kind": "EnsembleSimulation",
-        "dt": sim.dt,
+        "kind": type(sim).__name__,
         "n_replicas": sim.n_replicas,
-        "step_count": sim.step_count,
         "force_evaluations": sim.force_evaluations,
         "loop_seconds": sim.loop_seconds,
         "setup_seconds": sim.setup_seconds,
-        "has_results": sim._results is not None,
-        "neighbors": neighbors,
-        "integrators": [_integrator_state(i) for i in sim.integrators],
+        "replicas": replicas,
     }
     return meta, arrays
 
@@ -426,24 +456,17 @@ def _restore_ensemble(sim, meta, arrays):
             f"replica count mismatch: checkpoint {meta['n_replicas']}, "
             f"driver {sim.n_replicas}"
         )
-    if float(meta["dt"]) != sim.dt:
-        raise CheckpointError(
-            f"dt mismatch: checkpoint {meta['dt']}, driver {sim.dt}"
+    for k, (rep, rep_meta) in enumerate(zip(sim.replicas, meta["replicas"])):
+        prefix = f"r{k}_"
+        restore_state(
+            rep,
+            rep_meta,
+            {
+                name[len(prefix):]: a
+                for name, a in arrays.items()
+                if name.startswith(prefix)
+            },
         )
-    results: Optional[list] = [] if meta["has_results"] else None
-    for k, (system, nl) in enumerate(zip(sim.systems, sim.neighbors)):
-        p = f"r{k}_"
-        _check_system(system.types, arrays[p + "types"])
-        system.box.lengths[:] = arrays[p + "box"]
-        system.positions = arrays[p + "positions"]
-        system.velocities = arrays[p + "velocities"]
-        sim.thermo[k].rows = _build_thermo_rows(arrays[p + "thermo_rows"])
-        _restore_neighbor(nl, p + "nl_", arrays, meta["neighbors"][k])
-        _restore_integrator(sim.integrators[k], meta["integrators"][k])
-        if results is not None:
-            results.append(_build_result(p + "res_", arrays))
-    sim._results = results
-    sim.step_count = int(meta["step_count"])
     sim.force_evaluations = int(meta["force_evaluations"])
     sim.loop_seconds = float(meta["loop_seconds"])
     sim.setup_seconds = float(meta["setup_seconds"])
@@ -456,7 +479,7 @@ def _distributed_state(sim):
     # Pending iallreduce handles hold values already computed at call time;
     # resolving them now appends the same rows FIFO order would, so the
     # flush is bitwise-neutral (and between run() calls it is a no-op).
-    sim._flush_pending_thermo()
+    sim.finish_run()
     arrays: dict[str, np.ndarray] = {
         "positions": sim.system.positions,
         "velocities": sim.system.velocities,
@@ -472,7 +495,8 @@ def _distributed_state(sim):
         arrays[p + "positions"] = dom.positions
         arrays[p + "velocities"] = dom.velocities
         arrays[p + "types"] = dom.types
-        arrays[p + "forces"] = dom.forces
+        if sim.initialized:
+            arrays[p + "forces"] = dom.forces
         arrays[p + "ghost_positions"] = dom.ghost_positions
         arrays[p + "ghost_types"] = dom.ghost_types
         arrays[p + "ref_positions"] = sim._ref_positions[dom.rank]
@@ -487,6 +511,7 @@ def _distributed_state(sim):
         "dt": sim.dt,
         "grid": list(sim.grid),
         "step_count": sim.step_count,
+        "has_forces": sim.initialized,
         "last_rebuild": sim._last_rebuild,
         "batches": batches,
     }
@@ -516,7 +541,7 @@ def _restore_distributed(sim, meta, arrays):
         dom.positions = arrays[p + "positions"]
         dom.velocities = arrays[p + "velocities"]
         dom.types = arrays[p + "types"]
-        dom.forces = arrays[p + "forces"]
+        dom.forces = arrays.get(p + "forces")
         dom.ghost_positions = arrays[p + "ghost_positions"]
         dom.ghost_types = arrays[p + "ghost_types"]
         ref_positions[dom.rank] = arrays[p + "ref_positions"]
@@ -532,6 +557,8 @@ def _restore_distributed(sim, meta, arrays):
     sim._ref_positions = ref_positions
     sim._last_rebuild = int(meta["last_rebuild"])
     sim.step_count = int(meta["step_count"])
+    # Restored forces must not be evaluated again (and double-counted).
+    sim.initialized = bool(meta["has_forces"])
     sim._rank_energy = arrays["rank_energy"]
     sim._rank_virial = arrays["rank_virial"]
     sim._pending_thermo = []
@@ -546,9 +573,7 @@ def _restore_distributed(sim, meta, arrays):
 class CheckpointWriter:
     """Periodic + on-SIGTERM checkpoint trigger.
 
-    Use as a ``run(callback=...)`` callback (serial and ensemble drivers)
-    or call it between ``run()`` chunks (the distributed driver has no
-    callback hook)::
+    Use as the ``run(callback=...)`` callback of any of the four drivers::
 
         writer = CheckpointWriter(sim, "ckpts", every=50).install_sigterm()
         try:

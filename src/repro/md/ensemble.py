@@ -3,16 +3,22 @@
 :class:`EnsembleSimulation` advances R replicas of a system — typically the
 same structure with different velocity seeds and/or thermostat temperatures,
 for RDF statistics, diffusion averaging, or embarrassingly-parallel sampling
-— in lockstep.  Each replica keeps its own :class:`~repro.md.neighbor.
-NeighborList`, integrator, and thermo log (exactly the per-replica state a
-serial :class:`~repro.md.simulation.Simulation` would hold), but every force
-evaluation is fused across replicas into one batched graph execution
-(:mod:`repro.dp.batch`), amortizing the fixed per-evaluation cost the paper's
-Sec 7 measurements identify as the scaling limiter.
+— in lockstep.  A replica is a whole :class:`~repro.md.simulation.
+Simulation` (own :class:`~repro.md.neighbor.NeighborList`, integrator,
+thermo log, optional ``deform`` / ``trajectory_every``); the lockstep loop
+calls each replica's step phases and fuses every force evaluation across
+replicas into one batched graph execution (:mod:`repro.dp.batch`),
+amortizing the fixed per-evaluation cost the paper's Sec 7 measurements
+identify as the scaling limiter.
 
-A one-replica ensemble follows the exact step sequence of ``Simulation``, and
-the batched engine's R=1 results are bitwise identical to the serial path —
-so single- and multi-replica MD share one executor and one numerical history.
+The loop is written against the *replica protocol* (``prepare``,
+``begin_step``, ``force_frames``, ``accept_forces``, ``end_step``,
+``record_thermo``, ``finish_run`` — see :mod:`repro.md.simulation`), so the
+same class runs domain-decomposed replicas: :class:`repro.parallel.driver.
+DistributedEnsembleSimulation` is this loop constructed over
+``DistributedSimulation`` s.  Replicas are independent between force calls
+and the batched engine's per-frame results do not depend on the batch, so R
+replicas in lockstep are bitwise R independent drivers.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ import numpy as np
 from repro.md.integrators import Integrator, VelocityVerlet
 from repro.md.neighbor import NeighborList, fitted_neighbor_list
 from repro.md.potential import PotentialResult
+from repro.md.simulation import Simulation
 from repro.md.system import System
-from repro.md.thermo import ThermoLog
 from repro.md.velocity import boltzmann_replicas
 
 
@@ -59,6 +65,11 @@ class EnsembleSimulation:
     cutoff:
         Neighbor-list cutoff in Å; defaults to ``model.config.rcut``.
         Required when an injected backend leaves ``model=None``.
+
+    ``replicas`` holds the per-replica drivers (set ``ens.replicas[k].deform``
+    or ``.trajectory_every`` for a per-replica fix or stored trajectory);
+    ``systems`` / ``integrators`` / ``neighbors`` / ``thermo`` are read-only
+    views over them.
     """
 
     def __init__(
@@ -75,21 +86,13 @@ class EnsembleSimulation:
         # Imported here, not at module scope: repro.dp modules import from
         # repro.md, so a top-level import would make package import order
         # significant (repro.dp before repro.md raised ImportError).
-        from repro.dp.backend import ForceBackend
+        from repro.dp.backend import BackendPotential, ForceBackend
 
         model = getattr(model, "model", model)  # unwrap DeepPotPair
-        self.systems = list(systems)
-        if not self.systems:
+        systems = list(systems)
+        if not systems:
             raise ValueError("EnsembleSimulation needs at least one replica")
-        self.model = model
-        self.dt = dt
-        if force_backend is not None:
-            # Injected seam (a serving pool, a test double): the ensemble
-            # evaluates through it unchanged.  Remote backends have no local
-            # engine — self.engine stays None and counters live server-side.
-            self.force_backend = force_backend
-            self.engine = getattr(force_backend, "engine", None)
-        else:
+        if force_backend is None:
             if model is None:
                 raise ValueError("need a model (or an injected force_backend)")
             # The shared evaluation seam (see repro.dp.backend): replicas
@@ -97,38 +100,49 @@ class EnsembleSimulation:
             # evaluation per step.  A dedicated engine (not model.batched)
             # keeps the R-replica scratch shapes from being thrashed by
             # unrelated R=1 evaluations.
-            self.force_backend = ForceBackend(model)
-            self.engine = self.force_backend.engine
+            force_backend = ForceBackend(model)
         if cutoff is None and model is not None:
             cutoff = model.config.rcut
         if neighbors is None and cutoff is None:
             raise ValueError(
                 "need a cutoff (or a model, or explicit neighbor lists)"
             )
-        R = len(self.systems)
-        self.integrators = (
-            list(integrators)
-            if integrators is not None
-            else [VelocityVerlet() for _ in range(R)]
-        )
-        if len(self.integrators) != R:
-            raise ValueError(f"{R} replicas but {len(self.integrators)} integrators")
-        self.neighbors = (
-            list(neighbors)
-            if neighbors is not None
-            else [
-                fitted_neighbor_list(s, cutoff, skin=2.0)
-                for s in self.systems
-            ]
-        )
-        if len(self.neighbors) != R:
-            raise ValueError(f"{R} replicas but {len(self.neighbors)} neighbor lists")
-        self.thermo = [ThermoLog(every=thermo_every) for _ in range(R)]
-        self.step_count = 0
+        R = len(systems)
+        if integrators is None:
+            integrators = [VelocityVerlet() for _ in range(R)]
+        if len(integrators) != R:
+            raise ValueError(f"{R} replicas but {len(integrators)} integrators")
+        if neighbors is None:
+            neighbors = [fitted_neighbor_list(s, cutoff, skin=2.0) for s in systems]
+        if len(neighbors) != R:
+            raise ValueError(f"{R} replicas but {len(neighbors)} neighbor lists")
+        if cutoff is None:
+            cutoff = neighbors[0].cutoff
+        # Each replica is a working Simulation over the shared seam; the
+        # lockstep loop calls its phases and evaluates for all of them.
+        potential = BackendPotential(force_backend, cutoff)
+        replicas = [
+            Simulation(
+                system, potential, dt=dt, integrator=integrator,
+                neighbor=neighbor, thermo_every=thermo_every,
+            )
+            for system, integrator, neighbor in zip(systems, integrators, neighbors)
+        ]
+        self._lockstep(model, force_backend, dt, replicas)
+
+    def _lockstep(self, model, force_backend, dt: float, replicas: list) -> None:
+        """The lockstep loop's own state; everything else is the replicas'."""
+        self.model = model
+        self.dt = dt
+        # An injected seam (a serving pool, a test double) is evaluated
+        # through unchanged.  Remote backends have no local engine —
+        # self.engine stays None and counters live server-side.
+        self.force_backend = force_backend
+        self.engine = getattr(force_backend, "engine", None)
+        self.replicas = replicas
         self.loop_seconds = 0.0
         self.setup_seconds = 0.0
-        self.force_evaluations = 0  # batched evaluations (R frames each)
-        self._results: Optional[list[PotentialResult]] = None
+        self.force_evaluations = 0  # fused evaluations (every replica's frames)
 
     # ------------------------------------------------------------ constructors
 
@@ -148,73 +162,89 @@ class EnsembleSimulation:
         replicas = boltzmann_replicas(system, n_replicas, temperature, seed)
         return cls(replicas, model, **kwargs)
 
-    # ---------------------------------------------------------------- stepping
+    # ------------------------------------------------------------------- views
 
     @property
     def n_replicas(self) -> int:
-        return len(self.systems)
+        return len(self.replicas)
+
+    @property
+    def step_count(self) -> int:
+        return self.replicas[0].step_count
+
+    @property
+    def systems(self) -> list[System]:
+        return [rep.system for rep in self.replicas]
+
+    @property
+    def integrators(self) -> list[Integrator]:
+        return [rep.integrator for rep in self.replicas]
+
+    @property
+    def neighbors(self) -> list[NeighborList]:
+        return [rep.neighbor for rep in self.replicas]
+
+    @property
+    def thermo(self) -> list:
+        """Per-replica thermo logs (whatever each replica's ``thermo`` is:
+        a :class:`~repro.md.thermo.ThermoLog` for serial replicas)."""
+        return [rep.thermo for rep in self.replicas]
+
+    # ---------------------------------------------------------------- stepping
 
     def _evaluate(self) -> list[PotentialResult]:
-        from repro.dp.backend import ForceFrame
-
+        """ONE backend call over every replica's frames; results are dealt
+        back to the replicas by count, in frame order."""
+        per_replica = [rep.force_frames() for rep in self.replicas]
         results = self.force_backend.evaluate(
-            [
-                ForceFrame(system, nl.pair_i, nl.pair_j)
-                for system, nl in zip(self.systems, self.neighbors)
-            ]
+            [frame for frames in per_replica for frame in frames]
         )
         self.force_evaluations += 1
-        self._results = results
+        start = 0
+        for rep, frames in zip(self.replicas, per_replica):
+            rep.accept_forces(results[start : start + len(frames)])
+            start += len(frames)
         return results
 
     def initialize(self) -> list[PotentialResult]:
-        """Build all neighbor lists and evaluate initial forces (setup time)."""
+        """Prepare every replica and evaluate initial forces (setup time)."""
         t0 = time.perf_counter()
-        for nl, system in zip(self.neighbors, self.systems):
-            nl.build(system, step=0)
+        for rep in self.replicas:
+            rep.prepare()
         results = self._evaluate()
         self.setup_seconds += time.perf_counter() - t0
         return results
 
-    def run(self, n_steps: int, callback: Optional[Callable] = None) -> list[ThermoLog]:
-        """Advance all replicas ``n_steps`` in lockstep.
+    def run(self, n_steps: int, callback: Optional[Callable] = None) -> list:
+        """Advance all replicas ``n_steps`` in lockstep; returns ``thermo``.
 
-        Per step and per replica this performs the exact sequence of
-        ``Simulation.run`` (half-kick, rebuild check, force evaluation,
-        half-kick, thermo record); only the force evaluations are fused.
+        Per step: every replica's ``begin_step``, one fused evaluation,
+        every replica's ``end_step``, then ``callback(self)`` — per replica
+        exactly the sequence of its own ``step_once``.
         """
-        if self._results is None:
+        if not self.replicas[0].initialized:
             self.initialize()
 
         t0 = time.perf_counter()
-        for k, (system, res) in enumerate(zip(self.systems, self._results)):
-            self.thermo[k].maybe_record(
-                system, res.energy, res.virial, self.step_count, self.dt
-            )
+        for rep in self.replicas:
+            rep.record_thermo()
         for _ in range(n_steps):
-            for k, system in enumerate(self.systems):
-                self.integrators[k].first_half(
-                    system, self._results[k].forces, self.dt
-                )
-            self.step_count += 1
-            for k, system in enumerate(self.systems):
-                self.neighbors[k].maybe_rebuild(system, self.step_count)
-            results = self._evaluate()
-            for k, system in enumerate(self.systems):
-                self.integrators[k].second_half(system, results[k].forces, self.dt)
-                self.thermo[k].maybe_record(
-                    system, results[k].energy, results[k].virial,
-                    self.step_count, self.dt,
-                )
+            for rep in self.replicas:
+                rep.begin_step()
+            self._evaluate()
+            for rep in self.replicas:
+                rep.end_step()
             if callback is not None:
                 callback(self)
+        for rep in self.replicas:
+            rep.finish_run()
         self.loop_seconds += time.perf_counter() - t0
         return self.thermo
 
     # ----------------------------------------------------------------- metrics
 
     def total_atoms(self) -> int:
-        return sum(s.n_atoms for s in self.systems)
+        return sum(rep.system.n_atoms for rep in self.replicas)
 
     def time_to_solution(self) -> float:
         """Seconds per MD step per atom, aggregated over all replicas."""
@@ -223,9 +253,8 @@ class EnsembleSimulation:
         return self.loop_seconds / self.step_count / self.total_atoms()
 
     def last_results(self) -> list[PotentialResult]:
-        if self._results is None:
-            raise RuntimeError("ensemble not initialised")
-        return self._results
+        """Each serial replica's latest :class:`PotentialResult`."""
+        return [rep.last_result() for rep in self.replicas]
 
 
 @dataclass

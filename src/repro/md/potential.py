@@ -32,6 +32,25 @@ class PotentialResult:
         self.virial = np.asarray(self.virial, dtype=np.float64).reshape(3, 3)
 
 
+@dataclass
+class ForceFrame:
+    """One unit of force-evaluation work submitted to a force backend
+    (:mod:`repro.dp.backend`).
+
+    ``system`` carries the atoms (locals first, then explicit ghosts when
+    ``nloc`` < ``n_atoms``); ``pair_i``/``pair_j`` is the half neighbor-pair
+    list; ``pbc`` selects minimum-image (True) or raw displacements (False —
+    the domain-decomposition mode, whose periodic images are explicit
+    ghosts).
+    """
+
+    system: object  # System (or duck-typed: positions/types/box/n_atoms)
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    nloc: Optional[int] = None  # None => every atom is local
+    pbc: bool = True
+
+
 class Potential:
     """Base class for all interaction models."""
 

@@ -19,28 +19,32 @@ One step follows the LAMMPS/DeePMD-kit schedule (Sec 5.4):
 6. every ``thermo_every`` steps, energy/virial are (I)allreduced — the
    output-frequency and non-blocking-reduction optimizations of Sec 5.4.
 
-Both drivers produce *identical physics* to the serial engine (see
+Those steps are the *replica protocol* of :mod:`repro.md.simulation`
+(``begin_step`` = 1–2, ``force_frames`` / ``accept_forces`` = 3–4,
+``end_step`` = 5–6), so :class:`DistributedSimulation` runs alone or as a
+replica of the lockstep loop in :mod:`repro.md.ensemble`:
+:class:`DistributedEnsembleSimulation` is that loop constructed over R
+decomposed replicas, fusing all R x P sub-domain frames into the same
+per-step backend call — replica-level parallelism multiplies the batch the
+evaluator amortizes over instead of multiplying graph dispatches.  Both
+drivers produce *identical physics* to the serial engine (see
 tests/test_parallel.py and tests/test_distributed_ensemble.py) while
 exercising the real communication pattern.
-:class:`DistributedEnsembleSimulation` advances R replicas x P ranks in
-lockstep and fuses all R x P sub-domain frames into the same per-step
-backend call, so replica-level parallelism multiplies the batch the
-evaluator amortizes over instead of multiplying graph dispatches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.dp.backend import ForceBackend, ForceFrame
 from repro.dp.model import DeepPot
+from repro.md.ensemble import EnsembleSimulation
 from repro.md.system import System
 from repro.md.thermo import ThermoState
 from repro.md.neighbor import neighbor_pairs
-from repro.md.velocity import boltzmann_replicas
 from repro.parallel.comm import SimComm
 from repro.parallel.decomp import DomainDecomposition
 from repro.units import MVV_TO_EV
@@ -57,8 +61,11 @@ class DistributedSimulation:
     may be injected instead: the distributed-ensemble driver shares one
     backend so R replicas' frames coalesce, and tests pass
     :class:`~repro.dp.backend.PerFrameBackend` as the oracle.
-    ``defer_initial_forces`` skips the setup-time evaluation so an
-    enclosing ensemble can batch it across replicas.
+
+    The decomposition is built at construction; forces are lazy, like the
+    serial driver's — ``run``, ``forces_now`` and ``total_energy_now``
+    evaluate the set-up forces on first use unless an enclosing lockstep
+    driver has already dealt them out (``initialized``).
     """
 
     system: System
@@ -70,12 +77,12 @@ class DistributedSimulation:
     thermo_every: int = 20
     use_iallreduce: bool = True
     force_backend: Optional[ForceBackend] = None
-    defer_initial_forces: bool = False
 
     def __post_init__(self):
         self.comm = SimComm(int(np.prod(self.grid)))
         self.decomp = DomainDecomposition(self.grid, self.comm)
         self.step_count = 0
+        self.initialized = False  # forces accepted for the current positions
         self.thermo: list[ThermoState] = []
         self._ref_positions: Optional[dict[int, np.ndarray]] = None
         self._pending_thermo = []
@@ -85,7 +92,7 @@ class DistributedSimulation:
             # A dedicated engine per driver keeps the rank-frame scratch
             # and plan-arena shapes steady (same policy as the ensemble).
             self.force_backend = ForceBackend(self.model)
-        self._setup()
+        self.prepare()
 
     # ----------------------------------------------------------------- setup
 
@@ -93,12 +100,18 @@ class DistributedSimulation:
     def ghost_cutoff(self) -> float:
         return self.model.config.rcut + self.skin
 
-    def _setup(self) -> None:
+    def prepare(self) -> None:
+        """Decompose the system over the ranks (evaluates nothing).  Done
+        once, by the constructor; a lockstep driver's call finds it built."""
+        if self._ref_positions is not None:
+            return
         self.decomp.assign_atoms(self.system)
         self.decomp.build_ghost_lists(self.system.box, self.ghost_cutoff)
         self._snapshot_reference()
-        if not self.defer_initial_forces:
-            self._compute_forces()
+
+    def initialize(self) -> None:
+        """Evaluate the set-up forces over the constructor's decomposition."""
+        self._compute_forces()
 
     def _snapshot_reference(self) -> None:
         self._ref_positions = {
@@ -121,16 +134,16 @@ class DistributedSimulation:
 
     # ----------------------------------------------------------------- forces
 
-    def _force_frames(self) -> tuple[list[ForceFrame], list[int]]:
+    def force_frames(self) -> list[ForceFrame]:
         """Per-rank local+ghost frames for the backend (empty ranks zeroed).
 
         Resets the per-rank energy/virial accumulators; the matching
-        :meth:`_apply_force_results` fills them back in.
+        :meth:`accept_forces` fills them back in.
         """
         self._rank_energy = np.zeros(self.comm.size)
         self._rank_virial = np.zeros((self.comm.size, 3, 3))
         frames: list[ForceFrame] = []
-        ranks: list[int] = []
+        self._frame_ranks: list[int] = []
         for dom in self.decomp.domains:
             if dom.n_own == 0:
                 dom.forces = np.zeros((0, 3))
@@ -140,12 +153,13 @@ class DistributedSimulation:
             )
             pi, pj = neighbor_pairs(local, self.model.config.rcut, pbc=False)
             frames.append(ForceFrame(local, pi, pj, nloc=dom.n_own, pbc=False))
-            ranks.append(dom.rank)
-        return frames, ranks
+            self._frame_ranks.append(dom.rank)
+        return frames
 
-    def _apply_force_results(self, ranks: Sequence[int], results) -> None:
-        """Unpack per-rank results and reverse-communicate ghost forces."""
-        by_rank = dict(zip(ranks, results))
+    def accept_forces(self, results: Sequence) -> None:
+        """Unpack the results of :meth:`force_frames` (one per non-empty
+        rank, in rank order) and reverse-communicate ghost forces."""
+        by_rank = dict(zip(self._frame_ranks, results))
         ghost_forces: dict[int, np.ndarray] = {}
         for dom in self.decomp.domains:
             res = by_rank.get(dom.rank)
@@ -157,71 +171,67 @@ class DistributedSimulation:
             self._rank_energy[dom.rank] = res.energy
             self._rank_virial[dom.rank] = res.virial
         self.decomp.reverse_exchange(ghost_forces)
+        self.initialized = True
 
     def _compute_forces(self) -> None:
         """Force evaluation + reverse ghost-force communication."""
-        frames, ranks = self._force_frames()
-        results = self.force_backend.evaluate(frames)
-        self._apply_force_results(ranks, results)
+        self.accept_forces(self.force_backend.evaluate(self.force_frames()))
 
     # ------------------------------------------------------------------- run
 
-    def run(self, n_steps: int) -> list[ThermoState]:
-        self._maybe_record_thermo()
+    def run(
+        self, n_steps: int, callback: Optional[Callable] = None
+    ) -> list[ThermoState]:
+        if not self.initialized:
+            self.initialize()
+        self.record_thermo()
         for _ in range(n_steps):
-            self._step()
-        self._flush_pending_thermo()
+            self.step_once(callback)
+        self.finish_run()
         return self.thermo
 
-    # The step is split into phases so the distributed-ensemble driver can
-    # interleave R replicas around ONE fused force evaluation; ``_step``
-    # remains the canonical single-replica sequence.
+    def step_once(self, callback: Optional[Callable] = None) -> None:
+        """One MD step: the replica phases around this driver's own backend."""
+        self.begin_step()
+        self._compute_forces()
+        self.end_step()
+        if callback is not None:
+            callback(self)
 
-    def _first_half_kick(self) -> None:
-        """Phase 1: first half kick + drift (per rank); advances the step."""
-        dt = self.dt
-        for dom in self.decomp.domains:
-            if dom.n_own == 0:
-                continue
-            inv_m = 1.0 / (self.system.masses[dom.types] * MVV_TO_EV)
-            dom.velocities += 0.5 * dt * dom.forces * inv_m[:, None]
-            dom.positions += dt * dom.velocities
-        self.step_count += 1
-
-    def _prepare_neighbors(self) -> None:
-        """Phase 2: reneighbor (atom migration + ghost list rebuild) or
+    def begin_step(self) -> None:
+        """First half kick + drift (per rank), advancing the step; then
+        reneighbor (atom migration + ghost list rebuild) or
         forward-communicate ghost positions."""
+        self._half_kick(drift=True)
+        self.step_count += 1
         if self._needs_rebuild():
-            snapshot = self.decomp.gather_system(self._template())
+            snapshot = self.decomp.gather_system(self.system)
             self.decomp.assign_atoms(snapshot)
             self.decomp.build_ghost_lists(self.system.box, self.ghost_cutoff)
             self._snapshot_reference()
         else:
             self.decomp.forward_exchange()
 
-    def _second_half_kick(self) -> None:
-        """Phase 5: second half kick."""
+    def end_step(self) -> None:
+        """Second half kick, then the thermo reduction at the paper's
+        reduced output frequency."""
+        self._half_kick(drift=False)
+        self.record_thermo()
+
+    def _half_kick(self, drift: bool) -> None:
         dt = self.dt
         for dom in self.decomp.domains:
             if dom.n_own == 0:
                 continue
             inv_m = 1.0 / (self.system.masses[dom.types] * MVV_TO_EV)
             dom.velocities += 0.5 * dt * dom.forces * inv_m[:, None]
-
-    def _step(self) -> None:
-        self._first_half_kick()
-        self._prepare_neighbors()
-        self._compute_forces()
-        self._second_half_kick()
-        # thermo reduction at the paper's reduced output frequency
-        self._maybe_record_thermo()
-
-    def _template(self) -> System:
-        return self.system
+            if drift:
+                dom.positions += dt * dom.velocities
 
     # ----------------------------------------------------------------- thermo
 
-    def _maybe_record_thermo(self) -> None:
+    def record_thermo(self) -> None:
+        """(I)allreduce energy/virial/kinetic rows on the thermo cadence."""
         if self.step_count % self.thermo_every != 0:
             return
         # Idempotence at run() boundaries (mirrors ThermoLog.maybe_record):
@@ -256,7 +266,8 @@ class DistributedSimulation:
             k = self.comm.allreduce(ke_contrib)
             self._record(self.step_count, e, w, k)
 
-    def _flush_pending_thermo(self) -> None:
+    def finish_run(self) -> None:
+        """Resolve the reductions still in flight."""
         while self._pending_thermo:
             self._resolve_thermo(self._pending_thermo.pop(0))
 
@@ -294,22 +305,27 @@ class DistributedSimulation:
         return self.decomp.gather_system(self.system)
 
     def total_energy_now(self) -> float:
+        if not self.initialized:
+            self.initialize()
         return float(self._rank_energy.sum())
 
     def forces_now(self) -> np.ndarray:
         """Global force array gathered from rank-local blocks."""
+        if not self.initialized:
+            self.initialize()
         out = np.zeros((self.system.n_atoms, 3))
         for dom in self.decomp.domains:
             out[dom.global_idx] = dom.forces
         return out
 
 
-class DistributedEnsembleSimulation:
+class DistributedEnsembleSimulation(EnsembleSimulation):
     """R domain-decomposed replicas x P ranks advanced in lockstep.
 
-    Every replica is a full :class:`DistributedSimulation` (own communicator,
-    decomposition, thermo reductions, rebuild schedule), but all R x P
-    sub-domain frames of a step are submitted to ONE shared
+    :class:`~repro.md.ensemble.EnsembleSimulation`'s lockstep loop over
+    replicas that are full :class:`DistributedSimulation` s (own
+    communicator, decomposition, thermo reductions, rebuild schedule): all
+    R x P sub-domain frames of a step are submitted to ONE shared
     :class:`~repro.dp.backend.ForceBackend` call, which buckets them by
     shape and issues one batched graph evaluation per bucket — the
     evaluations-per-step counter equals the bucket count, not R x P.
@@ -319,7 +335,11 @@ class DistributedEnsembleSimulation:
 
     Parameters mirror :class:`DistributedSimulation`; ``systems`` carries
     one snapshot per replica (typically the same structure with different
-    velocity seeds — see :meth:`from_system`).
+    velocity seeds — see ``from_system``).  ``thermo`` is one list of
+    :class:`~repro.md.thermo.ThermoState` rows per replica; the inherited
+    ``systems`` view holds the templates the replicas were decomposed from
+    — the moving atoms live in the rank domains, gathered by
+    :meth:`current_systems`.
     """
 
     def __init__(
@@ -340,11 +360,9 @@ class DistributedEnsembleSimulation:
             raise ValueError(
                 "DistributedEnsembleSimulation needs at least one replica"
             )
-        self.model = model
-        self.force_backend = (
-            force_backend if force_backend is not None else ForceBackend(model)
-        )
-        self.replicas = [
+        if force_backend is None:
+            force_backend = ForceBackend(model)
+        replicas = [
             DistributedSimulation(
                 system=s,
                 model=model,
@@ -354,96 +372,13 @@ class DistributedEnsembleSimulation:
                 rebuild_every=rebuild_every,
                 thermo_every=thermo_every,
                 use_iallreduce=use_iallreduce,
-                force_backend=self.force_backend,
-                defer_initial_forces=True,
+                force_backend=force_backend,
             )
             for s in systems
         ]
-        self.loop_seconds = 0.0
+        self._lockstep(model, force_backend, dt, replicas)
         # Setup-time forces for ALL replicas in one fused backend call.
-        self._evaluate_all()
-
-    # ------------------------------------------------------------ constructors
-
-    @classmethod
-    def from_system(
-        cls,
-        system: System,
-        model,
-        n_replicas: int,
-        temperature: float | Sequence[float] = 330.0,
-        seed: int | Sequence[int] = 0,
-        **kwargs,
-    ) -> "DistributedEnsembleSimulation":
-        """Clone one structure into R replicas with fresh Boltzmann
-        velocities (scalar seeds are offset per replica), exactly as
-        :meth:`repro.md.ensemble.EnsembleSimulation.from_system` does."""
-        replicas = boltzmann_replicas(system, n_replicas, temperature, seed)
-        return cls(replicas, model, **kwargs)
-
-    # ---------------------------------------------------------------- stepping
-
-    @property
-    def n_replicas(self) -> int:
-        return len(self.replicas)
-
-    @property
-    def step_count(self) -> int:
-        return self.replicas[0].step_count
-
-    @property
-    def thermo(self) -> list[list[ThermoState]]:
-        """Per-replica thermo logs (one list per replica)."""
-        return [rep.thermo for rep in self.replicas]
-
-    def _evaluate_all(self) -> None:
-        """One fused force evaluation over every replica's rank frames."""
-        frames: list[ForceFrame] = []
-        owners: list[tuple[DistributedSimulation, list[int], int]] = []
-        for rep in self.replicas:
-            rep_frames, ranks = rep._force_frames()
-            frames.extend(rep_frames)
-            owners.append((rep, ranks, len(rep_frames)))
-        results = self.force_backend.evaluate(frames)
-        pos = 0
-        for rep, ranks, count in owners:
-            rep._apply_force_results(ranks, results[pos : pos + count])
-            pos += count
-
-    def _step(self) -> None:
-        for rep in self.replicas:
-            rep._first_half_kick()
-        for rep in self.replicas:
-            rep._prepare_neighbors()
-        self._evaluate_all()
-        for rep in self.replicas:
-            rep._second_half_kick()
-            rep._maybe_record_thermo()
-
-    def run(self, n_steps: int) -> list[list[ThermoState]]:
-        """Advance all replicas ``n_steps`` in lockstep."""
-        import time
-
-        for rep in self.replicas:
-            rep._maybe_record_thermo()
-        t0 = time.perf_counter()
-        for _ in range(n_steps):
-            self._step()
-        self.loop_seconds += time.perf_counter() - t0
-        for rep in self.replicas:
-            rep._flush_pending_thermo()
-        return self.thermo
-
-    # ----------------------------------------------------------------- metrics
-
-    def total_atoms(self) -> int:
-        return sum(rep.system.n_atoms for rep in self.replicas)
-
-    def time_to_solution(self) -> float:
-        """Seconds per MD step per atom, aggregated over all replicas."""
-        if self.step_count == 0:
-            return float("nan")
-        return self.loop_seconds / self.step_count / self.total_atoms()
+        self.initialize()
 
     def current_systems(self) -> list[System]:
         """Per-replica global systems gathered from their ranks."""

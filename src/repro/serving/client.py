@@ -191,8 +191,8 @@ def run_closed_loop_clients(
     against a deadline — ``join_timeout`` seconds, defaulting to the
     worst-case per-client budget ``timeout * max(len(frames)) + 30`` — and
     a blown deadline raises with each hung client's progress instead of
-    hanging ``repro validate`` (and CI) forever on a stuck server.  Shared
-    by ``repro validate``, the tests, and ``examples/inference_service.py``.
+    hanging the caller (and CI) forever on a stuck server.  Shared by the
+    tests and ``examples/inference_service.py``.
     """
     import threading
 

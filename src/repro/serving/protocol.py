@@ -51,12 +51,19 @@ is unit-testable without a server (``tests/test_serving_net.py``).
 
 from __future__ import annotations
 
-import json
 import struct
 from enum import IntEnum
 from typing import Optional
 
 import numpy as np
+
+from repro.md.checkpoint import (
+    TaggedArrayError,
+    pack_arrays,
+    pack_tagged,
+    unpack_tagged,
+)
+from repro.md.checkpoint import unpack_arrays as _unpack_arrays
 
 #: The protocol version byte.  Compatibility rule: both peers must send the
 #: same value; there is no negotiation (bump it on ANY wire change).
@@ -105,59 +112,20 @@ class ProtocolError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# array tagging
+# frame encode / decode
 # ---------------------------------------------------------------------------
 
-
-def pack_arrays(arrays: dict[str, np.ndarray]) -> tuple[list, bytes]:
-    """Tag ``arrays`` for the header and concatenate their raw bytes.
-
-    Returns ``(specs, blob)`` where ``specs`` is the JSON-ready list of
-    ``[name, dtype_str, shape]`` triples in blob order.  Arrays are
-    serialized C-contiguous; ``frombuffer`` on the far side reproduces them
-    bitwise (dtype-preserving, no text round trip).
-    """
-    specs: list = []
-    parts: list[bytes] = []
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        if not arr.flags["C_CONTIGUOUS"]:
-            # NB: ascontiguousarray promotes 0-d to 1-d, so only call it
-            # when needed (0-d arrays are always contiguous).
-            arr = np.ascontiguousarray(arr)
-        specs.append([name, arr.dtype.str, list(arr.shape)])
-        parts.append(arr.tobytes())
-    return specs, b"".join(parts)
+# After the version and type bytes a payload is the tagged-array container
+# checkpoints are written in (repro.md.checkpoint): u32 header length, JSON
+# header carrying the array specs, raw array bytes.
 
 
 def unpack_arrays(specs: list, blob: bytes) -> dict[str, np.ndarray]:
     """Inverse of :func:`pack_arrays` (arrays are writable copies)."""
-    out: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, dtype_str, shape in specs:
-        dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(blob):
-            raise ProtocolError(
-                f"array {name!r} overruns the frame "
-                f"({offset + nbytes} > {len(blob)} bytes)"
-            )
-        arr = np.frombuffer(
-            blob, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).copy()
-        out[name] = arr
-        offset += nbytes
-    if offset != len(blob):
-        raise ProtocolError(
-            f"{len(blob) - offset} trailing bytes after the last array"
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# frame encode / decode
-# ---------------------------------------------------------------------------
+    try:
+        return _unpack_arrays(specs, blob)
+    except TaggedArrayError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def encode_frame(
@@ -166,21 +134,15 @@ def encode_frame(
     arrays: Optional[dict[str, np.ndarray]] = None,
 ) -> bytes:
     """One complete wire frame (length prefix included)."""
-    specs, blob = pack_arrays(arrays or {})
-    head = dict(header)
-    head["arrays"] = specs
-    head_bytes = json.dumps(head, separators=(",", ":")).encode("utf-8")
-    payload = (
-        bytes((PROTOCOL_VERSION, int(msg_type)))
-        + _LEN.pack(len(head_bytes))
-        + head_bytes
-        + blob
-    )
-    if len(payload) > MAX_FRAME_BYTES:
+    body = pack_tagged(header, arrays or {})
+    length = 2 + len(body)  # version and type bytes, then the container
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES"
+            f"frame of {length} bytes exceeds MAX_FRAME_BYTES"
         )
-    return _LEN.pack(len(payload)) + payload
+    return b"".join(
+        (_LEN.pack(length), bytes((PROTOCOL_VERSION, int(msg_type))), body)
+    )
 
 
 def decode_payload(payload: bytes) -> tuple[MsgType, dict, dict]:
@@ -197,15 +159,10 @@ def decode_payload(payload: bytes) -> tuple[MsgType, dict, dict]:
         mtype = MsgType(mtype)
     except ValueError:
         raise ProtocolError(f"unknown message type {mtype}") from None
-    (head_len,) = _LEN.unpack_from(payload, 2)
-    head_end = 6 + head_len
-    if head_end > len(payload):
-        raise ProtocolError("header overruns the frame")
     try:
-        header = json.loads(payload[6:head_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad header: {exc}") from None
-    arrays = unpack_arrays(header.pop("arrays", []), payload[head_end:])
+        header, arrays = unpack_tagged(payload, 2)
+    except TaggedArrayError as exc:
+        raise ProtocolError(str(exc)) from None
     return mtype, header, arrays
 
 

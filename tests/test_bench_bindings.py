@@ -25,10 +25,17 @@ def model():
     "module,path", sorted({(m, p) for m, p, _layer in trace.TARGETS})
 )
 def test_trace_target_resolves(module, path):
-    owner = importlib.import_module(module)
-    for name in path.split("."):
-        owner = getattr(owner, name)
-    assert callable(owner)
+    """What ``Tracer.install`` needs: the attribute sits in the holder's own
+    ``__dict__`` (an inherited method would resolve through ``getattr`` and
+    still raise ``KeyError`` at install time) and is a plain function."""
+    *holders, attr = path.split(".")
+    holder = importlib.import_module(module)
+    for name in holders:
+        holder = getattr(holder, name)
+    assert attr in vars(holder)
+    target = vars(holder)[attr]
+    assert callable(target)
+    assert not isinstance(target, (staticmethod, classmethod))
 
 
 def test_engine_and_plan_counters_resolve(model):

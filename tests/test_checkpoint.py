@@ -5,9 +5,11 @@ the same constructor arguments, restore, finish — and every observable
 (positions, velocities, forces, thermo rows, evaluation counters) is
 **bitwise identical** to the uninterrupted run.  Pinned here for the
 serial :class:`~repro.md.simulation.Simulation` (NVE / Langevin /
-Nosé-Hoover / deforming box), the replica
-:class:`~repro.md.ensemble.EnsembleSimulation`, and the domain-decomposed
-:class:`~repro.parallel.driver.DistributedSimulation`.
+Nosé-Hoover / deforming box), the domain-decomposed
+:class:`~repro.parallel.driver.DistributedSimulation`, and the two lockstep
+drivers over them (:class:`~repro.md.ensemble.EnsembleSimulation`,
+:class:`~repro.parallel.driver.DistributedEnsembleSimulation`), whose
+checkpoints nest their replicas' states.
 
 The file layer is tested adversarially: flipped payload bytes and
 truncation are *refused* (checksum), mismatched drivers/dt/system are
@@ -18,6 +20,7 @@ the test is deterministic — into save-then-interrupt at the next step
 boundary.
 """
 
+import hashlib
 import os
 import signal
 
@@ -34,6 +37,7 @@ from repro.md.checkpoint import (
     CheckpointInterrupt,
     CheckpointWriter,
     load_checkpoint,
+    pack_tagged,
     restore_checkpoint,
     save_checkpoint,
 )
@@ -41,7 +45,7 @@ from repro.md.ensemble import EnsembleSimulation
 from repro.md.integrators import Langevin, NoseHoover
 from repro.md.neighbor import fitted_neighbor_list
 from repro.md.simulation import Simulation
-from repro.parallel import DistributedSimulation
+from repro.parallel import DistributedEnsembleSimulation, DistributedSimulation
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,92 @@ def assert_sim_bitwise(a: Simulation, b: Simulation):
     assert [r.as_tuple() for r in a.thermo.rows] == [
         r.as_tuple() for r in b.thermo.rows
     ]
+
+
+def make_ensemble(model):
+    return EnsembleSimulation.from_system(
+        water_box((2, 2, 2), seed=0), model, n_replicas=3,
+        temperature=(280.0, 320.0, 360.0), seed=5, dt=5e-4,
+        thermo_every=4,
+    )
+
+
+def make_ensemble_with_trajectory(model):
+    ens = make_ensemble(model)
+    for rep in ens.replicas:
+        rep.trajectory_every = 3
+    return ens
+
+
+def make_distributed(model):
+    system = water_box((3, 3, 3), seed=2)
+    boltzmann_velocities(system, 300.0, seed=3)
+    return DistributedSimulation(
+        system, model, grid=(2, 1, 1), dt=5e-4, skin=1.0,
+        thermo_every=4,
+    )
+
+
+def make_distributed_ensemble(model):
+    return DistributedEnsembleSimulation.from_system(
+        water_box((3, 3, 3), seed=2), model, n_replicas=2, seed=9,
+        grid=(2, 1, 1), dt=5e-4, skin=1.0, rebuild_every=3, thermo_every=2,
+    )
+
+
+#: One factory per driver kind; the serial one carries a Langevin RNG so a
+#: resume that lost hidden integrator state would diverge.
+DRIVERS = {
+    "Simulation": lambda model: make_sim(
+        model, Langevin(temperature=300.0, seed=7)
+    ),
+    "EnsembleSimulation": make_ensemble,
+    "DistributedSimulation": make_distributed,
+    "DistributedEnsembleSimulation": make_distributed_ensemble,
+}
+
+
+def observables(sim):
+    """Everything a resumed run must reproduce bit for bit, for any driver
+    (a lockstep driver: its counter and its replicas' observables)."""
+    if hasattr(sim, "replicas"):
+        return [sim.force_evaluations] + [
+            observables(rep) for rep in sim.replicas
+        ]
+    if isinstance(sim, DistributedSimulation):
+        gathered = sim.current_system()
+        return (
+            sim.step_count,
+            gathered.positions.tobytes(),
+            gathered.velocities.tobytes(),
+            sim.forces_now().tobytes(),
+            [r.as_tuple() for r in sim.thermo],
+        )
+    return (
+        sim.step_count,
+        sim.force_evaluations,
+        sim.system.positions.tobytes(),
+        sim.system.velocities.tobytes(),
+        sim.last_result().energy,
+        sim.last_result().forces.tobytes(),
+        [r.as_tuple() for r in sim.thermo.rows],
+        [frame.tobytes() for frame in sim.trajectory],
+    )
+
+
+#: ``u32 header length | JSON header | raw little-endian array bytes`` of
+#: the container in ``TestFileLayer::test_payload_golden_bytes``.
+GOLDEN_PAYLOAD_HEX = (
+    "00000079"
+    + (
+        b'{"format":1,"kind":"Simulation","dt":0.0005,"arrays":'
+        b'[["positions","<f8",[2,3]],["types","<i8",[2]],["energy","<f8",[]]]}'
+    ).hex()
+    + "0000000000000000" "000000000000f03f" "0000000000000040"
+    + "0000000000000840" "0000000000001040" "0000000000001440"
+    + "0100000000000000" "0000000000000000"
+    + "000000000000f8bf"
+)
 
 
 def roundtrip(sim, tmp_path, name="ckpt.repro"):
@@ -171,35 +261,27 @@ class TestSimulationResume:
 
 
 class TestEnsembleResume:
-    def test_resume_is_bitwise(self, model, tmp_path):
+    @pytest.mark.parametrize(
+        "make",
+        [make_ensemble, make_ensemble_with_trajectory,
+         make_distributed_ensemble],
+        ids=["ensemble", "ensemble-trajectory", "distributed-ensemble"],
+    )
+    def test_resume_is_bitwise(self, model, tmp_path, make):
+        """Both lockstep drivers: positions, velocities, forces, thermo rows
+        (and stored trajectories) of every replica, plus the counters."""
         total, cut = 10, 4
-
-        def make():
-            return EnsembleSimulation.from_system(
-                water_box((2, 2, 2), seed=0), model, n_replicas=3,
-                temperature=(280.0, 320.0, 360.0), seed=5, dt=5e-4,
-                thermo_every=4,
-            )
-
-        ref = make()
+        ref = make(model)
         ref.run(total)
-        victim = make()
+        victim = make(model)
         victim.run(cut)
         path = save_checkpoint(victim, tmp_path / "ens.repro")
-        resumed = restore_checkpoint(make(), path)
+        resumed = restore_checkpoint(make(model), path)
         resumed.run(total - cut)
-        assert resumed.step_count == ref.step_count
-        assert resumed.force_evaluations == ref.force_evaluations
-        for k in range(3):
-            assert np.array_equal(
-                resumed.systems[k].positions, ref.systems[k].positions
-            )
-            assert np.array_equal(
-                resumed.systems[k].velocities, ref.systems[k].velocities
-            )
-            assert [r.as_tuple() for r in resumed.thermo[k].rows] == [
-                r.as_tuple() for r in ref.thermo[k].rows
-            ]
+        assert resumed.step_count == ref.step_count == total
+        assert observables(resumed) == observables(ref)
+        if make is make_ensemble_with_trajectory:
+            assert [len(r.trajectory) for r in resumed.replicas] == [3, 3, 3]
 
     def test_replica_count_mismatch_refused(self, model, tmp_path):
         ens = EnsembleSimulation.from_system(
@@ -241,6 +323,33 @@ class TestDistributedResume:
         assert [r.as_tuple() for r in resumed.thermo] == [
             r.as_tuple() for r in ref.thermo
         ]
+
+    @pytest.mark.parametrize(
+        "kind", ["Simulation", "EnsembleSimulation", "DistributedSimulation"]
+    )
+    def test_checkpoint_before_the_first_evaluation_round_trips(
+        self, model, tmp_path, kind
+    ):
+        """The lazy drivers can be saved before any force exists; whoever
+        evaluates the set-up forces, they are evaluated once."""
+        ref = DRIVERS[kind](model)
+        ref.run(5)
+        victim = DRIVERS[kind](model)
+        path = save_checkpoint(victim, tmp_path / "cold.repro")
+        resumed = restore_checkpoint(DRIVERS[kind](model), path)
+        resumed.run(5)
+        assert observables(resumed) == observables(ref)
+        # ... and a warm checkpoint restores as evaluated: 5 more steps
+        # cost 5 evaluations, not 6.
+        path = save_checkpoint(resumed, tmp_path / "warm.repro")
+        warm = restore_checkpoint(DRIVERS[kind](model), path)
+        backend = (
+            warm.potential.force_backend if kind == "Simulation"
+            else warm.force_backend
+        )
+        before = backend.evaluations
+        warm.run(5)
+        assert backend.evaluations - before == 5 * backend.bucket_count
 
     def test_grid_mismatch_refused(self, model, tmp_path):
         system = water_box((3, 3, 3), seed=2)
@@ -285,6 +394,30 @@ class TestFileLayer:
         path = tmp_path / "junk.repro"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="bad magic"):
+            load_checkpoint(path)
+
+    def test_payload_golden_bytes(self):
+        """The payload container is shared with the serving wire protocol;
+        not one byte of it may move (these bytes were written by the
+        private ``_pack`` this container replaced)."""
+        payload = pack_tagged(
+            {"format": 1, "kind": "Simulation", "dt": 0.0005},
+            {
+                "positions": np.arange(6, dtype=np.float64).reshape(2, 3),
+                "types": np.array([1, 0], dtype=np.int64),
+                "energy": np.float64(-1.5),
+            },
+        )
+        assert payload.hex() == GOLDEN_PAYLOAD_HEX
+
+    def test_older_format_refused(self, tmp_path):
+        """Format 1 spelled an ensemble as flat per-replica fields; it is
+        refused by number, not misread."""
+        payload = pack_tagged({"format": 1, "kind": "EnsembleSimulation"}, {})
+        digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
+        path = tmp_path / "old.repro"
+        path.write_bytes(MAGIC + digest.encode("ascii") + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="format 1 != 2"):
             load_checkpoint(path)
 
     def test_driver_kind_mismatch_refused(self, model, tmp_path):
@@ -358,24 +491,31 @@ class TestFileLayer:
 
 
 class TestCheckpointWriter:
-    def test_periodic_saves(self, model, tmp_path):
-        sim = make_sim(model)
+    @pytest.mark.parametrize("kind", sorted(DRIVERS))
+    def test_periodic_saves(self, model, tmp_path, kind):
+        sim = DRIVERS[kind](model)
         writer = CheckpointWriter(sim, tmp_path, every=5)
         sim.run(12, callback=writer)
         assert writer.saves == 2  # steps 5 and 10
         assert writer.path.exists()
         # The file on disk is the step-10 state, not the step-12 state.
-        resumed = restore_checkpoint(make_sim(model), writer.path)
+        resumed = restore_checkpoint(DRIVERS[kind](model), writer.path)
         assert resumed.step_count == 10
+        # Saving mid-run (the distributed drivers flush their pending
+        # reductions to do it) changed nothing about the run itself.
+        ref = DRIVERS[kind](model)
+        ref.run(12)
+        assert observables(sim) == observables(ref)
 
-    def test_sigterm_saves_and_interrupts(self, model, tmp_path):
+    @pytest.mark.parametrize("kind", sorted(DRIVERS))
+    def test_sigterm_saves_and_interrupts(self, model, tmp_path, kind):
         """A real SIGTERM (raised synchronously for determinism) checkpoints
         at the NEXT step boundary and interrupts; resume finishes bitwise."""
         total, kill_at = 12, 7
-        ref = make_sim(model, Langevin(temperature=300.0, seed=7))
+        ref = DRIVERS[kind](model)
         ref.run(total)
 
-        victim = make_sim(model, Langevin(temperature=300.0, seed=7))
+        victim = DRIVERS[kind](model)
         writer = CheckpointWriter(victim, tmp_path).install_sigterm()
 
         def cb(s):
@@ -391,10 +531,9 @@ class TestCheckpointWriter:
         assert victim.step_count == kill_at  # stopped at a step boundary
         assert writer.signaled and writer.saves == 1
 
-        resumed = make_sim(model, Langevin(temperature=300.0, seed=7))
-        restore_checkpoint(resumed, writer.path)
+        resumed = restore_checkpoint(DRIVERS[kind](model), writer.path)
         resumed.run(total - kill_at)
-        assert_sim_bitwise(resumed, ref)
+        assert observables(resumed) == observables(ref)
 
     def test_uninstall_restores_previous_handler(self, model, tmp_path):
         before = signal.getsignal(signal.SIGTERM)

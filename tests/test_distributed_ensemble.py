@@ -9,7 +9,13 @@ import pytest
 from repro.analysis.structures import water_box
 from repro.dp import DeepPot, DPConfig, DeepPotPair
 from repro.dp.backend import PerFrameBackend
-from repro.md import NeighborList, Simulation, boltzmann_velocities
+from repro.md import (
+    EnsembleSimulation,
+    NeighborList,
+    Simulation,
+    boltzmann_velocities,
+    fitted_neighbor_list,
+)
 from repro.md.neighbor import neighbor_pairs
 from repro.parallel import (
     DistributedEnsembleSimulation,
@@ -32,6 +38,76 @@ def water_sys():
 
 
 SIM_KW = dict(dt=0.0005, skin=1.0, rebuild_every=4)
+
+
+def serial_replica(system, model):
+    return Simulation(
+        system, DeepPotPair(model), dt=SIM_KW["dt"], thermo_every=2,
+        neighbor=fitted_neighbor_list(system, model.config.rcut, skin=2.0),
+    )
+
+
+def serial_state(sim):
+    return (
+        sim.system.positions.tobytes(), sim.system.velocities.tobytes(),
+        sim.last_result().forces.tobytes(), sim.thermo.rows,
+    )
+
+
+def distributed_replica(system, model):
+    return DistributedSimulation(
+        system, model, grid=(2, 1, 1), thermo_every=2, **SIM_KW
+    )
+
+
+def distributed_state(sim):
+    gathered = sim.current_system()
+    return (
+        gathered.positions.tobytes(), gathered.velocities.tobytes(),
+        sim.forces_now().tobytes(), sim.thermo,
+    )
+
+
+class TestLockstepConformance:
+    """One lockstep loop (``EnsembleSimulation.run``) over either replica
+    type: R replicas in lockstep are R independent drivers, bit for bit,
+    at one backend evaluation per shape bucket per step."""
+
+    @pytest.mark.parametrize(
+        "lockstep,kwargs,solo,state",
+        [
+            (EnsembleSimulation, dict(dt=SIM_KW["dt"]),
+             serial_replica, serial_state),
+            (DistributedEnsembleSimulation, dict(grid=(2, 1, 1), **SIM_KW),
+             distributed_replica, distributed_state),
+        ],
+        ids=["Simulation", "DistributedSimulation"],
+    )
+    def test_lockstep_equals_independent_drivers(
+        self, tiny_model, water_sys, lockstep, kwargs, solo, state
+    ):
+        R, seed = 3, 21
+        ens = lockstep.from_system(
+            water_sys, tiny_model, n_replicas=R, temperature=300.0,
+            seed=seed, thermo_every=2, **kwargs,
+        )
+        ens.run(2)  # includes the set-up evaluation of a lazy driver
+        backend = ens.force_backend
+        before = backend.evaluations
+        buckets = []  # per step (a rebuild at step 4 changes the shapes)
+        ens.run(4, callback=lambda e: buckets.append(backend.bucket_count))
+        assert backend.evaluations - before == sum(buckets)
+        frames_per_step = R * int(np.prod(kwargs.get("grid", (1, 1, 1))))
+        assert len(buckets) == 4 and max(buckets) < frames_per_step
+        assert ens.step_count == 6 and ens.force_evaluations == 7
+        for k, rep in enumerate(ens.replicas):
+            system = water_sys.copy()
+            boltzmann_velocities(system, 300.0, seed=seed + k)
+            alone = solo(system, tiny_model)
+            alone.run(6)
+            assert type(rep) is type(alone)
+            assert state(rep) == state(alone)
+            assert len(state(rep)[-1]) == 4  # thermo rows 0, 2, 4, 6
 
 
 class TestDistributedEnsemble:

@@ -20,6 +20,7 @@ from repro.analysis.structures import water_box
 from repro.dp.batch import BatchedEvaluator
 from repro.dp.model import DeepPot, DPConfig
 from repro.dp.pair import DeepPotPair
+from repro.md.deform import Deform
 from repro.md.ensemble import EnsembleMSD, EnsembleSimulation
 from repro.md.neighbor import fitted_neighbor_list, neighbor_pairs
 from repro.md.simulation import Simulation
@@ -167,6 +168,49 @@ class TestEnsembleSimulation:
         for solo, rep in zip(solo_systems, ens_systems):
             assert np.array_equal(solo.positions, rep.positions)
             assert np.array_equal(solo.velocities, rep.velocities)
+
+    def test_deform_on_one_replica_matches_lone_simulation(
+        self, model, base_system
+    ):
+        """A replica is a whole ``Simulation``: a per-replica fix (Fig 7's
+        tensile deformation) and a stored trajectory run inside the
+        lockstep loop exactly as they do alone."""
+        def strain():
+            return Deform(axis=2, strain_rate=0.5, start_step=1)
+
+        ens = EnsembleSimulation.from_system(
+            base_system, model, n_replicas=2, seed=3, dt=0.0005,
+            thermo_every=2,
+        )
+        ens.replicas[1].deform = strain()
+        ens.replicas[1].trajectory_every = 2
+        ens.run(5)
+
+        lone_system = base_system.copy()
+        boltzmann_velocities(lone_system, 330.0, seed=3 + 1)
+        lone = Simulation(
+            lone_system, DeepPotPair(model), dt=0.0005, thermo_every=2,
+            neighbor=fitted_neighbor_list(lone_system, model.config.rcut),
+            deform=strain(), trajectory_every=2,
+        )
+        lone.run(5)
+
+        strained = ens.replicas[1]
+        assert strained.system.box.lengths[2] > base_system.box.lengths[2]
+        assert np.array_equal(strained.system.box.lengths, lone_system.box.lengths)
+        assert np.array_equal(strained.system.positions, lone_system.positions)
+        assert np.array_equal(strained.system.velocities, lone_system.velocities)
+        assert strained.thermo.rows == lone.thermo.rows
+        assert len(strained.trajectory) == 2
+        assert all(
+            np.array_equal(a, b)
+            for a, b in zip(strained.trajectory, lone.trajectory)
+        )
+        # ... and replica 0 never saw it.
+        assert np.array_equal(
+            ens.systems[0].box.lengths, base_system.box.lengths
+        )
+        assert ens.replicas[0].trajectory == []
 
     def test_from_system_builds_decorrelated_replicas(self, model, base_system):
         ens = EnsembleSimulation.from_system(

@@ -548,8 +548,7 @@ class TestPinnedSurface:
         p = self.params
         assert p(DeepPot.evaluate) == [
             "self", "system", "pair_i", "pair_j", "nloc", "pbc"]
-        assert p(DeepPot.evaluate_batch) == [
-            "self", "systems", "pair_lists", "nlocs", "pbc"]
+        assert not hasattr(DeepPot, "evaluate_batch")  # engines batch
         assert p(BatchedEvaluator.evaluate_batch) == [
             "self", "systems", "pair_lists", "nlocs", "pbc"]
         assert p(BatchedEvaluator.evaluate_frames) == ["self", "frames"]
@@ -564,8 +563,7 @@ class TestPinnedSurface:
             "autostart", "max_per_client", "faults", "max_respawns"]
         assert [f.name for f in fields(DistributedSimulation)] == [
             "system", "model", "grid", "dt", "skin", "rebuild_every",
-            "thermo_every", "use_iallreduce", "force_backend",
-            "defer_initial_forces"]
+            "thermo_every", "use_iallreduce", "force_backend"]
 
     def test_the_string_survives_only_on_the_reference_path(self):
         for fn in (DeepPot.prepare_feeds, DeepPot.evaluate_serial):

@@ -1,5 +1,5 @@
-"""Tests for the extended MD features: FIRE minimizer, Nosé-Hoover, and
-dynamics analysis."""
+"""Tests for the extended MD features: Nosé-Hoover and dynamics
+analysis."""
 
 import numpy as np
 import pytest
@@ -16,12 +16,10 @@ from repro.md import (
     Simulation,
     System,
     boltzmann_velocities,
-    fire_minimize,
     fitted_neighbor_list,
 )
 from repro.md.box import Box
 from repro.md.lj import LennardJones
-from repro.oracles import SuttonChenEAM
 
 
 def short_argon():
@@ -42,43 +40,6 @@ def lj_fcc(n=3, a_lat=5.26, temperature=0.0, seed=0):
     if temperature > 0:
         boltzmann_velocities(sys, temperature, seed=seed)
     return sys
-
-
-class TestFire:
-    def test_relaxes_rattled_crystal(self):
-        sys = lj_fcc()
-        rng = np.random.default_rng(1)
-        sys.positions += rng.normal(scale=0.15, size=sys.positions.shape)
-        pot = short_argon()
-        e0 = pot.compute_dense(sys).energy
-        result = fire_minimize(sys, pot, force_tol=1e-3, max_steps=600)
-        assert result.converged
-        assert result.energy < e0
-        assert result.max_force < 1e-3
-
-    def test_energy_monotone_overall(self):
-        sys = lj_fcc()
-        rng = np.random.default_rng(2)
-        sys.positions += rng.normal(scale=0.1, size=sys.positions.shape)
-        result = fire_minimize(sys, short_argon(), force_tol=1e-4, max_steps=300)
-        hist = np.array(result.energy_history)
-        assert hist[-1] <= hist[0]
-
-    def test_already_minimal_converges_immediately(self):
-        sys = lj_fcc()
-        # perfect fcc at the LJ-argon equilibrium spacing is near a minimum
-        result = fire_minimize(sys, short_argon(), force_tol=1e-2, max_steps=50)
-        assert result.converged
-        assert result.n_iterations <= 2
-
-    def test_eam_nanocrystal_boundaries_relax(self):
-        from repro.analysis.structures import nanocrystal_fcc
-
-        sys = nanocrystal_fcc(box_length=22.0, n_grains=2, seed=4)
-        pot = SuttonChenEAM(r_on=4.0, cutoff=5.0)
-        e0 = pot.compute_dense(sys).energy
-        result = fire_minimize(sys, pot, force_tol=0.05, max_steps=150)
-        assert result.energy < e0  # boundary atoms relax downhill
 
 
 class TestNoseHoover:

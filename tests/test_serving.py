@@ -312,8 +312,8 @@ class TestShutdown:
 
     def test_closed_loop_helper_reraises_client_failures(self, model, base):
         """A broken serving stack must surface as an error from the load
-        helper, never as a silently empty result set (which would let
-        `repro validate` pass vacuously)."""
+        helper, never as a silently empty result set (which would let a
+        served-vs-direct check pass vacuously)."""
         from repro.serving import perturbed_frames, run_closed_loop_clients
 
         class BoomEngine:

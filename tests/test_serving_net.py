@@ -111,6 +111,36 @@ class TestProtocol:
         assert got_header == header  # "arrays" spec key is stripped
         assert np.array_equal(got_arrays["positions"], arrays["positions"])
 
+    def test_submit_frame_golden_bytes(self):
+        """The frame body is the tagged-array container checkpoints share
+        (:func:`repro.md.checkpoint.pack_tagged`); folding the two codecs
+        into one moved no byte, so ``PROTOCOL_VERSION`` did not move."""
+        header = {"req": 7, "model": "water", "block": True,
+                  "admit_timeout": None, "nloc": None, "pbc": True}
+        arrays = {
+            "positions": np.arange(6, dtype=np.float64).reshape(2, 3),
+            "types": np.array([1, 0], dtype=np.int64),
+            "box": np.array([9.0, 9.5, 10.0]),
+            "masses": np.array([15.999, 1.008]),
+        }
+        head = (
+            b'{"req":7,"model":"water","block":true,"admit_timeout":null,'
+            b'"nloc":null,"pbc":true,"arrays":[["positions","<f8",[2,3]],'
+            b'["types","<i8",[2]],["box","<f8",[3]],["masses","<f8",[2]]]}'
+        )
+        blob = bytes.fromhex(
+            "0000000000000000" "000000000000f03f" "0000000000000040"
+            "0000000000000840" "0000000000001040" "0000000000001440"
+            "0100000000000000" "0000000000000000"
+            "0000000000002240" "0000000000002340" "0000000000002440"
+            "736891ed7cff2f40" "54e3a59bc420f03f"
+        )
+        assert len(head) == 0xB2
+        # u32 payload length | version 3 | type SUBMIT | u32 header length
+        assert proto.encode_frame(proto.MsgType.SUBMIT, header, arrays) == (
+            bytes.fromhex("00000120" "03" "03" "000000b2") + head + blob
+        )
+
     def test_version_mismatch_refused(self):
         frame = proto.encode_frame(proto.MsgType.HELLO, {})
         payload = bytearray(frame[4:])
