@@ -92,10 +92,8 @@ def test_scratch_stops_allocating_after_warmup(model, base):
     ens.run(2)  # warm every steady shape
     engine = ens.force_backend.engine
     count = engine.scratch.alloc_count
-    feed_allocs = engine.plan.stats.feed_allocs
     ens.run(3)
     assert engine.scratch.alloc_count == count
-    assert engine.plan.stats.feed_allocs == feed_allocs
 
 
 def test_paired_timing_batched_vs_per_rank(model, base):

@@ -21,10 +21,11 @@ P101  undefined-read: a record (or fetch) reads a slot no earlier feed,
 P102  use-after-free: a record reads the *value* of a slot after the
       liveness pass retired its storage group (a shape read afterwards is
       legal: the slot's array object keeps its shape)
-P103  arena-overlap: a warm arena gives a record a buffer whose bytes
-      overlap an earlier record's buffer while that record's storage group
-      is still live (address-interval check, so it sees straight through
-      the coloring allocator's slab views)
+P103  arena-overlap: a layout gives a record a buffer whose bytes overlap
+      an earlier record's buffer while that record's storage group is
+      still live (address-interval check on the views bound into the
+      plan's slab pool, so it sees straight through the coloring
+      allocator — every layout held is checked against the one pool)
 P104  alias-broken: a view record (``reshape``/``item``/...) whose output
       is not in the same storage group as its ``view_of`` input
 P105  fetch-unpinned: a fetched slot whose storage group is not pinned
@@ -300,13 +301,16 @@ def verify_plan(plan, spec=None, check_values: bool = False) -> PlanReport:
                 record=def_pos[fs] if def_pos[fs] >= 0 else None,
             ))
 
-    # --- P103: warm arenas honor the death table ------------------------
+    # --- P103: layouts honor the death table ----------------------------
     # Address-interval based: the coloring allocator hands out distinct
     # ndarray *views* over shared byte slabs, so object identity proves
     # nothing — two records conflict iff their buffers' byte ranges
-    # overlap while the earlier one's storage group is still live.
+    # overlap while the earlier one's storage group is still live.  A
+    # layout last run in an earlier pool is bound into this one first.
     tape_index = {id(rec): r_idx for r_idx, rec in enumerate(records)}
     for arena in plan._arenas.values():
+        if arena.pool is not plan._pool:
+            plan._bind(arena)
         live: list = []  # [start, end, owner record, owner death]
         for rec, buf in arena.steady:  # exactly what a steady run walks
             if buf is None:
@@ -364,17 +368,20 @@ def plan_metrics(plan, evaluations: int = 0) -> dict:
     """Deterministic per-plan metrics for ``repro plan-report``.
 
     ``records`` is what a steady run executes, ``records_pruned`` the
-    shape probes it skips.  Arena numbers cover every warmed feed-shape
-    signature; a plan that has never run reports zero arena bytes (the
-    record counts are always present).  ``blocks_per_evaluation`` is the
+    shape probes it skips.  ``arenas`` counts the layouts held (one per
+    warmed feed-shape signature); the colored-vs-FIFO bytes are the largest
+    layout's own pair, so sharing one pool cannot flatter them.  A plan that
+    has never run reports zero (the record counts are always present).
+    ``blocks_per_evaluation`` is the
     plan's runs over the ``evaluations`` its owner issued — the row blocks
     the batched engine cut each evaluation into (1: not blocked), every
-    block running in the one arena of its evaluation shape.  ``rows_run``
+    block running in the one layout of its evaluation shape.  ``rows_run``
     of ``rows_padded`` is what the last run's compacted embedding chains
     (``expand_rows`` records: the engine's plan has them, a trainer's has
     none) ran on: the neighbour slots listed, of those there are.
     """
-    colored = plan.arena_nbytes()
+    largest = plan._largest()
+    colored = largest.alloc_bytes if largest else 0
     fifo = plan.fifo_arena_nbytes()
     blocks = plan.stats.runs // evaluations if evaluations else 1
     rows_run = rows_padded = 0
@@ -659,7 +666,7 @@ def check_all_plans(
 
     The last entry is one *blocked* engine plan: paper-width nets (the
     ``md_copper_fig3`` configuration) on 256 atoms, an evaluation the
-    engine runs in several row blocks — the verifier sees the arena of one
+    engine runs in several row blocks — the verifier sees the layout of one
     block and the values its last block left.
 
     Returns one entry per verified plan:
@@ -667,8 +674,9 @@ def check_all_plans(
 
     ``report=True`` adds a ``"metrics"`` entry per plan
     (:func:`plan_metrics`: record count, blocks per evaluation,
-    colored-vs-FIFO arena bytes) and warms the train/serving plans too (one
-    step / one evaluation), so arena footprints are measured, not zero.
+    colored-vs-FIFO arena bytes) and warms the train plans too (one step),
+    so arena footprints are measured, not zero.  Serving plans are always
+    warmed: two layouts in one pool is what P103 has to see there.
     """
     from repro.analysis.structures import fcc_lattice, water_box
     from repro.dp.batch import BatchedEvaluator
@@ -727,9 +735,10 @@ def check_all_plans(
                 server = InferenceServer({name: model}, autostart=False)
                 try:
                     engine = server._engines[name]
-                    if report:
-                        # warm the serving arena
-                        engine.evaluate_batch([system], [(pi, pj)])
+                    # As serving runs it: two layouts in the one pool, the
+                    # 1-frame one run again after the 2-frame one re-made it.
+                    for n in (1, 2, 1):
+                        engine.evaluate_batch([system] * n, [(pi, pj)] * n)
                     add(f"{name}/{precision}/serving", engine.plan,
                         dp_feed_spec(model),
                         evaluations=engine.batch_evaluations)

@@ -53,13 +53,13 @@ Design notes
   never depends on which other requests it was coalesced with.
 * Persistent scratch.  The batch-scale staging buffers (normalized
   environment matrix, its derivative, displacements, shifted neighbor lists)
-  live in a :class:`ScratchPool` keyed by name and are reused while shapes
-  are steady — the steady-state MD loop performs no new large allocations
-  (asserted via ``ScratchPool.alloc_count`` in the tests).
+  live in a :class:`ScratchPool`, one buffer per name as large as the
+  largest shape asked of it — the steady-state MD loop performs no new
+  large allocations (asserted via ``ScratchPool.alloc_count`` in the tests).
 * Compiled graph execution.  The networks run through a compiled
   execution plan (:mod:`repro.tfmini.plan`): the forward+backward DAG is
   topo-sorted once per engine, and every evaluation is a flat slot-indexed
-  tape walk into a persistent, liveness-recycled buffer arena — no per-run
+  tape walk into a persistent, liveness-recycled slab pool — no per-run
   graph traversal, dict dispatch, or per-op output allocation.  Results stay
   bitwise identical to ``Session.run`` (the retained oracle; pass
   ``use_plan=False`` to execute through it for differential testing).
@@ -67,7 +67,7 @@ Design notes
   environment rows and fetches dE/dR~ and the atomic energies — nothing on
   it couples two atoms.  An evaluation whose embedding output ``G`` exceeds
   :data:`BLOCK_BYTES` therefore runs the tape over equal-height row blocks
-  (:meth:`BatchedEvaluator.block_heights`) through ONE arena the size of a
+  (:meth:`BatchedEvaluator.block_heights`) through ONE layout the size of a
   block, not of the evaluation; a zoo-sized evaluation is one block.
   Per block, each embedding net runs on the real neighbour slots only (plus
   padded ones up to a bucketed capacity; the model's *compacted* graph —
@@ -80,7 +80,7 @@ Design notes
   ``DeepPot.evaluate_serial`` keep the unblocked graph with its in-graph
   ProdForce and are the oracles.
 * One engine, one thread.  The scratch pool, cached neighbor layouts, and
-  the plan's buffer arenas are all mutable run state, so an engine must
+  the plan's slab pool are all mutable run state, so an engine must
   never be *executing* on two threads at once — one engine per driver
   thread (the serving pool gives every worker its own; see
   :mod:`repro.serving.worker`).  ``evaluate_batch`` guards the invariant:
@@ -93,6 +93,7 @@ from __future__ import annotations
 
 import threading
 from itertools import accumulate
+from math import prod
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -194,45 +195,41 @@ class _StackedFrame:
 
 
 class ScratchPool:
-    """Named, shape-keyed persistent buffers for the batched hot path.
+    """Named persistent buffers for the batched hot path, one per name.
 
-    ``get(name, shape, dtype)`` returns the cached array for that
-    (name, shape, dtype) key, allocating only on first sight — so a driver
+    ``get(name, shape, dtype)`` returns a view of the name's ONE flat
+    buffer, which grows to the largest request made of it — so a driver
     alternating between batch shapes (e.g. R=1 MD steps interleaved with
-    R=4 sampling batches) warms one buffer set per shape and then stops
-    allocating, instead of thrashing a single slot.  ``alloc_count`` and
-    ``alloc_bytes`` expose deterministic counters the buffer-reuse tests
-    (and the batched benchmark) assert on — no wall-clock involved.
-
-    The pool is bounded (``max_entries``, FIFO eviction like the plan's
-    arena and feed-slot caps): migration-heavy distributed runs re-key the
-    stacked staging buffers on almost every reneighboring (total atom
-    counts drift), and without a cap every shape ever seen would stay
-    resident.  Steady workloads never evict; churny ones re-warm evicted
-    shapes on revisit (``evictions`` counts them).
+    R=4 sampling batches) holds the memory of the largest and stops
+    allocating once it has been seen.  The names are the engine's own
+    (about twenty), so there is nothing to evict.  While ``(shape, dtype)``
+    repeat, the same view object comes back; a smaller request is a prefix
+    of the same bytes (``BatchedEvaluator._arange`` relies on that).
+    ``alloc_count`` and ``alloc_bytes`` expose deterministic counters the
+    buffer-reuse tests (and the batched benchmark) assert on.
     """
 
-    def __init__(self, max_entries: int = 512) -> None:
-        self._arrays: dict[tuple, np.ndarray] = {}
-        self.max_entries = max(int(max_entries), 1)
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}  # name -> flat byte buffer
+        self._views: dict[str, np.ndarray] = {}  # name -> last view handed out
         self.alloc_count = 0
         self.alloc_bytes = 0
-        self.evictions = 0
 
     def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key = (name, tuple(shape), np.dtype(dtype))
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = np.empty(shape, dtype=dtype)
-            while len(self._arrays) >= self.max_entries:
-                # FIFO: drop the oldest buffer; a caller still holding it
-                # keeps it alive, the pool just stops retaining it.
-                self._arrays.pop(next(iter(self._arrays)))
-                self.evictions += 1
-            self._arrays[key] = arr
+        view = self._views.get(name)
+        if view is not None and view.shape == shape and view.dtype == dtype:
+            return view
+        dtype = np.dtype(dtype)
+        nbytes = prod(shape) * dtype.itemsize
+        flat = self._arrays.get(name)
+        if flat is None or flat.nbytes < nbytes:
+            # Outgrown: let go of it before allocating its replacement.
+            flat = view = self._arrays[name] = self._views[name] = None
+            flat = self._arrays[name] = np.empty(nbytes, np.uint8)
             self.alloc_count += 1
-            self.alloc_bytes += arr.nbytes
-        return arr
+            self.alloc_bytes += nbytes
+        view = self._views[name] = flat[:nbytes].view(dtype).reshape(shape)
+        return view
 
     def nbytes(self) -> int:
         """Bytes currently held by the pool."""
@@ -240,6 +237,7 @@ class ScratchPool:
 
     def clear(self) -> None:
         self._arrays.clear()
+        self._views.clear()
 
 
 def frame_bucket_key(system, nloc: Optional[int] = None, pbc: bool = True) -> tuple:
@@ -249,7 +247,7 @@ def frame_bucket_key(system, nloc: Optional[int] = None, pbc: bool = True) -> tu
     signature) and can always share one stacked evaluation: same row count,
     same ghost split, same box (the PBC stacking requirement), and — because
     the type signature matches — a feed-shape signature that stays steady
-    for the bucket's compiled-plan arena across steps.
+    for the bucket's compiled-plan layout across steps.
     """
     n = int(system.n_atoms)
     nloc = n if nloc is None else int(nloc)
@@ -301,10 +299,9 @@ class BatchedEvaluator:
         # Reusable neighbor layouts (nlist storage recycling), keyed by
         # ("stacked", rows, atoms) or (replica, rows) so alternating batch
         # shapes keep their own layouts instead of thrashing one slot.
-        # Bounded like the scratch pool: stacked keys drift with migration
-        # (total atom counts change on reneighboring), so the oldest layout
-        # is dropped FIFO beyond the cap instead of retaining every shape
-        # ever seen.
+        # Bounded: stacked keys drift with migration (total atom counts
+        # change on reneighboring), so the oldest layout is dropped FIFO
+        # beyond the cap instead of retaining every shape ever seen.
         self._fmts: dict[tuple, FormattedNeighbors] = {}
         self.max_fmt_layouts = 32
         self.fmt_evictions = 0
@@ -317,7 +314,7 @@ class BatchedEvaluator:
         # One-engine-one-thread guard: the thread currently inside
         # evaluate_batch (None when idle), compare-and-set under a lock so
         # simultaneous entry cannot slip past the check.  Scratch buffers
-        # and plan arenas are per-engine run state, so concurrent entry is
+        # and the plan's pool are per-engine run state, so concurrent entry is
         # always a caller bug (share the model, not the engine).
         self._active_thread: Optional[int] = None
         self._guard_lock = threading.Lock()
@@ -333,17 +330,15 @@ class BatchedEvaluator:
         # Sort-stage counters: batches whose rows were already type-sorted
         # skip the per-feed gather copies entirely (identity staging) —
         # single-type models (copper) hit this on every evaluation; the
-        # rest gather into the plan's persistent feed slots (or scratch on
-        # the Session oracle path).
+        # rest gather into scratch.
         self.stage_identity = 0
         self.stage_gathers = 0
         # evaluate_frames: bucketed evaluations issued (one per bucket).
         self.bucket_evaluations = 0
         # Per evaluation shape (the block heights): the highest compacted
-        # capacity of each section so far and the feed signature of the
-        # arena built for it (see ``_run_blocks``); bounded like ``_fmts``.
-        # ``capacity_growths`` counts the arenas released for a larger one.
-        self._capacities: dict[tuple, tuple[tuple, tuple]] = {}
+        # capacity of each section so far (see ``_run_blocks``); bounded
+        # like ``_fmts``.  ``capacity_growths`` counts the times one grew.
+        self._capacities: dict[tuple, tuple] = {}
         self.capacity_growths = 0
 
     @property
@@ -357,7 +352,7 @@ class BatchedEvaluator:
         energies — every quantity on the tape is per atom, so
         :meth:`_run_blocks` may run it on any row block.  The plan is
         per-engine — like the scratch pool, each driver keeps its own
-        arena so shapes stay steady.
+        so shapes stay steady.
         """
         if self._plan is None:
             from repro.tfmini.plan import compile_plan
@@ -377,7 +372,7 @@ class BatchedEvaluator:
         ``(rows, nnei, M1)`` in the network dtype, the widest activation on
         the tape — over :data:`BLOCK_BYTES`, rounded up.  Every block holds
         the same ``h_t = ceil(n_t / target)`` rows of type ``t`` (so one feed
-        signature, one arena, whatever the remainders are); the last
+        signature, one layout, whatever the remainders are); the last
         blocks start early enough to end at row ``n_t`` and recompute at
         most ``n_blocks - 1`` rows per type.  A type is never cut below
         :func:`min_block_rows` rows: it is run whole in every block instead.
@@ -413,8 +408,9 @@ class BatchedEvaluator:
         of a section share one ``s = -davg / dstd``, hence one row of
         ``G``).  Any capacity above the real count gives the same bits, so
         each evaluation shape keeps the highest :func:`section_capacity` it
-        has needed — one feed signature, one arena — and when that grows,
-        the arena it replaces is released.
+        has needed — one feed signature, one layout — and when that grows,
+        the layout it outgrew holds no memory: the plan's pool is sized by
+        the largest, and the new one is larger in every buffer.
         """
         cfg = self.model.config
         n_types = len(em_t)
@@ -441,11 +437,12 @@ class BatchedEvaluator:
             for t, nb in sections
         )
         shape = tuple(heights)
-        held, signature = self._capacities.get(shape, (caps, None))
+        held = self._capacities.get(shape, caps)
         if any(c > h for c, h in zip(caps, held)):
-            self.plan.release_arena(signature)
             self.capacity_growths += 1
-        caps = tuple(map(max, caps, held))
+        caps = self._capacities[shape] = tuple(map(max, caps, held))
+        while len(self._capacities) > self.max_fmt_layouts:
+            self._capacities.pop(next(iter(self._capacities)))
 
         e_sorted = self.scratch.get("e_sorted", (sum(rows),))
         for b in range(n_blocks):
@@ -471,14 +468,11 @@ class BatchedEvaluator:
                     out=slot[lo : lo + h],
                 )
                 e_sorted[lo : lo + h] = out[n_types + t]
-
-        self._capacities[shape] = (caps, self.plan.signature)
-        while len(self._capacities) > self.max_fmt_layouts:
-            self._capacities.pop(next(iter(self._capacities)))
         return e_sorted
 
     def _arange(self, n: int) -> np.ndarray:
-        """The cached listing of every row of an ``n``-slot section."""
+        """The listing of every row of an ``n``-slot section: a prefix of
+        one ``np.arange`` that grows to the longest section asked for."""
         allocs = self.scratch.alloc_count
         listing = self.scratch.get("arange", (n,), np.int64)
         if self.scratch.alloc_count != allocs:
@@ -494,7 +488,7 @@ class BatchedEvaluator:
 
     def release_buffers(self) -> None:
         """Drop all persistent storage: scratch pool, cached neighbor
-        layouts, compacted capacities, and the compiled plan's buffer arenas
+        layouts, compacted capacities, and the compiled plan's slab pool
         (the compiled tape survives).  The next evaluation re-warms; results
         are unaffected.  Useful before allocation-sensitive measurements or
         when a shape regime is finished."""
@@ -538,7 +532,7 @@ class BatchedEvaluator:
         ------
         RuntimeError
             On concurrent entry from a second thread — the engine's scratch
-            pool and plan arenas are single-threaded run state (the
+            pool and the plan's are single-threaded run state (the
             one-engine-one-thread invariant; give each thread its own
             engine).
         """
@@ -759,10 +753,8 @@ class BatchedEvaluator:
         # sort is the identity permutation, so the gather copies are skipped
         # entirely and the staging buffers are used as-is (per-type blocks
         # are contiguous row slices).  Otherwise the per-type environment
-        # rows — the plan's feeds — are gathered directly into the plan's
-        # persistent feed slots (``feed_buffer``; engine scratch on the
-        # ``use_plan=False`` oracle path), and the geometry tensors the
-        # force/virial assembly reads into engine scratch.
+        # rows — the plan's feeds — and the geometry tensors the
+        # force/virial assembly reads are gathered into engine scratch.
         if total_loc == 0 or bool(np.all(types_cat[:-1] <= types_cat[1:])):
             self.stage_identity += 1
             sorted_types = types_cat
@@ -785,11 +777,10 @@ class BatchedEvaluator:
             np.take(rij, order, axis=0, out=rij_sorted)
             nlist_sorted = scratch.get("nlist_sorted", nlist_g.shape, np.int64)
             np.take(nlist_g, order, axis=0, out=nlist_sorted)
-            dest = self.plan.feed_buffer if self.use_plan else scratch.get
             em_t = []
             for t in range(cfg.n_types):
                 idx_t = order[bounds[t] : bounds[t + 1]]
-                em = dest(f"em_t{t}", (idx_t.size, nnei, 4))
+                em = scratch.get(f"em_t{t}", (idx_t.size, nnei, 4))
                 np.take(em_n, idx_t, axis=0, out=em)
                 em_t.append(em)
 

@@ -49,6 +49,7 @@ import hashlib
 import json
 import os
 import struct
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -108,11 +109,31 @@ def pack_arrays(arrays: dict[str, np.ndarray]) -> tuple[list, bytes]:
 
 def unpack_arrays(specs: list, blob: bytes, offset: int = 0) -> dict[str, np.ndarray]:
     """Inverse of :func:`pack_arrays` over ``blob[offset:]`` (arrays are
-    writable copies); the specs must account for every byte."""
+    writable copies); the specs must account for every byte.  They come off
+    the wire or out of a file, so anything but a list of ``[name, dtype_str,
+    shape]`` naming fixed-size plain-data dtypes and non-negative integer
+    extents that fit the blob raises :class:`TaggedArrayError`."""
+    if not isinstance(specs, list):
+        raise TaggedArrayError(f"array specs are not a list: {specs!r:.80}")
     out: dict[str, np.ndarray] = {}
-    for name, dtype_str, shape in specs:
-        dtype = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for spec in specs:
+        try:
+            name, dtype_str, shape = spec
+            dtype = np.dtype(dtype_str)
+            ok = (
+                [type(x) for x in (spec, name, dtype_str, shape)]
+                == [list, str, str, list]
+                and all(type(d) is int and d >= 0 for d in shape)
+                and not dtype.hasobject
+                and dtype.subdtype is None
+                # numpy sizes an empty array by its non-zero extents
+                and 0 < prod(d or 1 for d in shape) * dtype.itemsize < 2**63
+            )
+        except (TypeError, ValueError):  # not a triple; no such dtype
+            ok = False
+        if not ok:
+            raise TaggedArrayError(f"bad array spec {spec!r:.80}")
+        count = prod(shape)  # Python ints: a hostile extent cannot wrap
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(blob):
             raise TaggedArrayError(
@@ -152,8 +173,10 @@ def unpack_tagged(payload: bytes, offset: int = 0) -> tuple[dict, dict[str, np.n
         raise TaggedArrayError("header overruns the payload")
     try:
         header = json.loads(payload[offset + 4 : head_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise TaggedArrayError(f"bad header: {exc}") from None
+    if not isinstance(header, dict):
+        raise TaggedArrayError(f"header is not an object: {header!r:.80}")
     return header, unpack_arrays(header.pop("arrays", []), payload, head_end)
 
 

@@ -36,7 +36,95 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.worker import InferenceServer
 
 
-class InferenceClient:
+class FrameClient:
+    """``evaluate`` / ``evaluate_many`` over ``submit`` — the deadline and
+    abandonment discipline every client shares, written once.  A client
+    supplies ``submit(system, pair_i, pair_j, timeout=...) -> Future`` and
+    may extend :meth:`_abandon`."""
+
+    def _abandon(self, future: Future) -> None:
+        """Give up on a submitted request: a future cancelled while still
+        queued is dropped at dispatch instead of filling a batch slot."""
+        future.cancel()
+
+    def evaluate(
+        self,
+        system: "System",
+        pair_i: Optional[np.ndarray] = None,
+        pair_j: Optional[np.ndarray] = None,
+        timeout: Optional[float] = None,
+    ) -> "PotentialResult":
+        """Synchronous round trip under ONE deadline.
+
+        ``timeout`` is a total budget: time spent waiting for admission to a
+        full queue (a stalled server raises :class:`~repro.serving.queue.
+        QueueFull` once it expires) is subtracted from the wait on the
+        result, so the call returns or raises within ~``timeout`` seconds.
+
+        A request abandoned at its deadline is **cancelled**, not leaked:
+        if the result times out while the request is still queued, the
+        future is cancelled so the worker drops it at dispatch (counted in
+        ``ServerStats.requests_cancelled``, exactly once) instead of
+        burning a batch slot on a result nobody will read.  A request
+        already running when the deadline hits cannot be cancelled and
+        completes normally; only this caller's wait is abandoned.
+        """
+        if timeout is None:
+            return self.submit(system, pair_i, pair_j).result(None)
+        deadline = time.perf_counter() + timeout
+        future = self.submit(system, pair_i, pair_j, timeout=timeout)
+        try:
+            return future.result(max(0.0, deadline - time.perf_counter()))
+        except FutureTimeout:
+            self._abandon(future)
+            raise
+
+    def evaluate_many(
+        self,
+        systems: Sequence["System"],
+        pair_lists: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
+        timeout: Optional[float] = None,
+    ) -> list["PotentialResult"]:
+        """Submit a frame stack, then gather — the pipelined pattern that
+        lets the server coalesce the whole stack into few batches.
+
+        ``timeout`` is one total budget for all submissions and all results
+        (a shared deadline, like :meth:`evaluate`).  On any abandonment of
+        the stack — a blown deadline, mid-stack backpressure
+        (:class:`~repro.serving.queue.QueueFull`), or shutdown — every
+        already-submitted, still-pending future is cancelled before the
+        exception propagates, so abandoned frames free their queue slots
+        instead of holding the queue full for results nobody will read.
+        """
+        deadline = (
+            None if timeout is None else time.perf_counter() + timeout
+        )
+
+        def left() -> Optional[float]:
+            if deadline is None:
+                return None
+            return max(0.0, deadline - time.perf_counter())
+
+        if pair_lists is not None and len(pair_lists) != len(systems):
+            raise ValueError(
+                f"{len(systems)} systems but {len(pair_lists)} pair lists"
+            )
+        futures: list[Future] = []
+        try:
+            if pair_lists is None:
+                for s in systems:
+                    futures.append(self.submit(s, timeout=left()))
+            else:
+                for s, (pi, pj) in zip(systems, pair_lists):
+                    futures.append(self.submit(s, pi, pj, timeout=left()))
+            return [f.result(left()) for f in futures]
+        except BaseException:
+            for f in futures:
+                self._abandon(f)
+            raise
+
+
+class InferenceClient(FrameClient):
     """Submits frames for one model hosted by an :class:`InferenceServer`.
 
     ``client_id`` (the quota accounting identity; ``None`` = exempt)
@@ -82,82 +170,6 @@ class InferenceClient:
             self.model, system, pair_i, pair_j, block=block, timeout=timeout,
             client_id=self.client_id, nloc=nloc, pbc=pbc,
         )
-
-    def evaluate(
-        self,
-        system: "System",
-        pair_i: Optional[np.ndarray] = None,
-        pair_j: Optional[np.ndarray] = None,
-        timeout: Optional[float] = None,
-    ) -> "PotentialResult":
-        """Synchronous round trip under ONE deadline.
-
-        ``timeout`` is a total budget: time spent waiting for admission to a
-        full queue (a stalled server raises :class:`~repro.serving.queue.
-        QueueFull` once it expires) is subtracted from the wait on the
-        result, so the call returns or raises within ~``timeout`` seconds.
-
-        A request abandoned at its deadline is **cancelled**, not leaked:
-        if the result times out while the request is still queued, the
-        future is cancelled so the worker drops it at dispatch (counted in
-        ``ServerStats.requests_cancelled``, exactly once) instead of
-        burning a batch slot on a result nobody will read.  A request
-        already running when the deadline hits cannot be cancelled and
-        completes normally; only this caller's wait is abandoned.
-        """
-        if timeout is None:
-            return self.submit(system, pair_i, pair_j).result(None)
-        deadline = time.perf_counter() + timeout
-        future = self.submit(system, pair_i, pair_j, timeout=timeout)
-        try:
-            return future.result(max(0.0, deadline - time.perf_counter()))
-        except FutureTimeout:
-            future.cancel()
-            raise
-
-    def evaluate_many(
-        self,
-        systems: Sequence["System"],
-        pair_lists: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None,
-        timeout: Optional[float] = None,
-    ) -> list["PotentialResult"]:
-        """Submit a frame stack, then gather — the pipelined pattern that
-        lets the server coalesce the whole stack into few batches.
-
-        ``timeout`` is one total budget for all submissions and all results
-        (a shared deadline, like :meth:`evaluate`).  On any abandonment of
-        the stack — a blown deadline, mid-stack backpressure
-        (:class:`~repro.serving.queue.QueueFull`), or shutdown — every
-        already-submitted, still-pending future is cancelled before the
-        exception propagates, so abandoned frames free their queue slots
-        instead of holding the queue full for results nobody will read.
-        """
-        deadline = (
-            None if timeout is None else time.perf_counter() + timeout
-        )
-
-        def left() -> Optional[float]:
-            if deadline is None:
-                return None
-            return max(0.0, deadline - time.perf_counter())
-
-        if pair_lists is not None and len(pair_lists) != len(systems):
-            raise ValueError(
-                f"{len(systems)} systems but {len(pair_lists)} pair lists"
-            )
-        futures: list[Future] = []
-        try:
-            if pair_lists is None:
-                for s in systems:
-                    futures.append(self.submit(s, timeout=left()))
-            else:
-                for s, (pi, pj) in zip(systems, pair_lists):
-                    futures.append(self.submit(s, pi, pj, timeout=left()))
-            return [f.result(left()) for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
 
 
 def run_closed_loop_clients(

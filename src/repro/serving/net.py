@@ -44,13 +44,13 @@ import socket
 import threading
 import time
 from concurrent.futures import CancelledError, Future
-from concurrent.futures import TimeoutError as FutureTimeout
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from repro.dp.backend import InvalidFrame
 from repro.serving import protocol as proto
+from repro.serving.client import FrameClient
 from repro.serving.protocol import MsgType, ProtocolError
 from repro.serving.queue import (
     QueueFull,
@@ -61,7 +61,6 @@ from repro.serving.queue import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.md.potential import PotentialResult
     from repro.md.system import System
     from repro.serving.faults import FaultPlan
     from repro.serving.worker import InferenceServer
@@ -555,11 +554,12 @@ class _ResendRecord:
         self.retries_left = retries_left
 
 
-class SocketClient:
+class SocketClient(FrameClient):
     """A remote :class:`~repro.serving.client.InferenceClient` speaking the
-    wire protocol — same calling surface (``submit``/``evaluate``/
-    ``evaluate_many``/``cutoff``), plus a ``stats()`` round trip and
-    ``close()``.
+    wire protocol — same calling surface (``submit``/``cutoff``, and
+    ``evaluate``/``evaluate_many`` from the shared
+    :class:`~repro.serving.client.FrameClient`, whose abandoned requests
+    also send CANCEL), plus a ``stats()`` round trip and ``close()``.
 
     One background reader thread resolves this client's futures as RESULT/
     ERROR frames arrive; submission is locked, so a client may be shared by
@@ -715,6 +715,7 @@ class SocketClient:
             self._req += 1
             req_id = self._req
             future: Future = Future()
+            future.req_id = req_id  # what a CANCEL for it must name
             self._pending[req_id] = future
         return req_id, future
 
@@ -953,79 +954,15 @@ class SocketClient:
             # reader's recovery resubmits it from the inflight record.
         return future
 
-    def evaluate(
-        self,
-        system: "System",
-        pair_i: Optional[np.ndarray] = None,
-        pair_j: Optional[np.ndarray] = None,
-        timeout: Optional[float] = None,
-    ) -> "PotentialResult":
-        """Synchronous round trip under one deadline (mirrors
-        ``InferenceClient.evaluate`` including cancel-on-timeout: a blown
-        deadline sends CANCEL so the queued request frees its slot server-
-        side instead of burning a batch slot on a result nobody reads)."""
-        if timeout is None:
-            return self.submit(system, pair_i, pair_j).result(None)
-        deadline = time.perf_counter() + timeout
-        future = self.submit(system, pair_i, pair_j, timeout=timeout)
-        req_id = self._req_id_of(future)
-        try:
-            return future.result(max(0.0, deadline - time.perf_counter()))
-        except FutureTimeout:
-            future.cancel()
-            if req_id is not None:
-                try:
-                    self._send(MsgType.CANCEL, {"req": req_id})
-                except (ServerClosed, ConnectionError, OSError):
-                    pass  # connection already down; nothing left to free
-            raise
-
-    def evaluate_many(
-        self,
-        systems: Sequence["System"],
-        pair_lists: Optional[Sequence[tuple]] = None,
-        timeout: Optional[float] = None,
-    ) -> list:
-        """Pipelined submit-then-gather (mirrors ``InferenceClient.
-        evaluate_many``, cancelling the rest of the stack on any
-        abandonment)."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-
-        def left() -> Optional[float]:
-            if deadline is None:
-                return None
-            return max(0.0, deadline - time.perf_counter())
-
-        if pair_lists is not None and len(pair_lists) != len(systems):
-            raise ValueError(
-                f"{len(systems)} systems but {len(pair_lists)} pair lists"
-            )
-        futures: list[Future] = []
-        try:
-            if pair_lists is None:
-                for s in systems:
-                    futures.append(self.submit(s, timeout=left()))
-            else:
-                for s, (pi, pj) in zip(systems, pair_lists):
-                    futures.append(self.submit(s, pi, pj, timeout=left()))
-            return [f.result(left()) for f in futures]
-        except BaseException:
-            for f in futures:
-                if f.cancel():
-                    rid = self._req_id_of(f)
-                    if rid is not None:
-                        try:
-                            self._send(MsgType.CANCEL, {"req": rid})
-                        except (ServerClosed, ConnectionError, OSError):
-                            break
-            raise
-
-    def _req_id_of(self, future: Future) -> Optional[int]:
-        with self._lock:
-            for rid, f in self._pending.items():
-                if f is future:
-                    return rid
-        return None
+    def _abandon(self, future: Future) -> None:
+        """Cancel locally and, if that took, send CANCEL so the queued
+        request frees its slot server-side instead of burning a batch slot
+        on a result nobody reads."""
+        if future.cancel():
+            try:
+                self._send(MsgType.CANCEL, {"req": future.req_id})
+            except (ServerClosed, ConnectionError, OSError):
+                pass  # connection already down; nothing left to free
 
     # ------------------------------------------------------------------ stats
 

@@ -36,43 +36,49 @@ kernel backend, thread-forked spans), so only the winner is here.
    computes everything, is the oracle.
 3. **Value liveness / storage groups** — the last *value* read by a needed
    record, per storage group, on the scheduled order.  A shape read does
-   not keep bytes alive: the slot still holds the arena view object,
+   not keep bytes alive: the slot still holds the pool view object,
    whose shape outlives its bytes.  A view op (``OpDef.view_of``:
    ``reshape``, ``item``, ``split_part``, ...) shares its output's storage
    group with that one input, so recycling can never clobber a live view.
-4. **Interference coloring** — at arena-build time (shapes are known after
-   one warm run per feed-shape signature) the plan builds the interference
-   graph over the needed buffer-producing records (two interfere when
-   their liveness ranges ``[tape index, storage-group death]`` overlap)
-   and colors it first-fit in order of decreasing size; each color becomes
-   ONE byte slab sized to its largest member, and every record's output
-   buffer is a view into its color's slab.  Unlike the PR 3 FIFO recycler
-   — which reused a buffer only for a later record with the *exact same
-   shape and dtype* —
-   coloring shares storage across shapes, so the arena footprint drops to
-   roughly the peak live set.  The FIFO allocator's footprint is still
-   simulated per arena (``BufferArena.fifo_nbytes``) as the regression
+4. **Interference coloring** — once per feed-shape signature (shapes are
+   known after one warm run) the plan builds the interference graph over
+   the needed buffer-producing records (two interfere when their liveness
+   ranges ``[tape index, storage-group death]`` overlap) and colors it
+   first-fit in order of decreasing size; each color is ONE byte slab as
+   large as its largest member, and every record's output buffer is a
+   view into its color's slab.  Unlike the PR 3 FIFO recycler — which
+   reused a buffer only for a later record with the *exact same shape and
+   dtype* — coloring shares storage across shapes, so the footprint drops
+   to roughly the peak live set.  The FIFO allocator's footprint is still
+   simulated per layout (``BufferArena.fifo_nbytes``) as the regression
    baseline; the colored result is re-verified by the static plan checker
    (P101–P105) whenever ``REPRO_VERIFY_PLANS=1``/``verify=True`` is set.
 
-Execution is one sequential steady loop (plus its profiled twin).
-Because shapes are steady, the plan owns a :class:`BufferArena` per
-feed-shape signature: persistent per-record output buffers handed to the
-destination-passing (``out=``) kernel variants registered in
-:mod:`repro.tfmini.ops`.  Ops without an ``out=`` kernel fall back to
-allocate-and-copy-into-slot (the slot buffer stays stable; only the op's
-own temporary churns).
+Execution is one sequential steady loop (plus its profiled twin) handing
+persistent per-record output buffers to the destination-passing (``out=``)
+kernel variants registered in :mod:`repro.tfmini.ops`.  Ops without an
+``out=`` kernel fall back to allocate-and-copy-into-slot (the slot buffer
+stays stable; only the op's own temporary churns).
+
+One run executes at a time and nothing it leaves in its buffers is read by
+the next (fetches are copied out or consumed first; probe stand-ins and
+constants live outside), so storage follows the largest shape, not every
+shape: the plan owns ONE pool of color slabs — slab *i* as large as color
+*i* of any signature held — and a signature's :class:`BufferArena` is a
+*layout*, the color, offset, shape and dtype of each record's destination,
+bound into the pool as views.
 
 When a feed arrives with a new shape signature the plan re-plans
-automatically: one extra "warm" run executes every record, probes
-included, through the plain kernels — replacing each value by its
-stand-in once nothing later reads it, so peak memory is the live set and
-not the sum of all outputs — and builds a fresh colored arena for that
-signature from the shapes left in the slot table.  Previously-seen
-signatures keep their warm arenas, so drivers alternating between batch
+automatically: it drops the pool, then one extra "warm" run executes every
+record, probes included, through the plain kernels — replacing each value
+by its stand-in once nothing later reads it, so peak memory is the live
+set, not the sum of all outputs and never the live set *beside* the pool
+being replaced — colors the shapes left in the slot table into a layout,
+and allocates the pool anew as the per-color maximum over the layouts
+held.  Previously-seen signatures keep their layouts (at most
+``_MAX_LAYOUTS``) and re-bind lazily, so drivers alternating between batch
 shapes (R=1 MD steps interleaved with R=8 serving batches) stop allocating
-once each shape has been seen — the same policy as
-:class:`repro.dp.batch.ScratchPool`, now applied inside the executor.
+once each shape has been seen, and hold the memory of the largest.
 
 Numerical contract: a plan run is **bitwise identical** to ``Session.run``
 on the same fetches and feeds — every ``out=`` kernel reproduces its
@@ -95,6 +101,7 @@ import os
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,13 +113,18 @@ from repro.tfmini.ops import get_op, op_flops
 _INF = 1 << 62
 
 # Execution modes for tape records.
-_MODE_OUT = 0  # destination-passing kernel into an arena buffer
-_MODE_COPY = 1  # allocating kernel, result copied into a stable arena buffer
+_MODE_OUT = 0  # destination-passing kernel into a pool buffer
+_MODE_COPY = 1  # allocating kernel, result copied into a stable pool buffer
 _MODE_ALIAS = 2  # OpDef.view_of: output may view that input; run as-is
 
 # Byte alignment for views carved out of a color's slab (covers every numpy
 # dtype and keeps tuple parts cache-line separated).
 _ALIGN = 64
+
+# Layouts (metadata, no buffers) a plan keeps, oldest dropped first: a
+# workload cycling through more feed-shape signatures than this re-warms
+# the dropped ones on revisit.  Steady workloads never get here.
+_MAX_LAYOUTS = 32
 
 
 def _stand_in(value):
@@ -131,11 +143,8 @@ class PlanStats:
 
     topo_sorts: int = 0  # graph traversals performed (1 per compile)
     arena_builds: int = 0  # warm runs: first sight of a feed-shape signature
-    arena_evictions: int = 0  # warm arenas dropped by the max_arenas cap
+    arena_evictions: int = 0  # layouts dropped by the _MAX_LAYOUTS cap
     runs: int = 0  # total executions, warm and steady
-    feed_allocs: int = 0  # plan-owned feed staging buffers allocated
-    feed_evictions: int = 0  # feed buffers dropped by the store cap
-    in_place_feeds: int = 0  # run feeds already staged in plan feed buffers
 
 
 class _Record:
@@ -172,37 +181,37 @@ class _Record:
 
 
 class BufferArena:
-    """Colored per-record output buffers for one feed-shape signature.
+    """The storage layout of one feed-shape signature in the plan's pool.
+
+    ``units`` is the layout proper: ``(tape index, color, parts, key)`` per
+    needed buffer-producing record — ``key`` its ``(shape, dtype)``, or
+    ``parts`` the ``(shape, dtype, offset)`` of each element of a tuple
+    output — and ``caps`` the bytes each color needs for this signature,
+    ``alloc_bytes`` in total.  ``probes`` holds each shape probe's
+    ``(slot, stand-in)`` for this signature's shapes.
 
     ``steady`` is what a steady run walks: each needed record paired with
-    its destination — an ndarray view into one of the arena's color slabs,
+    its destination — an ndarray view into one of the pool's color slabs,
     a tuple of views (multi-output kernels like ``tanh_fused``), or ``None``
-    for alias records and exotic outputs.  ``probes`` holds each shape
-    probe's ``(slot, stand-in)`` for this signature's shapes.
-    ``alloc_count`` counts color slabs and ``alloc_bytes`` their total
-    footprint; both only ever grow at build time — a warmed plan performs
-    zero arena allocations, which the benchmarks assert deterministically.  ``fifo_nbytes`` is the footprint
-    the PR 3 FIFO shape-keyed recycler would have needed for the same tape
-    and shapes — the baseline the coloring allocator is regression-tested
-    against.
+    for alias records and exotic outputs.  The views belong to ``pool``,
+    the slab list they were bound into; the plan re-binds a layout whose
+    ``pool`` is not the current one before running it.  ``fifo_nbytes`` is
+    the footprint the PR 3 FIFO shape-keyed recycler would have needed for
+    the same tape and shapes — the baseline the coloring allocator is
+    regression-tested against, layout by layout.
     """
 
-    __slots__ = ("signature", "steady", "probes", "alloc_count",
-                 "alloc_bytes", "fifo_nbytes")
+    __slots__ = ("units", "caps", "alloc_bytes", "probes", "steady", "pool",
+                 "fifo_nbytes")
 
-    def __init__(self, signature):
-        self.signature = signature
+    def __init__(self, units, caps, probes, fifo_nbytes):
+        self.units = units
+        self.caps = caps
+        self.alloc_bytes = sum(caps)
+        self.probes = probes
         self.steady: list = []
-        self.probes: list = []
-        self.alloc_count = 0
-        self.alloc_bytes = 0
-        self.fifo_nbytes = 0
-
-    def _new(self, shape, dtype):
-        buf = np.empty(shape, dtype)
-        self.alloc_count += 1
-        self.alloc_bytes += buf.nbytes
-        return buf
+        self.pool: Optional[list] = None
+        self.fifo_nbytes = fifo_nbytes
 
 
 def _schedule_tape(records: list, fetch_slots: Sequence[int]) -> list:
@@ -391,25 +400,19 @@ class ExecutionPlan:
         :meth:`run_list` expects.  Every reachable placeholder must be
         listed; extra entries that the fetches never touch are ignored.
     copy_fetches:
-        When True (default) fetched arrays are copied out of the arena, so
+        When True (default) fetched arrays are copied out of the pool, so
         results stay valid forever.  Hot-path consumers that consume results
         before the next run pass False and skip the copies — fetched arrays
-        are then views of arena buffers, valid until the next ``run``.
-    max_arenas:
-        Cap on warm arenas held at once (default 32).  A workload cycling
-        through more shape signatures than this evicts the oldest arena
-        (FIFO) and re-warms it on revisit — bounding resident memory for
-        servers whose micro-batch occupancy varies freely.  Steady
-        workloads never hit the cap.
+        are then views of pool slabs, valid until the next ``run``.
     verify:
         Run the static plan verifier (:mod:`repro.analysis.plancheck`)
         structural checks (P101–P105) at compile time — and again on
-        every freshly colored arena — raising ``PlanVerificationError`` on
+        every freshly colored layout — raising ``PlanVerificationError`` on
         any finding.  ``None`` (default) defers to the
         ``REPRO_VERIFY_PLANS`` environment variable, so a whole test run or
         CI job can be hardened without touching call sites.
 
-    A plan owns mutable run state (the slot value table and the arenas), so
+    A plan owns mutable run state (the slot value table and the pool), so
     a single plan must not be run from two threads at once — one plan per
     driver, like the batched engine's scratch pool.  The serving pool
     satisfies this by construction: every worker thread owns its engines
@@ -427,13 +430,11 @@ class ExecutionPlan:
         fetches: Sequence[Node] | Node,
         feed_nodes: Sequence[Node],
         copy_fetches: bool = True,
-        max_arenas: int = 32,
         verify: Optional[bool] = None,
     ):
         self._single = isinstance(fetches, Node)
         fetch_list: list[Node] = [fetches] if self._single else list(fetches)
         self._copy_fetches = copy_fetches
-        self.max_arenas = max(int(max_arenas), 1)
         self.stats = PlanStats()
 
         # --- stage 1: tape build -----------------------------------------
@@ -492,7 +493,7 @@ class ExecutionPlan:
         self._n_needed = sum(rec.needed for rec in self._records)
 
         # --- stage 3: value liveness and storage groups on the scheduled
-        # order; stage 4, coloring, happens per arena once shapes are known.
+        # order; stage 4, coloring, happens per layout once shapes are known.
         self._find, self._death, warm_death = _liveness(
             self._records, self._fetch_slots, n_slots
         )
@@ -505,18 +506,13 @@ class ExecutionPlan:
             if dth != _INF:
                 self._warm_retire[max(dth, r_idx)].append(rec.out_slot)
 
+        # One layout per feed-shape signature held, all bound into the one
+        # pool of color slabs (``None``: nothing warm).
         self._arenas: dict[tuple, BufferArena] = {}
-        # The arena whose probe stand-ins the slot table currently holds.
+        self._pool: Optional[list] = None
+        self._slab_allocs = 0
+        # The layout whose probe stand-ins the slot table currently holds.
         self._installed: Optional[BufferArena] = None
-        # Plan-owned feed staging buffers (the "arena-aware batched engine"
-        # seam): callers stage feed values directly into these persistent
-        # slots instead of a second scratch pool, so one pool serves both
-        # the staging side and the execution side.  Keyed by an arbitrary
-        # caller key + shape + dtype, like ScratchPool; id-indexed so
-        # ``run_list`` can count in-place feeds without hashing arrays.
-        self._feed_store: dict[tuple, np.ndarray] = {}
-        self._feed_ids: set[int] = set()
-        self.feed_nbytes = 0
 
         if verify is None:
             verify = os.environ.get("REPRO_VERIFY_PLANS", "") not in ("", "0")
@@ -569,23 +565,24 @@ class ExecutionPlan:
         return self._arenas
 
     def alloc_count(self) -> int:
-        """Total arena slab allocations across all shape signatures.
-
-        Safe to call from a monitoring thread while the owning thread runs
-        the plan: the arena table is snapshotted (atomic under the GIL)
-        before summing.
-        """
-        return sum(a.alloc_count for a in list(self._arenas.values()))
+        """Pool slabs allocated since the last release: one per color at
+        every warm run, none in between."""
+        return self._slab_allocs
 
     def arena_nbytes(self) -> int:
-        """Bytes held by the colored arenas (all shape signatures)."""
-        return sum(a.alloc_bytes for a in list(self._arenas.values()))
+        """Bytes held by the pool: per color, the largest layout's need."""
+        return sum(slab.nbytes for slab in self._pool or ())
+
+    def _largest(self) -> Optional[BufferArena]:
+        return max(list(self._arenas.values()),
+                   key=lambda a: a.alloc_bytes, default=None)
 
     def fifo_arena_nbytes(self) -> int:
         """Bytes the PR 3 FIFO shape-keyed recycler would have needed for
-        the same tapes and shapes — the coloring allocator's regression
-        baseline (simulated at arena-build time, never allocated)."""
-        return sum(a.fifo_nbytes for a in list(self._arenas.values()))
+        the largest layout held — the coloring allocator's regression
+        baseline (simulated at coloring time, never allocated)."""
+        largest = self._largest()
+        return 0 if largest is None else largest.fifo_nbytes
 
     def records_fused(self) -> int:
         """Always 0.  ``bench/workloads.py`` (frozen with the benchmark)
@@ -593,86 +590,32 @@ class ExecutionPlan:
         together with that metric in a later ``benchmark`` PR."""
         return 0
 
-    def feed_buffer(self, key, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """Persistent plan-owned staging destination for a feed value.
-
-        The batched engine stages its sorted feed tensors directly into
-        these slots (``np.take(..., out=plan.feed_buffer(...))``) instead of
-        into a separate scratch pool, unifying feed staging with the plan's
-        storage — the first slice of the ROADMAP "arena-aware batched
-        engine" item.  Buffers are keyed ``(key, shape, dtype)`` and
-        allocated once per distinct shape (``stats.feed_allocs``); a value
-        passed to :meth:`run_list` that *is* one of these buffers (or a view
-        of one) counts toward ``stats.in_place_feeds``.
-
-        The store is bounded like the arenas: beyond ``8 * max_arenas``
-        buffers the oldest is dropped (FIFO, ``stats.feed_evictions``) and
-        re-allocated on revisit, so free-form shape churn — a server whose
-        batch occupancy varies, a migration-heavy distributed run — cannot
-        grow resident memory without bound.  Steady workloads (a handful of
-        feed shapes) never hit the cap.
-
-        Like the arenas, feed buffers are single-threaded run state —
-        callers stage and run from the one thread that owns the plan.
-        """
-        store_key = (key, tuple(shape), np.dtype(dtype))
-        buf = self._feed_store.get(store_key)
-        if buf is None:
-            buf = np.empty(shape, dtype)
-            while len(self._feed_store) >= 8 * self.max_arenas:
-                # FIFO eviction, same policy as the arena cap.
-                old = self._feed_store.pop(next(iter(self._feed_store)))
-                self._feed_ids.discard(id(old))
-                self.feed_nbytes -= old.nbytes
-                self.stats.feed_evictions += 1
-            self._feed_store[store_key] = buf
-            self._feed_ids.add(id(buf))
-            self.stats.feed_allocs += 1
-            self.feed_nbytes += buf.nbytes
-        return buf
-
-    @property
-    def signature(self) -> Optional[tuple]:
-        """Feed-shape signature of the arena the last run used (``None``
-        before the first run and after a release)."""
-        return None if self._installed is None else self._installed.signature
-
-    def release_arena(self, signature: tuple) -> None:
-        """Drop the warm arena of one feed-shape signature, if held.
-
-        For an owner that knows a signature will not come back — the
-        batched engine replacing an arena by a larger one — so that the
-        memory is returned before the replacement is built rather than
-        when ``max_arenas`` is reached.
-        """
-        arena = self._arenas.pop(signature, None)
-        if arena is not None and arena is self._installed:
-            self._installed = None
-            self._reset_slots()
-
-    def _reset_slots(self) -> None:
-        """Forget every run value (arena views included); constants stay."""
-        self._values = [None] * self._n_slots
-        for slot, value in self._const_slots:
-            self._values[slot] = value
+    def _drop_pool(self) -> None:
+        """Let go of every reference to the pool's slabs: the pool itself,
+        each layout's views and what records left in the slot table."""
+        self._pool = None
+        self._installed = None
+        for arena in self._arenas.values():
+            arena.steady, arena.pool = [], None
+        values = self._values
+        for rec in self._records:
+            values[rec.out_slot] = None
 
     def release_arenas(self) -> None:
-        """Drop every buffer arena and feed staging buffer (the compiled
-        tape is kept).
+        """Drop the pool and every layout (the compiled tape is kept).
 
-        The arena holds roughly the graph's peak live set *persistently*;
+        The pool holds roughly the graph's peak live set *persistently*;
         long-lived processes that are done with a shape regime (or want to
         hand the memory back before measuring something allocation-
         sensitive) release here and re-warm on the next run.  ``stats``
-        counters are cumulative and unaffected; ``alloc_count()`` restarts
-        from zero.
+        is cumulative and unaffected; ``alloc_count()`` restarts from zero.
         """
+        self._drop_pool()
         self._arenas.clear()
-        self._feed_store.clear()
-        self._feed_ids.clear()
-        self.feed_nbytes = 0
-        self._installed = None
-        self._reset_slots()
+        self._slab_allocs = 0
+        for slot in self._feed_slots:  # the last run's feeds are the caller's
+            if slot >= 0:
+                self._values[slot] = None
 
     # ------------------------------------------------------------------ run
 
@@ -706,23 +649,17 @@ class ExecutionPlan:
                 f"(got {len(feed_values)})"
             )
         values = self._values
-        feed_ids = self._feed_ids
-        in_place = 0
         sig = []
         for slot, v in zip(self._feed_slots, feed_values):
             if slot < 0:
                 continue
             if type(v) is not np.ndarray:
                 v = np.asarray(v)
-            elif id(v) in feed_ids or id(v.base) in feed_ids:
-                # Already staged into a plan-owned feed slot (or a view of
-                # one) — the caller paid no extra staging copy for it.
-                in_place += 1
             values[slot] = v
             # Tiny integer feeds are shape *parameters* (e.g. the DP graph's
             # ``natoms``: ProdForce's output row count), so they join the
             # signature by value — same-shaped feeds with a different count
-            # must not share an arena.
+            # must not share a layout.
             if v.dtype.kind in "iu" and v.size <= 4:
                 sig.append((v.shape, v.dtype, v.tobytes()))
             else:
@@ -730,28 +667,37 @@ class ExecutionPlan:
         for slot, var in self._var_slots:
             values[slot] = var.value
         signature = tuple(sig)
-        self.stats.in_place_feeds += in_place
 
         profile = session is not None and session.profile
         arena = self._arenas.get(signature)
         if arena is None:
-            self._installed = None  # the warm run rewrites every slot
+            # The warm run allocates its live set: the pool it is about to
+            # replace must be gone first, not beside it.
+            self._drop_pool()
             self._warm_run(profile, session)
-            while len(self._arenas) >= self.max_arenas:
-                # FIFO eviction: drop the oldest warm arena (re-warms on
-                # revisit) so free-form signature churn can't grow memory
-                # without bound.
+            while len(self._arenas) >= _MAX_LAYOUTS:
+                # FIFO: forget the oldest layout (re-warms on revisit).
                 self._arenas.pop(next(iter(self._arenas)))
                 self.stats.arena_evictions += 1
-            arena = self._arenas[signature] = self._build_arena(signature)
+            arena = self._arenas[signature] = self._color_layout()
+            self._pool = [
+                np.empty(max(color), np.uint8)
+                for color in zip_longest(
+                    *(a.caps for a in self._arenas.values()), fillvalue=0
+                )
+            ]
+            self._slab_allocs += len(self._pool)
+            self._bind(arena)
             self._installed = arena  # its stand-ins are what the run left
             self.stats.arena_builds += 1
             if self._verify_arenas:
                 # The soundness gate on the colored result: P103 re-checks
-                # buffer-address disjointness of live storage groups on the
-                # arena just built.
+                # buffer-address disjointness of live storage groups on
+                # every layout held, bound into the pool just made.
                 self.verify(raise_on_findings=True)
         else:
+            if arena.pool is not self._pool:
+                self._bind(arena)  # the pool was re-made since it last ran
             if arena is not self._installed:
                 # Probe slots are never rewritten by a steady run: switch
                 # them to this signature's shapes.
@@ -799,40 +745,19 @@ class ExecutionPlan:
             for s in retire:
                 values[s] = _stand_in(values[s])
 
-    def _build_arena(self, signature) -> BufferArena:
-        """Stage 4: interference-color the warm run's shapes into slabs.
+    def _color_layout(self) -> BufferArena:
+        """Stage 4: interference-color the warm run's shapes.
 
         Each needed buffer-producing record is an allocation unit with
         liveness range ``[tape index, storage-group death]``.  Units whose
         ranges overlap *interfere* and must not share storage;
         non-interfering units may.  Greedy coloring (first-fit by
-        decreasing size) assigns
-        each unit a color; the arena allocates ONE byte slab per color,
-        sized to the color's largest member, and every unit's buffer is a
-        shape/dtype view into its slab.  The FIFO recycler's footprint is
-        simulated as ``fifo_nbytes`` (never allocated).
+        decreasing size) assigns each unit a color; a color needs ONE byte
+        slab as large as its largest member.  The FIFO recycler's footprint
+        is simulated as ``fifo_nbytes`` (never allocated).
         """
-        records = self._records
-        arena = BufferArena(signature)
-        buffers: list = [None] * len(records)
-
-        units = _make_units(records, self._values, self._find, self._death)
+        units = _make_units(self._records, self._values, self._find, self._death)
         caps, assign = _color_units(units)
-        slabs = [arena._new((cap,), np.uint8) for cap in caps]
-        for (r_idx, _dth, _padded, _raw, parts, key), ci in zip(units, assign):
-            slab = slabs[ci]
-            if parts is None:
-                shape, dtype = key
-                buffers[r_idx] = np.ndarray(shape, dtype=dtype, buffer=slab)
-            else:
-                buffers[r_idx] = tuple(
-                    np.ndarray(shape, dtype=dtype, buffer=slab, offset=off)
-                    for shape, dtype, off in parts
-                )
-        arena.steady = [(rec, buf) for rec, buf in zip(records, buffers)
-                        if rec.needed]
-        arena.probes = [(rec.out_slot, self._values[rec.out_slot])
-                        for rec in records if not rec.needed]
 
         # --- FIFO baseline simulation (what PR 3's recycler would use) ---
         # The baseline allocator recycled a dead buffer only for a later
@@ -850,11 +775,36 @@ class ExecutionPlan:
                 fifo += raw
             if dth < _INF:
                 heappush(heap, (dth, r_idx, key))
-        arena.fifo_nbytes = fifo
-        return arena
+
+        return BufferArena(
+            [(u[0], ci, u[4], u[5]) for u, ci in zip(units, assign)],
+            caps,
+            [(rec.out_slot, self._values[rec.out_slot])
+             for rec in self._records if not rec.needed],
+            fifo,
+        )
+
+    def _bind(self, arena: BufferArena) -> None:
+        """Make ``arena.steady``: every unit's destination as a shape/dtype
+        view into its color's slab of the current pool."""
+        pool = self._pool
+        buffers: list = [None] * len(self._records)
+        for r_idx, ci, parts, key in arena.units:
+            slab = pool[ci]
+            if parts is None:
+                shape, dtype = key
+                buffers[r_idx] = np.ndarray(shape, dtype=dtype, buffer=slab)
+            else:
+                buffers[r_idx] = tuple(
+                    np.ndarray(shape, dtype=dtype, buffer=slab, offset=off)
+                    for shape, dtype, off in parts
+                )
+        arena.steady = [(rec, buf) for rec, buf in zip(self._records, buffers)
+                        if rec.needed]
+        arena.pool = pool
 
     def _steady_run(self, arena: BufferArena) -> None:
-        """The hot loop: needed records, slot indexing, arena destinations."""
+        """The hot loop: needed records, slot indexing, pool destinations."""
         values = self._values
         for rec, buf in arena.steady:
             ins = [values[s] for s in rec.input_slots]
@@ -900,7 +850,6 @@ def compile_plan(
     fetches: Sequence[Node] | Node,
     feed_nodes: Sequence[Node],
     copy_fetches: bool = True,
-    max_arenas: int = 32,
     verify: Optional[bool] = None,
 ) -> ExecutionPlan:
     """Compile ``fetches`` into an :class:`ExecutionPlan`.
@@ -909,16 +858,14 @@ def compile_plan(
     → value liveness; interference coloring happens per feed-shape
     signature at warm time) exactly once; every subsequent
     :meth:`ExecutionPlan.run` is a flat walk over the needed records into
-    colored, persistent output buffers.  Results are bitwise identical to
+    colored, persistent output buffers.  ``(fetches, feed_nodes,
+    copy_fetches, verify)`` is the whole interface: there is nothing to
+    size or release by hand.  Results are bitwise identical to
     ``Session.run`` on the same fetches and feeds.
     ``verify=True`` (or ``REPRO_VERIFY_PLANS=1``) runs the static plan
     verifier's structural checks at compile time and on every freshly
-    colored arena.
+    colored layout.
     """
     return ExecutionPlan(
-        fetches,
-        feed_nodes,
-        copy_fetches=copy_fetches,
-        max_arenas=max_arenas,
-        verify=verify,
+        fetches, feed_nodes, copy_fetches=copy_fetches, verify=verify
     )

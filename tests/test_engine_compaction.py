@@ -8,8 +8,8 @@ listed padded slot — all padded slots of a section share one
 ``s = -davg / dstd``.  These tests hold the compacted results equal, byte
 for byte, to the two padded oracles (``use_plan=False`` engine: one
 ``Session.run``; ``DeepPot.evaluate_serial``) on paper-width nets, pin the
-capacity rule and its counters (one arena per evaluation shape, the
-outgrown one released, nothing allocated in steady state), and gate the
+capacity rule and its counters (one layout per evaluation shape, the
+outgrown one holding no memory, nothing allocated in steady state), and gate the
 three row ops.
 """
 
@@ -213,8 +213,10 @@ class TestCapacity:
         assert engine.capacity_growths == len(set(capacities)) - 1 >= 1
         assert plan.stats.arena_builds == engine.capacity_growths + 1
         assert plan.stats.arena_evictions == 0
-        (arena,) = plan.arenas.values()
-        assert plan.arena_nbytes() == arena.alloc_bytes
+        # An outgrown layout holds no memory: the pool is the grown one's.
+        assert len(plan.arenas) == plan.stats.arena_builds
+        grown = list(plan.arenas.values())[-1]
+        assert plan.arena_nbytes() == grown.alloc_bytes
         # Back to the sparse frame: the high-water capacity serves it.
         system = lattice()
         pi, pj = neighbor_pairs(system, RCUT)

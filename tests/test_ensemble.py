@@ -332,21 +332,20 @@ class TestBufferReuse:
         ens.run(4)
         assert ens.engine.scratch.alloc_count == count
 
-    def test_pool_keys_buffers_by_shape(self, model, base_system):
-        """A new batch shape allocates its own buffer set; alternating
-        between warmed shapes then allocates nothing (no thrash)."""
+    def test_pool_sizes_buffers_by_largest_shape(self, model, base_system):
+        """A smaller batch after a larger one fits the buffers it left;
+        alternating between the two allocates nothing (no thrash) and
+        holds the larger one's bytes."""
         reps = perturbed_replicas(base_system, 2)
         pls = [neighbor_pairs(s, model.config.rcut) for s in reps]
         engine = BatchedEvaluator(model)
         engine.evaluate_batch(reps, pls)
-        count = engine.scratch.alloc_count
-        engine.evaluate_batch(reps[:1], pls[:1])  # smaller batch -> new shapes
-        assert engine.scratch.alloc_count > count
-        warmed = engine.scratch.alloc_count
+        count, nbytes = engine.scratch.alloc_count, engine.scratch.nbytes()
         for _ in range(3):
-            engine.evaluate_batch(reps, pls)
             engine.evaluate_batch(reps[:1], pls[:1])
-        assert engine.scratch.alloc_count == warmed
+            engine.evaluate_batch(reps, pls)
+        assert engine.scratch.alloc_count == count
+        assert engine.scratch.nbytes() == nbytes
 
     def test_pair_count_drift_bounded_allocations(self, model, base_system):
         """Neighbor-list rebuilds change the pair count slightly every time;

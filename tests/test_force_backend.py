@@ -269,9 +269,9 @@ class TestForceBackendCounters:
 
 
 class TestIdentityStagingAndFeedSlots:
-    """The plan's feeds (per-type environment rows) are staged in its
-    persistent feed slots; type-sorted stacks skip the gather copies
-    entirely (counter-asserted)."""
+    """The plan's feeds (per-type environment rows) are gathered into
+    engine scratch; type-sorted stacks skip the gather copies entirely
+    (counter-asserted)."""
 
     def test_single_type_takes_identity_path(self, copper_model):
         system = fcc_lattice((3, 3, 3))
@@ -282,11 +282,11 @@ class TestIdentityStagingAndFeedSlots:
         assert engine.stage_identity == 3
         assert engine.stage_gathers == 0
         # No gather destination was ever needed — the per-step gather copy
-        # of em/ed/rij/nlist is gone: the plan's feed store is empty and
-        # scratch holds no sorted twin of a staging buffer.
-        assert engine.plan.stats.feed_allocs == 0
-        names = {key[0] for key in engine.scratch._arrays}
-        assert not names & {"ed_sorted", "rij_sorted", "nlist_sorted", "atom_idx"}
+        # of em/ed/rij/nlist is gone: scratch holds no sorted twin of a
+        # staging buffer.
+        assert not set(engine.scratch._arrays) & {
+            "em_t0", "ed_sorted", "rij_sorted", "nlist_sorted", "atom_idx"
+        }
 
     def test_identity_path_bitwise_vs_session_oracle(self, copper_model):
         system = fcc_lattice((3, 3, 3))
@@ -295,23 +295,22 @@ class TestIdentityStagingAndFeedSlots:
         oracle = copper_model.evaluate_serial(system, pi, pj)
         assert_result_bitwise(fast, oracle)
 
-    def test_water_feeds_staged_in_plan_slots(self, model, water_sys):
+    def test_water_feeds_gathered_into_scratch(self, model, water_sys):
         engine = BatchedEvaluator(model)
         pi, pj = neighbor_pairs(water_sys, model.config.rcut)
         engine.evaluate_batch([water_sys], [(pi, pj)])
         plan = engine.plan
-        runs0, inplace0 = plan.stats.runs, plan.stats.in_place_feeds
-        allocs0 = plan.stats.feed_allocs
-        for _ in range(3):
-            engine.evaluate_batch([water_sys], [(pi, pj)])
-        # Steady state: every plan feed (one em block per type) is staged
-        # in place and no new feed buffers appear; the gathered geometry
-        # tensors feed the out-of-plan force/virial assembly from scratch.
-        assert plan.stats.runs - runs0 == 3
-        assert plan.stats.in_place_feeds - inplace0 == 3 * model.config.n_types
-        assert plan.stats.feed_allocs == allocs0 == model.config.n_types
+        runs0 = plan.stats.runs
         scratch_allocs = engine.scratch.alloc_count
-        engine.evaluate_batch([water_sys], [(pi, pj)])
+        for _ in range(4):
+            engine.evaluate_batch([water_sys], [(pi, pj)])
+        # Steady state: every plan feed (one em block per type) and the
+        # gathered geometry tensors of the out-of-plan force/virial
+        # assembly have their one scratch buffer; no new ones appear.
+        assert plan.stats.runs - runs0 == 4
+        assert {f"em_t{t}" for t in range(model.config.n_types)} | {
+            "ed_sorted", "rij_sorted", "nlist_sorted", "atom_idx"
+        } <= set(engine.scratch._arrays)
         assert engine.scratch.alloc_count == scratch_allocs
         assert engine.stage_gathers == 5
 
@@ -323,32 +322,11 @@ class TestIdentityStagingAndFeedSlots:
         ref = model.evaluate_serial(water_sys, pi, pj)
         assert_result_bitwise(res, ref)
 
-    def test_feed_store_bounded_under_shape_churn(self, model, water_sys):
-        """Free-form feed-shape churn evicts FIFO instead of growing the
-        plan's resident feed memory without bound (same policy as the
-        arena cap)."""
-        engine = BatchedEvaluator(model)
-        pi, pj = neighbor_pairs(water_sys, model.config.rcut)
-        engine.evaluate_batch([water_sys], [(pi, pj)])
-        plan = engine.plan
-        cap = 8 * plan.max_arenas
-        for n in range(cap + 5):
-            plan.feed_buffer(("churn", n), (4,))
-        assert len(plan._feed_store) <= cap
-        assert plan.stats.feed_evictions > 0
-        assert plan.feed_nbytes == sum(
-            b.nbytes for b in plan._feed_store.values()
-        )
-        # Evaluation still works (evicted buffers re-warm transparently).
-        res = engine.evaluate_batch([water_sys], [(pi, pj)])[0]
-        assert_result_bitwise(res, model.evaluate_serial(water_sys, pi, pj))
-
     def test_scratch_and_fmt_caches_bounded_under_rebuild_churn(self, model):
-        """Migration-heavy runs re-key the stacked staging buffers on every
-        reneighboring; both engine-side caches must stay bounded (FIFO),
-        mirroring the plan's arena/feed caps."""
+        """Migration-heavy runs re-shape the stacked staging buffers on
+        every reneighboring: scratch holds one buffer per name (here the
+        first, largest shape's) and the layout cache stays bounded (FIFO)."""
         engine = BatchedEvaluator(model)
-        engine.scratch.max_entries = 24
         engine.max_fmt_layouts = 4
         base = water_box((3, 3, 3), seed=0)
         rng = np.random.default_rng(0)
@@ -363,20 +341,11 @@ class TestIdentityStagingAndFeedSlots:
             res = engine.evaluate_batch([sys_k], [(pi, pj)])[0]
             ref = model.evaluate_serial(sys_k, pi, pj)
             assert_result_bitwise(res, ref)
-        assert len(engine.scratch._arrays) <= engine.scratch.max_entries
+            if k == 0:
+                warmed = engine.scratch.alloc_count
+        assert engine.scratch.alloc_count == warmed  # later shapes are smaller
         assert len(engine._fmts) <= engine.max_fmt_layouts
-        assert engine.scratch.evictions > 0
         assert engine.fmt_evictions > 0
-
-    def test_release_buffers_clears_feed_store(self, model, water_sys):
-        engine = BatchedEvaluator(model)
-        pi, pj = neighbor_pairs(water_sys, model.config.rcut)
-        engine.evaluate_batch([water_sys], [(pi, pj)])
-        assert engine.plan.feed_nbytes > 0
-        engine.release_buffers()
-        assert engine.plan.feed_nbytes == 0
-        res = engine.evaluate_batch([water_sys], [(pi, pj)])[0]
-        assert_result_bitwise(res, model.evaluate_serial(water_sys, pi, pj))
 
 
 class TestDriversShareTheSeam:

@@ -21,16 +21,21 @@ Everything asserts deterministically — counters and bitwise equality,
 never wall-clock thresholds (the repo's bench-timing policy).
 """
 
+import json
 import socket as socketmod
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.structures import water_box
 from repro.dp.backend import BackendPotential, ForceFrame, ServingForceBackend
 from repro.dp.model import DeepPot, DPConfig
 from repro.dp.pair import DeepPotPair
+from repro.md.checkpoint import TaggedArrayError, pack_arrays, unpack_tagged
 from repro.md.neighbor import fitted_neighbor_list, neighbor_pairs
 from repro.md.simulation import Simulation
 from repro.serving import (
@@ -74,6 +79,59 @@ def assert_bitwise(result, reference):
 # ---------------------------------------------------------------------------
 # 1. framing
 # ---------------------------------------------------------------------------
+
+
+def container(header, blob=b""):
+    """``u32 header_len | JSON header | blob`` with ANY JSON value as the
+    header — what ``pack_tagged`` writes, minus its good manners."""
+    head = json.dumps(header).encode("utf-8")
+    return struct.pack("!I", len(head)) + head + blob
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Values that once escaped as bare TypeError / ValueError.
+HOSTILE = st.sampled_from([
+    5, "xx", "nope", "|O", "|V0", "2f8", "T", "U", "<f80", [1.0], [True],
+    [-1, -1], [2**62, 4], [0, 2**62], ["x", "<f8"], None,
+])
+
+
+@st.composite
+def fuzzed_containers(draw):
+    """Arbitrary bytes, or a valid container with one header field replaced
+    or one byte flipped."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=96))
+    arrays = {
+        "positions": np.arange(12.0).reshape(4, 3),
+        "types": np.array([0, 1, 1, 0]),
+        "energy": np.float64(-1.5),
+    }
+    specs, blob = pack_arrays(arrays)
+    header = {"req": 7, "model": "water", "arrays": specs}
+    value = draw(HOSTILE | JSON_VALUES)
+    where = draw(st.sampled_from(
+        ["header", "arrays", "spec", "name", "dtype", "shape", "flip", "none"]
+    ))
+    if where == "header":
+        header = value
+    elif where == "arrays":
+        header["arrays"] = value
+    elif where == "spec":
+        specs[draw(st.integers(0, 2))] = value
+    elif where in ("name", "dtype", "shape"):
+        field = ("name", "dtype", "shape").index(where)
+        specs[draw(st.integers(0, 2))][field] = value
+    data = bytearray(container(header, blob))
+    if where == "flip":
+        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
 
 
 class TestProtocol:
@@ -172,6 +230,31 @@ class TestProtocol:
         # trailing garbage after the last array
         with pytest.raises(ProtocolError, match="trailing"):
             proto.unpack_arrays([["x", "<f8", [1]]], b"\x00" * 16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=fuzzed_containers())
+    def test_decoders_yield_arrays_or_a_typed_error(self, data):
+        """One fuzz target for both decoders: whatever the bytes, a valid
+        ``(header, arrays)`` no larger than the payload, or the decoder's
+        own error type — nothing else ever crosses the wire boundary."""
+        payload = bytes((proto.PROTOCOL_VERSION, proto.MsgType.SUBMIT)) + data
+        decoded = []
+        try:
+            decoded.append(unpack_tagged(data))
+        except TaggedArrayError:
+            pass
+        try:
+            decoded.append(proto.decode_payload(payload)[1:])
+        except ProtocolError:
+            pass
+        for header, arrays in decoded:
+            assert isinstance(header, dict) and "arrays" not in header
+            assert all(
+                isinstance(a, np.ndarray) and not a.dtype.hasobject
+                for a in arrays.values()
+            )
+            assert sum(a.nbytes for a in arrays.values()) <= len(data)
+        assert len(decoded) in (0, 2)  # the two decoders agree
 
     def test_oversized_frame_refused_before_allocation(self):
         huge = proto._LEN.pack(proto.MAX_FRAME_BYTES + 1)
@@ -272,6 +355,28 @@ class TestDaemonRoundTrip:
                 raw.sendall(bytes(bad))
                 # daemon refuses the handshake and closes: EOF
                 assert raw.recv(1) == b""
+
+    def test_malformed_header_answered_with_protocol_error(self, model, base):
+        """A well-framed SUBMIT whose header names no decodable arrays gets
+        the ERR_PROTOCOL ERROR frame (not a dead reader thread and a bare
+        close), and the daemon keeps serving everyone else."""
+        body = bytes((proto.PROTOCOL_VERSION, proto.MsgType.SUBMIT)) + container(
+            {"req": 7, "model": "water", "arrays": [["positions", "|O", [1]]]},
+            b"\x00" * 8,
+        )
+        with make_daemon(model) as daemon:
+            with socketmod.create_connection(daemon.address, timeout=WAIT) as raw:
+                proto.write_frame(raw, proto.MsgType.HELLO, {"client": "fuzz"})
+                assert proto.read_frame(raw)[0] == proto.MsgType.WELCOME
+                raw.sendall(proto._LEN.pack(len(body)) + body)
+                mtype, header, _ = proto.read_frame(raw)
+                assert mtype == proto.MsgType.ERROR
+                assert header["kind"] == proto.ERR_PROTOCOL
+                assert "bad array spec" in header["message"]
+            with SocketClient(daemon.address, "water") as client:
+                frame = perturbed_frames(base, 1, seed0=31)[0]
+                result = client.evaluate(frame, timeout=WAIT)
+                assert served_matches_direct(model, frame, result)
 
     def test_stats_round_trip(self, model, base):
         with make_daemon(model) as daemon:

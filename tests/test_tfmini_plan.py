@@ -157,16 +157,22 @@ class TestSyntheticGraphs:
         assert res.energy == ref.energy
         assert np.array_equal(res.forces, ref.forces)
 
-    def test_arena_cap_evicts_fifo_and_stays_correct(self):
+    def test_arena_cap_evicts_fifo_and_stays_correct(self, monkeypatch):
+        import repro.tfmini.plan as plan_mod
+
+        monkeypatch.setattr(plan_mod, "_MAX_LAYOUTS", 2)
         x = tf.placeholder("x")
         node = tf.tanh(x)
-        plan = tf.compile_plan(node, [x], max_arenas=2)
+        plan = tf.compile_plan(node, [x])
         sess = tf.Session()
         feeds = [{x: np.random.default_rng(k).normal(size=(k + 1,))} for k in range(4)]
-        for f in feeds:  # 4 signatures through a 2-arena cap
+        for f in feeds:  # 4 signatures through a 2-layout table
             assert np.array_equal(plan.run(f), sess.run(node, f))
         assert len(plan.arenas) == 2
         assert plan.stats.arena_evictions == 2
+        # the pool is the largest layout *held*, whatever came before
+        assert plan.arena_nbytes() == max(
+            a.alloc_bytes for a in plan.arenas.values())
         # an evicted signature re-warms and is still bitwise right
         assert np.array_equal(plan.run(feeds[0]), sess.run(node, feeds[0]))
         assert plan.stats.arena_builds == 5
